@@ -70,7 +70,6 @@ from .store import (
     Or,
     Snapshot,
     evaluate,
-    replay_commit_log,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

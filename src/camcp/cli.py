@@ -6,9 +6,9 @@ import dataclasses
 import json
 import sys
 
-from .bench import compute_metrics, run_bench
+from .bench import compute_metrics, replay, run_bench
 from .planner import CostModel
-from .runtime import MalformedTraceError, read_trace, run, write_trace
+from .runtime import MalformedTraceError, run, write_trace
 from .scenarios import (
     MODE_CA,
     MODE_TRADITIONAL,
@@ -55,7 +55,7 @@ def _apply_overrides(scenario, window: int | None, latency: float | None):
         if window < 1:
             raise ScenarioValidationError("window", "budget must be >= 1")
         scenario = dataclasses.replace(
-            scenario, window=WindowConfig(enabled=True, budget_entries=window, eviction="fifo")
+            scenario, window=WindowConfig(enabled=True, budget_entries=window)
         )
     if latency is not None:
         if latency < 0:
@@ -103,8 +103,7 @@ def _summary_path(csv_path: str) -> str:
 
 
 def _cmd_replay(args) -> int:
-    metrics = compute_metrics(read_trace(args.trace))
-    _print_metrics(metrics)
+    _print_metrics(replay(args.trace))
     return EXIT_OK
 
 

@@ -1,18 +1,16 @@
 """Planning and summarizing seat.
 
 The default planner is a deterministic template mock so runs are cheap and
-reproducible; every call is recorded through one atomic counter, which is
-what the benchmark counts. A thin HTTP adapter defines the contract for
-plugging in a hosted model without touching the counting or the templates.
+reproducible; the runtime records each of its calls as an ``llm_call``
+trace event, which is what the benchmark counts. A thin HTTP adapter
+defines the contract for plugging in a hosted model; it imports
+``requests`` only when it sends a request.
 """
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-
-import requests
+from dataclasses import dataclass
 
 from .store import (
     And,
@@ -30,10 +28,6 @@ KIND_WEDDING = "wedding"
 KINDS = (KIND_TRAVEL, KIND_WEDDING)
 
 ROLE_PLAN = "plan"
-ROLE_STEP_DECISION = "step_decision"
-ROLE_SUMMARIZE = "summarize"
-ROLE_COMBINED = "combined"
-ROLES = (ROLE_PLAN, ROLE_STEP_DECISION, ROLE_SUMMARIZE, ROLE_COMBINED)
 
 
 class UnsupportedKindError(Exception):
@@ -77,13 +71,6 @@ class PlanBlueprint:
 class CostModel:
     per_call_latency_s: float = 6.0
     per_tool_latency_s: float = 0.4
-
-
-@dataclass(frozen=True)
-class CallRecord:
-    call_index: int
-    role: str
-    simulated_latency_s: float
 
 
 _REQUIRED_PARAMS = {
@@ -173,53 +160,20 @@ def render_summary(values: Mapping[str, ContextValue], blueprint: PlanBlueprint)
 class MockPlanner:
     """Deterministic stand-in for the central model.
 
-    plan() is a pure function of the query; summarize() is a pure function
-    of (snapshot, blueprint). The only state is the call counter.
+    Stateless: plan() is a pure function of the query; summarize() is a pure
+    function of (snapshot, blueprint).
     """
-
-    def __init__(self, cost_model: CostModel | None = None):
-        self.cost_model = cost_model or CostModel()
-        self._lock = threading.Lock()
-        self._records: list[CallRecord] = []
-
-    # -- Call accounting --
-
-    def note_call(self, role: str) -> CallRecord:
-        if role not in ROLES:
-            raise ValueError(f"unknown call role: {role!r}")
-        with self._lock:
-            record = CallRecord(
-                call_index=len(self._records) + 1,
-                role=role,
-                simulated_latency_s=self.cost_model.per_call_latency_s,
-            )
-            self._records.append(record)
-            return record
-
-    def call_count(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def records(self) -> list[CallRecord]:
-        with self._lock:
-            return list(self._records)
-
-    def reset_counter(self) -> None:
-        with self._lock:
-            self._records.clear()
 
     # -- Planning --
 
-    def plan(self, query: Query, combined: bool = False) -> PlanBlueprint:
+    def plan(self, query: Query) -> PlanBlueprint:
         """Turn a query into a blueprint: goals, constraints, stage wiring,
-        completion key. Counts one call (role ``combined`` when the run
-        policy folds summarization into this same call)."""
+        completion key."""
         if query.kind not in KINDS:
             raise UnsupportedKindError(query.kind)
         missing = [p for p in _REQUIRED_PARAMS[query.kind] if p not in query.params]
         if missing:
             raise ValueError(f"query params missing {missing[0]!r} for kind {query.kind!r}")
-        self.note_call(ROLE_COMBINED if combined else ROLE_PLAN)
         constraints = {
             k: copy_value(v) for k, v in query.params.items() if k != "scenario"
         }
@@ -233,25 +187,22 @@ class MockPlanner:
     # -- Summarization --
 
     def summarize(self, snapshot: Mapping[str, ContextEntry], blueprint: PlanBlueprint) -> str:
-        """Summarize a completed run from the shared snapshot. Counts one call.
+        """Summarize a completed run from the shared snapshot.
 
         Raises :class:`IncompleteContextError` when the completion key has
         not been written yet.
         """
         if blueprint.completion_key not in snapshot:
             raise IncompleteContextError(blueprint.completion_key)
-        self.note_call(ROLE_SUMMARIZE)
         values = {k: e.value for k, e in snapshot.items()}
         return render_summary(values, blueprint)
 
     def step_decision(self, stage_id: str, visible_keys: list[str]) -> str:
         """One orchestration decision in the centrally driven baseline."""
-        self.note_call(ROLE_STEP_DECISION)
         return f"run stage {stage_id} with context [{', '.join(visible_keys)}]"
 
     def synthesize(self, entries: list[tuple[str, ContextValue]]) -> str:
         """Final synthesis over the orchestrator's private history."""
-        self.note_call(ROLE_SUMMARIZE)
         lines = ["=== final response ==="]
         for key, value in entries:
             rendered = value if isinstance(value, str) else canonical_dumps(value)
@@ -299,7 +250,8 @@ class LlmAdapter:
     """POSTs ``{"messages": [...], "tools": [...]}`` and expects ``{"text": ...}``.
 
     ``recorder`` receives the verbatim request and response bodies, so a run
-    can log them into its trace; ``on_call`` lets a planner count adapter
+    can log them into its trace; ``on_call(role)`` is invoked once per
+    request, so :meth:`camcp.runtime.TraceBuilder.llm_call` can count adapter
     calls identically to mock calls.
     """
 
@@ -320,6 +272,8 @@ class LlmAdapter:
     def request(self, messages: list, tools: list) -> str:
         if not self.url:
             raise AdapterConfigurationError("adapter has no endpoint URL")
+        import requests  # imported here so that `import camcp` does not load it
+
         body = {"messages": copy_value(messages), "tools": copy_value(tools)}
         headers = {"content-type": "application/json"}
         if self.token:

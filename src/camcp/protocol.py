@@ -3,15 +3,15 @@
 Every message is one envelope per line: ``{"msg_type": ..., "seq": ...,
 "payload": {...}}`` with that top-level field order fixed and all object
 keys inside the payload sorted, so encoding is canonical and injective.
-The same line encoding is reused for trace events and commit logs.
+Trace events use the same compact, key-sorted line encoding.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .store import ContextValue, canonicalize_value, copy_value
+from .store import canonicalize_value, copy_value
 
 PLAN_REQUEST = "plan_request"
 TOOL_DECLARATION = "tool_declaration"
@@ -226,11 +226,3 @@ def validate_sequence(messages: Sequence[Envelope]) -> None:
         if rank > highest:
             highest = rank
             highest_type = envelope.msg_type
-
-
-def encode_all(messages: Iterable[Envelope]) -> str:
-    return "\n".join(encode(m) for m in messages)
-
-
-def decode_all(text: str) -> list[Envelope]:
-    return [decode(line) for line in text.splitlines() if line.strip()]

@@ -7,21 +7,11 @@ contained per reactor; independent reactors keep running.
 """
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .store import (
-    CONCURRENT,
-    DETERMINISTIC,
-    ContextStore,
-    ContextValue,
-    Snapshot,
-    WatchCondition,
-    values_equal,
-)
+from .store import ContextStore, ContextValue, Snapshot, WatchCondition, values_equal
 
 
 class ReactorState(Enum):
@@ -64,22 +54,16 @@ Action = Callable[[Snapshot], ActionResult]
 @dataclass(frozen=True)
 class ServerSpec:
     server_id: str
-    tools: tuple[dict, ...]
     trigger: WatchCondition
     action: Action
     done_key: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tools", tuple(self.tools))
-
 
 class _Reactor:
-    __slots__ = ("spec", "order", "subscription_id", "state", "edge_time", "failure")
+    __slots__ = ("spec", "state", "edge_time", "failure")
 
-    def __init__(self, spec: ServerSpec, order: int, subscription_id: int):
+    def __init__(self, spec: ServerSpec):
         self.spec = spec
-        self.order = order
-        self.subscription_id = subscription_id
         self.state = ReactorState.IDLE
         self.edge_time: int | None = None
         self.failure: str | None = None
@@ -106,7 +90,6 @@ class ReactorPool:
         self._on_failed = on_failed
         self._reactors: list[_Reactor] = []
         self._by_subscription: dict[int, _Reactor] = {}
-        self._lock = threading.Lock()
 
     def register(self, spec: ServerSpec) -> None:
         """Add a reactor. If its trigger already holds, the registration-time
@@ -117,7 +100,7 @@ class ReactorPool:
             if reactor.spec.done_key == spec.done_key:
                 raise DuplicateServerError(f"done_key {spec.done_key!r}")
         subscription = self.store.subscribe(spec.trigger, spec.server_id)
-        reactor = _Reactor(spec, order=len(self._reactors), subscription_id=subscription.subscription_id)
+        reactor = _Reactor(spec)
         self._reactors.append(reactor)
         self._by_subscription[subscription.subscription_id] = reactor
 
@@ -127,16 +110,13 @@ class ReactorPool:
     def failures(self) -> dict[str, str]:
         return {r.spec.server_id: r.failure for r in self._reactors if r.failure}
 
-    # -- Deterministic scheduling --
-
-    def step(self) -> list[str]:
-        """Absorb pending edges, then fire every ready reactor in registration
-        order. Edges risen by these fires are picked up by the next step."""
-        self._absorb()
-        return self._fire_ready()
+    # -- Scheduling --
 
     def run_until_quiescent(self, max_steps: int) -> int:
         """Step until no reactor is ready; returns the number of steps taken.
+
+        Each step fires every ready reactor in registration order; edges
+        risen by those fires are picked up by the next step.
 
         Raises :class:`BudgetExceededError` if quiescence is not reached
         within ``max_steps``.
@@ -148,7 +128,9 @@ class ReactorPool:
                 return steps
             if steps >= max_steps:
                 raise BudgetExceededError(max_steps)
-            self._fire_ready()
+            for reactor in self._reactors:
+                if reactor.state is ReactorState.READY:
+                    self._fire_one(reactor)
             steps += 1
 
     def _absorb(self) -> None:
@@ -157,39 +139,6 @@ class ReactorPool:
             if reactor is not None and reactor.state is ReactorState.IDLE:
                 reactor.state = ReactorState.READY
                 reactor.edge_time = logical_time
-
-    def _fire_ready(self) -> list[str]:
-        fired = []
-        for reactor in self._reactors:
-            if reactor.state is ReactorState.READY:
-                self._fire_one(reactor)
-                fired.append(reactor.spec.server_id)
-        return fired
-
-    # -- Concurrent scheduling --
-
-    def run_until_quiescent_concurrent(self, max_steps: int) -> int:
-        """Concurrent-mode variant: ready reactors of one step fire in
-        parallel threads. Commit batches stay atomic, so no reactor ever
-        observes a half-written stage."""
-        steps = 0
-        while True:
-            self._absorb_concurrent()
-            ready = [r for r in self._reactors if r.state is ReactorState.READY]
-            if not ready:
-                return steps
-            if steps >= max_steps:
-                raise BudgetExceededError(max_steps)
-            with ThreadPoolExecutor(max_workers=len(ready)) as pool:
-                list(pool.map(self._fire_one, ready))
-            steps += 1
-
-    def _absorb_concurrent(self) -> None:
-        for reactor in self._reactors:
-            for _sub_id, logical_time in self.store.poll_notifications(reactor.spec.server_id):
-                if reactor.state is ReactorState.IDLE:
-                    reactor.state = ReactorState.READY
-                    reactor.edge_time = logical_time
 
     # -- One fire --
 
@@ -203,9 +152,8 @@ class ReactorPool:
         except Exception as exc:  # a crashing action must not sink the run
             result = ActionResult.fail(f"{type(exc).__name__}: {exc}")
         if result.failure is not None:
-            with self._lock:
-                reactor.state = ReactorState.FAILED
-                reactor.failure = result.failure
+            reactor.state = ReactorState.FAILED
+            reactor.failure = result.failure
             if self._on_failed is not None:
                 self._on_failed(spec.server_id, result.failure)
             return
@@ -213,7 +161,6 @@ class ReactorPool:
         if not (writes and writes[-1][0] == spec.done_key and values_equal(writes[-1][1], True)):
             writes.append((spec.done_key, True))
         self.store.put_many(writes, writer_id=spec.server_id)
-        with self._lock:
-            reactor.state = ReactorState.FIRED
+        reactor.state = ReactorState.FIRED
         if self._on_fired is not None:
             self._on_fired(spec.server_id, writes)

@@ -332,9 +332,9 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
     builder = TraceBuilder(MODE_CA, seed, scenario)
     builder.run_start(query)
 
-    planner = MockPlanner(scenario.cost_model)
+    planner = MockPlanner()
     combined = scenario.call_policy.ca_calls == CA_COMBINED_SINGLE
-    blueprint = planner.plan(query, combined=combined)
+    blueprint = planner.plan(query)
     builder.llm_call(
         "combined" if combined else "plan",
         envelope=builder.envelope_line(
@@ -401,7 +401,7 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
     builder = TraceBuilder(MODE_TRADITIONAL, seed, scenario)
     builder.run_start(query)
 
-    planner = MockPlanner(scenario.cost_model)
+    planner = MockPlanner()
     tools = {t.stage_id: t for t in build_servers(scenario, MODE_TRADITIONAL)}
     history: list[tuple[str, ContextValue]] = [
         (k, v) for k, v in query.params.items() if k != "scenario"

@@ -10,7 +10,8 @@ context window (traditional mode).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -62,7 +63,6 @@ class WindowConfig:
 
     enabled: bool = False
     budget_entries: int = 3
-    eviction: str = "fifo"
 
 
 @dataclass(frozen=True)
@@ -182,24 +182,29 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         )
 
     window_data = data.get("window", {})
-    window = WindowConfig(
-        enabled=bool(window_data.get("enabled", False)),
-        budget_entries=window_data.get("budget_entries", 3),
-        eviction=window_data.get("eviction", "fifo"),
-    )
-    if not isinstance(window.budget_entries, int) or window.budget_entries < 1:
+    if not isinstance(window_data, dict):
+        raise ScenarioValidationError("window", "must be an object")
+    enabled = window_data.get("enabled", False)
+    if not isinstance(enabled, bool):
+        raise ScenarioValidationError("window.enabled", "must be true or false")
+    budget_entries = window_data.get("budget_entries", 3)
+    if not _is_int(budget_entries) or budget_entries < 1:
         raise ScenarioValidationError("window.budget_entries", "must be an integer >= 1")
-    if window.eviction != "fifo":
-        raise ScenarioValidationError("window.eviction", f"unsupported policy {window.eviction!r}")
+    eviction = window_data.get("eviction", "fifo")
+    if eviction != "fifo":
+        raise ScenarioValidationError("window.eviction", f"unsupported policy {eviction!r}")
+    window = WindowConfig(enabled=enabled, budget_entries=budget_entries)
 
     cost_data = data.get("cost_model", {})
+    if not isinstance(cost_data, dict):
+        raise ScenarioValidationError("cost_model", "must be an object")
     cost_model = CostModel(
-        per_call_latency_s=float(cost_data.get("per_call_latency_s", 6.0)),
-        per_tool_latency_s=float(cost_data.get("per_tool_latency_s", 0.4)),
+        per_call_latency_s=_latency(cost_data, "per_call_latency_s", 6.0),
+        per_tool_latency_s=_latency(cost_data, "per_tool_latency_s", 0.4),
     )
 
     max_steps = data.get("max_steps", 16)
-    if not isinstance(max_steps, int) or max_steps < 1:
+    if not _is_int(max_steps) or max_steps < 1:
         raise ScenarioValidationError("max_steps", "must be an integer >= 1")
 
     constraints = data.get("constraints")
@@ -247,6 +252,18 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         cost_model=cost_model,
         max_steps=max_steps,
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _latency(cost_data: dict, name: str, default: float) -> float:
+    value = cost_data.get(name, default)
+    # The upper bound rejects an integer too large to become a float.
+    if not (_is_int(value) or isinstance(value, float)) or not 0 <= value <= sys.float_info.max:
+        raise ScenarioValidationError(f"cost_model.{name}", "must be a finite number >= 0")
+    return float(value)
 
 
 def _validate_travel(tables: dict, constraints: dict) -> None:
@@ -529,10 +546,6 @@ def evaluate_satisfaction(
     return goal, constraint
 
 
-def outputs_from_snapshot(snapshot: Snapshot, stage_ids: list[str]) -> dict[str, ContextValue]:
-    return {sid: snapshot.value(sid) for sid in stage_ids if sid in snapshot}
-
-
 def outputs_from_trace(trace) -> dict[str, ContextValue]:
     """Collect per-stage outputs from stage_done events (last write wins)."""
     outputs: dict[str, ContextValue] = {}
@@ -540,19 +553,6 @@ def outputs_from_trace(trace) -> dict[str, ContextValue]:
         if event.kind == "stage_done":
             outputs.update(event.payload.get("outputs", {}))
     return outputs
-
-
-def check_constraints(scenario: Scenario, source) -> tuple[float, float]:
-    """Score from either a store snapshot or a finished trace."""
-    if isinstance(source, Snapshot):
-        outputs = outputs_from_snapshot(source, scenario.stage_ids())
-    elif hasattr(source, "events"):
-        outputs = outputs_from_trace(source)
-    else:
-        outputs = dict(source)
-    return evaluate_satisfaction(
-        scenario.kind, scenario.constraints, scenario.stage_ids(), outputs
-    )
 
 
 # -- Server builders -------------------------------------------------------------
@@ -567,10 +567,6 @@ class StatelessTool:
     server_id: str
     required: tuple[str, ...]
     run: Callable[[Mapping[str, ContextValue]], dict]
-
-
-def _tool_meta(name: str, description: str) -> dict:
-    return {"name": name, "description": description, "param_schema": {"type": "object"}}
 
 
 def _travel_stage_fn(tables: dict, stage_id: str):
@@ -590,17 +586,6 @@ def _travel_stage_fn(tables: dict, stage_id: str):
     return compute
 
 
-_TOOL_META = {
-    "location": _tool_meta("suggest_locations", "shortlist attractions for the trip"),
-    "weather": _tool_meta("forecast_weather", "forecast conditions for each trip day"),
-    "hotel": _tool_meta("book_hotel", "reserve a hotel for the stay"),
-    "dining": _tool_meta("plan_dining", "pick restaurants matching preferences"),
-    "arrivals": _tool_meta("track_arrivals", "turn guest arrivals into transport requests"),
-    "errands": _tool_meta("track_errands", "turn errands into transport requests"),
-    "schedule": _tool_meta("schedule_transport", "batch transport requests into vehicle trips"),
-}
-
-
 def _build_travel_ca(scenario: Scenario) -> list[ServerSpec]:
     tables = scenario.data_tables
     specs = []
@@ -618,7 +603,6 @@ def _build_travel_ca(scenario: Scenario) -> list[ServerSpec]:
         specs.append(
             ServerSpec(
                 server_id=stage.server_id,
-                tools=(_TOOL_META[stage.stage_id],),
                 trigger=wiring.trigger,
                 action=action,
                 done_key=wiring.done_key,
@@ -663,21 +647,18 @@ def _build_wedding_ca(scenario: Scenario) -> list[ServerSpec]:
     return [
         ServerSpec(
             server_id=arrivals.server_id,
-            tools=(_TOOL_META["arrivals"],),
             trigger=arrivals.trigger,
             action=tracker_action(guest_requests(tables), "arrivals", errands.done_key),
             done_key=arrivals.done_key,
         ),
         ServerSpec(
             server_id=errands.server_id,
-            tools=(_TOOL_META["errands"],),
             trigger=errands.trigger,
             action=tracker_action(errand_requests(tables), "errands", arrivals.done_key),
             done_key=errands.done_key,
         ),
         ServerSpec(
             server_id=transport.server_id,
-            tools=(_TOOL_META["schedule"],),
             trigger=transport.trigger,
             action=transport_action,
             done_key=transport.done_key,

@@ -4,23 +4,19 @@ The store is the shared coordination surface: writers commit versioned
 entries under a single store-wide logical clock, readers take consistent
 snapshots, and subscribers are notified exactly once per false-to-true
 transition of a watch condition evaluated over successive post-commit
-states. Every commit is appended to an in-memory JSON-lines log that can
-be replayed into an identical store.
+states. Commit listeners see every commit in order; the runtime records
+each one as a trace event.
 """
 from __future__ import annotations
 
 import json
 import math
 import threading
-from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Union
 
 ContextValue = Union[None, bool, int, float, str, list, dict]
-
-DETERMINISTIC = "deterministic"
-CONCURRENT = "concurrent"
 
 
 class CasConflict(Exception):
@@ -223,38 +219,20 @@ class Subscription:
     last_state: bool
 
 
-def _log_line(entry: ContextEntry) -> str:
-    record = {
-        "t": entry.logical_time,
-        "key": entry.key,
-        "version": entry.version,
-        "writer": entry.writer_id,
-        "value": canonicalize_value(entry.value),
-    }
-    return json.dumps(record, separators=(",", ":"), allow_nan=False)
-
-
 class ContextStore:
     """Shared watchable store.
 
-    Two modes. In deterministic mode all notification delivery goes through
-    :meth:`drain_notifications`, ordered by (logical_time, subscription_id).
-    In concurrent mode every subscriber gets its own FIFO queue, drained via
-    :meth:`poll_notifications`; commits stay totally ordered by an internal
-    lock either way.
+    Notifications are delivered through :meth:`drain_notifications`, ordered
+    by (logical_time, subscription_id). Commits are totally ordered by an
+    internal lock, so concurrent writers stay linearizable.
     """
 
-    def __init__(self, mode: str = DETERMINISTIC):
-        if mode not in (DETERMINISTIC, CONCURRENT):
-            raise ValueError(f"unknown store mode: {mode!r}")
-        self.mode = mode
+    def __init__(self):
         self._lock = threading.Lock()
         self._entries: dict[str, ContextEntry] = {}
         self._logical_time = 0
         self._subscriptions: list[Subscription] = []
-        self._pending: deque[tuple[int, int]] = deque()  # (logical_time, subscription_id)
-        self._queues: dict[int, deque[tuple[int, int]]] = {}
-        self._log: list[str] = []
+        self._pending: list[tuple[int, int]] = []  # (logical_time, subscription_id)
         self._listeners: list[Callable[[ContextEntry], None]] = []
 
     # -- Write operations --
@@ -313,46 +291,17 @@ class ContextStore:
                 last_state=evaluate(condition, self._entries),
             )
             self._subscriptions.append(sub)
-            if self.mode == CONCURRENT:
-                self._queues[sub.subscription_id] = deque()
             if sub.last_state:
-                self._enqueue(self._logical_time, sub.subscription_id)
+                self._pending.append((self._logical_time, sub.subscription_id))
             return sub
 
     def drain_notifications(self) -> list[tuple[int, int]]:
-        """Deterministic mode only: return and clear all pending notifications
-        as (subscription_id, logical_time), ordered by (logical_time, id)."""
-        if self.mode != DETERMINISTIC:
-            raise RuntimeError("drain_notifications requires deterministic mode")
+        """Return and clear all pending notifications as
+        (subscription_id, logical_time), ordered by (logical_time, id)."""
         with self._lock:
             items = sorted(self._pending)
             self._pending.clear()
             return [(sub_id, t) for t, sub_id in items]
-
-    def poll_notifications(self, subscriber_id: str) -> list[tuple[int, int]]:
-        """Concurrent mode only: drain this subscriber's FIFO queues."""
-        if self.mode != CONCURRENT:
-            raise RuntimeError("poll_notifications requires concurrent mode")
-        with self._lock:
-            items: list[tuple[int, int]] = []
-            for sub in self._subscriptions:
-                if sub.subscriber_id == subscriber_id:
-                    queue = self._queues[sub.subscription_id]
-                    while queue:
-                        items.append(queue.popleft())
-            items.sort()
-            return [(sub_id, t) for t, sub_id in items]
-
-    # -- Commit log --
-
-    def commit_log_lines(self) -> list[str]:
-        with self._lock:
-            return list(self._log)
-
-    def write_commit_log(self, path) -> None:
-        text = "\n".join(self.commit_log_lines())
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + ("\n" if text else ""))
 
     def add_commit_listener(self, listener: Callable[[ContextEntry], None]) -> None:
         """Register a callback invoked once per commit, in commit order.
@@ -379,59 +328,11 @@ class ContextStore:
             logical_time=self._logical_time,
         )
         self._entries[key] = entry
-        self._log.append(_log_line(entry))
         for listener in self._listeners:
             listener(entry)
         for sub in self._subscriptions:
             state = evaluate(sub.condition, self._entries)
             if state and not sub.last_state:
-                self._enqueue(entry.logical_time, sub.subscription_id)
+                self._pending.append((entry.logical_time, sub.subscription_id))
             sub.last_state = state
         return entry
-
-    def _enqueue(self, logical_time: int, subscription_id: int) -> None:
-        if self.mode == DETERMINISTIC:
-            self._pending.append((logical_time, subscription_id))
-        else:
-            self._queues[subscription_id].append((logical_time, subscription_id))
-
-
-def replay_commit_log(lines: Iterable[str]) -> ContextStore:
-    """Rebuild a store from commit-log lines; the rebuilt log is bit-exact."""
-    store = ContextStore()
-    expected_t = 0
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"commit log line {line_no}: not valid JSON ({exc})") from exc
-        if not isinstance(record, dict):
-            raise ValueError(f"commit log line {line_no}: not an object")
-        missing = [f for f in ("t", "key", "version", "writer", "value") if f not in record]
-        if missing:
-            raise ValueError(f"commit log line {line_no}: missing field {missing[0]!r}")
-        expected_t += 1
-        if record["t"] != expected_t:
-            raise ValueError(
-                f"commit log line {line_no}: logical time {record['t']} != {expected_t}"
-            )
-        previous = store._entries.get(record["key"])
-        expected_version = 1 if previous is None else previous.version + 1
-        if record["version"] != expected_version:
-            raise ValueError(
-                f"commit log line {line_no}: version {record['version']} != {expected_version}"
-            )
-        entry = ContextEntry(
-            key=record["key"],
-            value=copy_value(record["value"]),
-            version=record["version"],
-            writer_id=record["writer"],
-            logical_time=record["t"],
-        )
-        store._entries[entry.key] = entry
-        store._logical_time = entry.logical_time
-        store._log.append(_log_line(entry))
-    return store

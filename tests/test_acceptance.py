@@ -112,7 +112,7 @@ def test_criterion_04_completeness(travel_scenario):
     ca_values = {
         compute_metrics(run(travel_scenario, MODE_CA, seed)).completeness for seed in SEEDS
     }
-    windowed = dataclasses.replace(travel_scenario, window=WindowConfig(True, 3, "fifo"))
+    windowed = dataclasses.replace(travel_scenario, window=WindowConfig(True, 3))
     degraded = compute_metrics(run(windowed, MODE_TRADITIONAL, 0)).completeness
     ok = ca_values == {1.0} and degraded < 1.0
     report(

@@ -13,9 +13,7 @@ from camcp.protocol import (
     SequenceError,
     UnknownMessageTypeError,
     decode,
-    decode_all,
     encode,
-    encode_all,
     make_envelope,
     validate_sequence,
 )
@@ -178,11 +176,6 @@ def test_validate_sequence_rejects_write_before_seed():
             [sample("plan_request", 1), sample("context_write", 2), sample("context_seed", 3)]
         )
     assert info.value.at == 3
-
-
-def test_encode_all_decode_all_round_trip():
-    msgs = [sample("plan_request", 1), sample("context_seed", 2), sample("final_response", 3)]
-    assert decode_all(encode_all(msgs)) == msgs
 
 
 # -- Properties -----------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from camcp.store import And, ContextStore, Exists
 def spec(server_id: str, trigger, action, done_key: str | None = None) -> ServerSpec:
     return ServerSpec(
         server_id=server_id,
-        tools=(),
         trigger=trigger,
         action=action,
         done_key=done_key or f"{server_id}_done",
@@ -236,27 +235,3 @@ def test_random_layered_dag_quiesces_in_depth_steps(seed):
     for layer in layers:
         for node in layer:
             assert store.get(f"{node}_done").version == 1
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_concurrent_runner_matches_deterministic_results(seed):
-    rng = random.Random(seed)
-    layers = [
-        [f"n{i}_{j}" for j in range(rng.randint(1, 3))] for i in range(rng.randint(1, 4))
-    ]
-
-    det_store = ContextStore()
-    det_pool = build_layered(det_store, layers, [])
-    det_store.put("seed", True, "w")
-    det_steps = det_pool.run_until_quiescent(16)
-
-    conc_store = ContextStore("concurrent")
-    conc_pool = build_layered(conc_store, layers, [])
-    conc_store.put("seed", True, "w")
-    conc_steps = conc_pool.run_until_quiescent_concurrent(16)
-
-    assert conc_steps == det_steps
-    det_values = {k: e.value for k, e in det_store.snapshot().items()}
-    conc_values = {k: e.value for k, e in conc_store.snapshot().items()}
-    assert det_values == conc_values
-    assert all(state is ReactorState.FIRED for state in conc_pool.states().values())

@@ -33,7 +33,7 @@ def scenario_by_name(name, travel, wedding):
 def windowed_travel(travel_scenario):
     def make(budget: int):
         return dataclasses.replace(
-            travel_scenario, window=WindowConfig(True, budget, "fifo")
+            travel_scenario, window=WindowConfig(True, budget)
         )
 
     return make
@@ -146,8 +146,9 @@ def test_wall_clock_measured_but_never_serialized(travel_scenario):
 def test_seed_context_write_order(travel_scenario):
     blueprint = MockPlanner().plan(query_for_seed(travel_scenario, 0))
     store = ContextStore()
+    keys = []
+    store.add_commit_listener(lambda entry: keys.append(entry.key))
     seed_context(store, blueprint)
-    keys = [json.loads(line)["key"] for line in store.commit_log_lines()]
     assert keys == [
         "goals",
         "constraints.preferences",
@@ -163,8 +164,9 @@ def test_seed_context_write_order(travel_scenario):
 def test_seed_context_empty_blueprint():
     blueprint = PlanBlueprint(goals=(), constraints={}, stages=(), completion_key="done")
     store = ContextStore()
+    keys = []
+    store.add_commit_listener(lambda entry: keys.append(entry.key))
     seed_context(store, blueprint)
-    keys = [json.loads(line)["key"] for line in store.commit_log_lines()]
     assert keys == ["goals", "stages", "goals_seeded"]
 
 

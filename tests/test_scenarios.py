@@ -99,7 +99,38 @@ def _wedding_value() -> dict:
         (lambda d: d.update(call_policy={"ca_calls": "wild"}), "call_policy.ca_calls"),
         (lambda d: d.update(window={"budget_entries": 0}), "window.budget_entries"),
         (lambda d: d.update(window={"eviction": "lru"}), "window.eviction"),
+        pytest.param(
+            lambda d: d.update(window={"enabled": "false"}), "window.enabled", id="enabled-text"
+        ),
+        pytest.param(
+            lambda d: d.update(window={"budget_entries": True}),
+            "window.budget_entries",
+            id="budget-bool",
+        ),
+        pytest.param(lambda d: d.update(window=[]), "window", id="window-list"),
+        pytest.param(
+            lambda d: d.update(cost_model={"per_call_latency_s": "fast"}),
+            "cost_model.per_call_latency_s",
+            id="latency-text",
+        ),
+        pytest.param(
+            lambda d: d.update(cost_model={"per_call_latency_s": -1}),
+            "cost_model.per_call_latency_s",
+            id="latency-negative",
+        ),
+        pytest.param(
+            lambda d: d.update(cost_model={"per_tool_latency_s": True}),
+            "cost_model.per_tool_latency_s",
+            id="latency-bool",
+        ),
+        pytest.param(
+            lambda d: d.update(cost_model={"per_tool_latency_s": 10**400}),
+            "cost_model.per_tool_latency_s",
+            id="latency-overflow",
+        ),
+        pytest.param(lambda d: d.update(cost_model=3), "cost_model", id="cost-model-number"),
         (lambda d: d.update(max_steps=0), "max_steps"),
+        pytest.param(lambda d: d.update(max_steps=True), "max_steps", id="max-steps-bool"),
         (lambda d: d.update(constraints=None), "constraints"),
         (lambda d: d.update(stages=[]), "stages"),
         (lambda d: d["stages"].__setitem__(0, {"stage_id": "", "server_id": "s"}), "stages[0].stage_id"),

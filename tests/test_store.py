@@ -1,4 +1,4 @@
-"""Store behavior: versioning, snapshots, rising edges, commit log, cas."""
+"""Store behavior: versioning, snapshots, rising edges, commit listeners, cas."""
 import json
 import random
 import threading
@@ -20,7 +20,6 @@ from camcp.store import (
     condition_to_value,
     copy_value,
     evaluate,
-    replay_commit_log,
     values_equal,
 )
 from oracles import EdgeOracle, ModelStore, interleavings
@@ -220,28 +219,6 @@ def test_exists_does_not_refire_on_overwrite():
     assert store.drain_notifications() == [(sub.subscription_id, 1)]
 
 
-def test_mode_guards():
-    with pytest.raises(ValueError):
-        ContextStore("bogus")
-    deterministic = ContextStore()
-    with pytest.raises(RuntimeError):
-        deterministic.poll_notifications("s")
-    concurrent = ContextStore("concurrent")
-    with pytest.raises(RuntimeError):
-        concurrent.drain_notifications()
-
-
-def test_poll_notifications_routes_per_subscriber():
-    store = ContextStore("concurrent")
-    sa = store.subscribe(Exists("x"), "alice")
-    sb = store.subscribe(Exists("y"), "bob")
-    store.put("x", 1, "w")
-    store.put("y", 1, "w")
-    assert store.poll_notifications("alice") == [(sa.subscription_id, 1)]
-    assert store.poll_notifications("alice") == []
-    assert store.poll_notifications("bob") == [(sb.subscription_id, 2)]
-
-
 def test_random_sequences_match_edge_oracle():
     rng = random.Random(42)
     for _ in range(100):
@@ -270,44 +247,7 @@ def test_random_sequences_match_edge_oracle():
         assert store.drain_notifications() == oracle.drain()
 
 
-# -- Commit log --------------------------------------------------------------------
-
-
-def test_commit_log_lines_exact():
-    store = ContextStore()
-    store.put("x", {"b": 1, "a": [1, 2]}, "writer1")
-    store.put("x", None, "writer2")
-    assert store.commit_log_lines() == [
-        '{"t":1,"key":"x","version":1,"writer":"writer1","value":{"a":[1,2],"b":1}}',
-        '{"t":2,"key":"x","version":2,"writer":"writer2","value":null}',
-    ]
-
-
-def test_replay_commit_log_is_bit_exact():
-    store = ContextStore()
-    store.put("x", 1, "w")
-    store.put("y", {"n": [True, None, "s"]}, "w2")
-    store.put("x", 2, "w")
-    lines = store.commit_log_lines()
-    rebuilt = replay_commit_log(lines)
-    assert rebuilt.commit_log_lines() == lines
-    assert rebuilt.get("x").version == 2
-    assert rebuilt.last_logical_time() == 3
-
-
-@pytest.mark.parametrize(
-    "lines, message",
-    [
-        (["not json"], "not valid JSON"),
-        (["[1]"], "not an object"),
-        (['{"t":1,"key":"x","version":1,"writer":"w"}'], "missing field 'value'"),
-        (['{"t":2,"key":"x","version":1,"writer":"w","value":1}'], "logical time 2 != 1"),
-        (['{"t":1,"key":"x","version":2,"writer":"w","value":1}'], "version 2 != 1"),
-    ],
-)
-def test_replay_commit_log_rejects_corruption(lines, message):
-    with pytest.raises(ValueError, match=message):
-        replay_commit_log(lines)
+# -- Commit listeners --------------------------------------------------------------
 
 
 def test_commit_listener_sees_commits_in_order():
@@ -332,24 +272,16 @@ def test_commit_listener_sees_commits_in_order():
 @settings(max_examples=50)
 def test_version_and_time_density(writes):
     store = ContextStore()
+    commits = []
+    store.add_commit_listener(commits.append)
     for key, value in writes:
         store.put(key, value, "w")
-    records = [json.loads(line) for line in store.commit_log_lines()]
-    assert [r["t"] for r in records] == list(range(1, len(writes) + 1))
+    assert [c.logical_time for c in commits] == list(range(1, len(writes) + 1))
     per_key: dict[str, list[int]] = {}
-    for r in records:
-        per_key.setdefault(r["key"], []).append(r["version"])
+    for c in commits:
+        per_key.setdefault(c.key, []).append(c.version)
     for versions in per_key.values():
         assert versions == list(range(1, len(versions) + 1))
-
-
-@given(st.lists(st.tuples(keys, json_values), min_size=1, max_size=15))
-@settings(max_examples=50)
-def test_replay_round_trip_random(writes):
-    store = ContextStore()
-    for key, value in writes:
-        store.put(key, value, "w")
-    assert replay_commit_log(store.commit_log_lines()).commit_log_lines() == store.commit_log_lines()
 
 
 # -- cas linearizability ----------------------------------------------------------------
