@@ -53,10 +53,16 @@ class Query:
 
 @dataclass(frozen=True)
 class Stage:
+    """One stage's wiring: which server serves it, what edge wakes it, which
+    flag it raises when done, its goal text, and the context keys the
+    traditional orchestrator must still hold to run it."""
+
     stage_id: str
     server_id: str
     trigger: WatchCondition
     done_key: str
+    goal: str
+    required: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -78,33 +84,24 @@ _REQUIRED_PARAMS = {
     KIND_WEDDING: ("scenario",),
 }
 
-# Fixed per-kind stage wiring: which server serves each stage, what edge
-# wakes it, and which flag it raises when done.
+# Fixed per-kind stage wiring. A scenario file restates the (stage_id,
+# server_id) list and adds each stage's required keys.
 _OUTLINES = {
     KIND_TRAVEL: (
-        Stage("location", "location_server", Exists("goals_seeded"), "location_done"),
-        Stage("weather", "weather_server", Exists("location_done"), "weather_done"),
-        Stage("hotel", "hotel_server", Exists("location_done"), "hotel_done"),
-        Stage("dining", "dining_server", Exists("hotel_done"), "dining_done"),
+        Stage("location", "location_server", Exists("goals_seeded"), "location_done",
+              "shortlist places to visit"),
+        Stage("weather", "weather_server", Exists("location_done"), "weather_done",
+              "forecast the weather"),
+        Stage("hotel", "hotel_server", Exists("location_done"), "hotel_done", "book a hotel"),
+        Stage("dining", "dining_server", Exists("hotel_done"), "dining_done", "plan the dining"),
     ),
     KIND_WEDDING: (
-        Stage("arrivals", "arrival_tracker", Exists("goals_seeded"), "arrivals_done"),
-        Stage("errands", "errand_tracker", Exists("goals_seeded"), "errands_done"),
-        Stage("schedule", "transport", Exists("requests_posted"), "schedule_done"),
-    ),
-}
-
-_GOALS = {
-    KIND_TRAVEL: (
-        "shortlist places to visit",
-        "forecast the weather",
-        "book a hotel",
-        "plan the dining",
-    ),
-    KIND_WEDDING: (
-        "track guest arrivals",
-        "track errand pickups",
-        "produce the shared-vehicle schedule",
+        Stage("arrivals", "arrival_tracker", Exists("goals_seeded"), "arrivals_done",
+              "track guest arrivals"),
+        Stage("errands", "errand_tracker", Exists("goals_seeded"), "errands_done",
+              "track errand pickups"),
+        Stage("schedule", "transport", Exists("requests_posted"), "schedule_done",
+              "produce the shared-vehicle schedule"),
     ),
 }
 
@@ -178,7 +175,7 @@ class MockPlanner:
             k: copy_value(v) for k, v in query.params.items() if k != "scenario"
         }
         return PlanBlueprint(
-            goals=_GOALS[query.kind],
+            goals=tuple(s.goal for s in _OUTLINES[query.kind]),
             constraints=constraints,
             stages=_OUTLINES[query.kind],
             completion_key=_COMPLETION_KEYS[query.kind],

@@ -99,7 +99,7 @@ class ReactorPool:
                 raise DuplicateServerError(f"server_id {spec.server_id!r}")
             if reactor.spec.done_key == spec.done_key:
                 raise DuplicateServerError(f"done_key {spec.done_key!r}")
-        subscription = self.store.subscribe(spec.trigger, spec.server_id)
+        subscription = self.store.subscribe(spec.trigger)
         reactor = _Reactor(spec)
         self._reactors.append(reactor)
         self._by_subscription[subscription.subscription_id] = reactor

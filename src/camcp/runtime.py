@@ -25,15 +25,12 @@ from .planner import (
 from .reactor import ReactorPool
 from .scenarios import (
     CA_COMBINED_SINGLE,
+    CALL_POLICIES,
     MODE_CA,
     MODE_TRADITIONAL,
     TRADITIONAL_PER_STAGE,
     Scenario,
-    Schedule,
-    append_single_trip,
     build_servers,
-    collect_window_requests,
-    schedule_to_value,
 )
 from .store import ContextStore, ContextValue, canonicalize_value, evaluate
 
@@ -56,6 +53,20 @@ EVENT_KINDS = (
     STAGE_DONE,
     STAGE_FAILED,
 )
+
+# Payload fields that compute_metrics reads, by event kind, with the JSON
+# type each must have.
+_PAYLOAD_FIELDS = {
+    RUN_START: {
+        "mode": (str, "text"),
+        "seed": (int, "an integer"),
+        "kind": (str, "text"),
+        "stage_ids": (list, "a list"),
+        "constraints": (dict, "an object"),
+    },
+    STAGE_DONE: {"stage": (str, "text"), "outputs": (dict, "an object")},
+    RUN_END: {"simulated_latency_s": ((int, float), "a number")},
+}
 
 SEED_WRITER = "runtime"
 
@@ -136,9 +147,15 @@ def parse_trace(text: str) -> Trace:
             raise MalformedTraceError(line_no, f"unknown event kind {record['kind']!r}")
         if record["t"] != line_no:
             raise MalformedTraceError(line_no, f"logical time {record['t']} != {line_no}")
-        if not isinstance(record["payload"], dict):
+        kind, payload = record["kind"], record["payload"]
+        if not isinstance(payload, dict):
             raise MalformedTraceError(line_no, "payload must be an object")
-        events.append(TraceEvent(record["t"], record["kind"], record["payload"]))
+        for name, (types, description) in _PAYLOAD_FIELDS.get(kind, {}).items():
+            if name not in payload:
+                raise MalformedTraceError(line_no, f"{kind} payload missing {name!r}")
+            if not isinstance(payload[name], types):
+                raise MalformedTraceError(line_no, f"{kind} payload {name!r} must be {description}")
+        events.append(TraceEvent(record["t"], kind, payload))
     if not events:
         raise MalformedTraceError(1, "empty trace")
     if events[0].kind != RUN_START:
@@ -148,18 +165,11 @@ def parse_trace(text: str) -> Trace:
     for event in events[1:-1]:
         if event.kind in (RUN_START, RUN_END):
             raise MalformedTraceError(event.t, f"{event.kind} may only appear at the boundary")
-    start = events[0].payload
-    end = events[-1].payload
-    for field_name in ("mode", "seed"):
-        if field_name not in start:
-            raise MalformedTraceError(1, f"run_start payload missing {field_name!r}")
-    if "simulated_latency_s" not in end:
-        raise MalformedTraceError(len(events), "run_end payload missing simulated_latency_s")
     return Trace(
         events=events,
-        mode=start["mode"],
-        seed=start["seed"],
-        simulated_latency_s=end["simulated_latency_s"],
+        mode=events[0].payload["mode"],
+        seed=events[0].payload["seed"],
+        simulated_latency_s=events[-1].payload["simulated_latency_s"],
     )
 
 
@@ -333,7 +343,7 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
     builder.run_start(query)
 
     planner = MockPlanner()
-    combined = scenario.call_policy.ca_calls == CA_COMBINED_SINGLE
+    combined = CALL_POLICIES[scenario.kind]["ca_calls"] == CA_COMBINED_SINGLE
     blueprint = planner.plan(query)
     builder.llm_call(
         "combined" if combined else "plan",
@@ -412,7 +422,7 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
             return history[-scenario.window.budget_entries :]
         return list(history)
 
-    if scenario.call_policy.traditional_calls == TRADITIONAL_PER_STAGE:
+    if CALL_POLICIES[scenario.kind]["traditional_calls"] == TRADITIONAL_PER_STAGE:
         for stage in scenario.stages:
             visible = window()
             visible_keys = [k for k, _ in visible]
@@ -433,28 +443,25 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
             builder.stage_done(stage.stage_id, {stage.stage_id: output})
     else:
         # One upfront orchestration decides everything; tools then run
-        # open-loop, each transport request dispatched as its own trip.
+        # open-loop. The schedule tool reads the whole history and dispatches
+        # each transport request as its own trip, one tool call per trip.
         planner.plan(query)
         builder.llm_call("plan")
-        duration = scenario.data_tables["vehicle"]["trip_duration_min"]
         for stage in scenario.stages:
             tool = tools[stage.stage_id]
-            if stage.stage_id == "schedule":
-                requests = sorted(
-                    collect_window_requests(dict(history)),
-                    key=lambda r: (r.ready_time_min, r.request_id),
-                )
-                trips = []
-                for request in requests:
-                    builder.tool_exec(
-                        tool.server_id, stage.stage_id, {"request": request.request_id}
-                    )
-                    append_single_trip(trips, request, duration)
-                makespan = trips[-1].end_min() if trips else 0
-                output = schedule_to_value(Schedule(tuple(trips), makespan))
+            schedule = stage.stage_id == "schedule"
+            try:
+                output = tool.run(dict(history if schedule else window()))
+            except Exception as exc:
+                builder.tool_exec(tool.server_id, stage.stage_id)
+                builder.stage_failed(stage.stage_id, f"{type(exc).__name__}: {exc}")
+                continue
+            if schedule:
+                for trip in output["trips"]:
+                    request_id = trip["requests"][0]["request_id"]
+                    builder.tool_exec(tool.server_id, stage.stage_id, {"request": request_id})
             else:
                 builder.tool_exec(tool.server_id, stage.stage_id)
-                output = tool.run(dict(window()))
             history.append((stage.stage_id, output))
             builder.stage_done(stage.stage_id, {stage.stage_id: output})
 

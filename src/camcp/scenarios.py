@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .planner import CostModel, stage_outline
+from .planner import CostModel, Stage, stage_outline
 from .reactor import ActionResult, ServerSpec
 from .store import ContextValue, Snapshot, copy_value
 
@@ -29,9 +29,11 @@ TRADITIONAL_SINGLE = "single_orchestration_plus_synthesis"
 CA_PLAN_AND_SUMMARIZE = "plan_and_summarize"
 CA_COMBINED_SINGLE = "combined_single"
 
-_DEFAULT_POLICIES = {
-    "travel": (TRADITIONAL_PER_STAGE, CA_PLAN_AND_SUMMARIZE),
-    "wedding": (TRADITIONAL_SINGLE, CA_COMBINED_SINGLE),
+# Each kind's fixed call shape: how many planner invocations each mode
+# performs. A scenario file may restate it under "call_policy", not change it.
+CALL_POLICIES = {
+    "travel": {"traditional_calls": TRADITIONAL_PER_STAGE, "ca_calls": CA_PLAN_AND_SUMMARIZE},
+    "wedding": {"traditional_calls": TRADITIONAL_SINGLE, "ca_calls": CA_COMBINED_SINGLE},
 }
 
 REQUEST_KEY_PREFIX = "transport_request."
@@ -49,14 +51,6 @@ class ScenarioValidationError(Exception):
 
 
 @dataclass(frozen=True)
-class CallPolicy:
-    """How many model calls each mode is allowed to spend, by shape."""
-
-    traditional_calls: str
-    ca_calls: str
-
-
-@dataclass(frozen=True)
 class WindowConfig:
     """Traditional-mode context window: keep only the most recent entries of
     the orchestrator's private history. Never applies in context-aware mode."""
@@ -66,19 +60,11 @@ class WindowConfig:
 
 
 @dataclass(frozen=True)
-class StageDef:
-    stage_id: str
-    server_id: str
-    required: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     kind: str
-    stages: tuple[StageDef, ...]
+    stages: tuple[Stage, ...]
     data_tables: dict
-    call_policy: CallPolicy
     window: WindowConfig
     constraints: dict
     cost_model: CostModel = CostModel()
@@ -167,19 +153,11 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         raise ScenarioValidationError("name", "must be non-empty text")
 
     policy_data = data.get("call_policy", {})
-    default_traditional, default_ca = _DEFAULT_POLICIES[kind]
-    call_policy = CallPolicy(
-        traditional_calls=policy_data.get("traditional_calls", default_traditional),
-        ca_calls=policy_data.get("ca_calls", default_ca),
-    )
-    if call_policy.traditional_calls not in (TRADITIONAL_PER_STAGE, TRADITIONAL_SINGLE):
-        raise ScenarioValidationError(
-            "call_policy.traditional_calls", f"unknown policy {call_policy.traditional_calls!r}"
-        )
-    if call_policy.ca_calls not in (CA_PLAN_AND_SUMMARIZE, CA_COMBINED_SINGLE):
-        raise ScenarioValidationError(
-            "call_policy.ca_calls", f"unknown policy {call_policy.ca_calls!r}"
-        )
+    if not isinstance(policy_data, dict):
+        raise ScenarioValidationError("call_policy", "must be an object")
+    for fname, policy in CALL_POLICIES[kind].items():
+        if policy_data.get(fname, policy) != policy:
+            raise ScenarioValidationError(f"call_policy.{fname}", f"{kind} scenarios use {policy!r}")
 
     window_data = data.get("window", {})
     if not isinstance(window_data, dict):
@@ -214,7 +192,7 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
     stages_data = data.get("stages")
     if not isinstance(stages_data, list) or not stages_data:
         raise ScenarioValidationError("stages", "must be a non-empty list")
-    stages = []
+    required_keys = []
     for i, stage in enumerate(stages_data):
         if not isinstance(stage, dict):
             raise ScenarioValidationError(f"stages[{i}]", "must be an object")
@@ -224,14 +202,17 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         required = stage.get("required", [])
         if not isinstance(required, list) or not all(isinstance(r, str) for r in required):
             raise ScenarioValidationError(f"stages[{i}].required", "must be a list of key names")
-        stages.append(StageDef(stage["stage_id"], stage["server_id"], tuple(required)))
+        required_keys.append(tuple(required))
     outline = stage_outline(kind)
-    if [s.stage_id for s in stages] != [s.stage_id for s in outline] or [
-        s.server_id for s in stages
-    ] != [s.server_id for s in outline]:
+    declared = [(s["stage_id"], s["server_id"]) for s in stages_data]
+    if declared != [(s.stage_id, s.server_id) for s in outline]:
         raise ScenarioValidationError(
             "stages", f"{kind} scenarios must declare stages {[s.stage_id for s in outline]}"
         )
+    stages = tuple(
+        replace(stage, required=required)
+        for stage, required in zip(outline, required_keys)
+    )
 
     tables = data.get("data_tables")
     if not isinstance(tables, dict):
@@ -244,9 +225,8 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
     return Scenario(
         name=name,
         kind=kind,
-        stages=tuple(stages),
+        stages=stages,
         data_tables=tables,
-        call_policy=call_policy,
         window=window,
         constraints=constraints,
         cost_model=cost_model,
@@ -589,7 +569,7 @@ def _travel_stage_fn(tables: dict, stage_id: str):
 def _build_travel_ca(scenario: Scenario) -> list[ServerSpec]:
     tables = scenario.data_tables
     specs = []
-    for stage, wiring in zip(scenario.stages, stage_outline("travel")):
+    for stage in scenario.stages:
         compute = _travel_stage_fn(tables, stage.stage_id)
 
         def action(snapshot: Snapshot, stage_id=stage.stage_id, compute=compute) -> ActionResult:
@@ -603,9 +583,9 @@ def _build_travel_ca(scenario: Scenario) -> list[ServerSpec]:
         specs.append(
             ServerSpec(
                 server_id=stage.server_id,
-                trigger=wiring.trigger,
+                trigger=stage.trigger,
                 action=action,
-                done_key=wiring.done_key,
+                done_key=stage.done_key,
             )
         )
     return specs
@@ -613,7 +593,7 @@ def _build_travel_ca(scenario: Scenario) -> list[ServerSpec]:
 
 def _build_wedding_ca(scenario: Scenario) -> list[ServerSpec]:
     tables = scenario.data_tables
-    outline = {s.stage_id: s for s in stage_outline("wedding")}
+    arrivals, errands, transport = scenario.stages
 
     def tracker_action(requests: list[TransportRequest], summary_key: str, other_done: str):
         def action(snapshot: Snapshot) -> ActionResult:
@@ -641,9 +621,6 @@ def _build_wedding_ca(scenario: Scenario) -> list[ServerSpec]:
         schedule = batch_requests(requests, capacity, tables["vehicle"]["trip_duration_min"])
         return ActionResult.ok([("schedule", schedule_to_value(schedule))])
 
-    arrivals = outline["arrivals"]
-    errands = outline["errands"]
-    transport = outline["schedule"]
     return [
         ServerSpec(
             server_id=arrivals.server_id,

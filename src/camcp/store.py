@@ -215,7 +215,6 @@ class Snapshot(Mapping):
 class Subscription:
     subscription_id: int
     condition: WatchCondition
-    subscriber_id: str
     last_state: bool
 
 
@@ -279,7 +278,7 @@ class ContextStore:
 
     # -- Subscriptions --
 
-    def subscribe(self, condition: WatchCondition, subscriber_id: str) -> Subscription:
+    def subscribe(self, condition: WatchCondition) -> Subscription:
         """Register a rising-edge watch. If the condition already holds, one
         notification is queued immediately so registration order never races
         seeding order."""
@@ -287,7 +286,6 @@ class ContextStore:
             sub = Subscription(
                 subscription_id=len(self._subscriptions) + 1,
                 condition=condition,
-                subscriber_id=subscriber_id,
                 last_state=evaluate(condition, self._entries),
             )
             self._subscriptions.append(sub)

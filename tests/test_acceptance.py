@@ -201,7 +201,7 @@ def _check_rising_edges() -> int:
                 condition = And(
                     (Exists(key), Equals(rng.choice(key_pool), rng.choice(value_pool)))
                 )
-            store.subscribe(condition, "s")
+            store.subscribe(condition)
             oracle.subscribe(condition)
         for _ in range(rng.randint(4, 12)):
             if rng.random() < 0.2:

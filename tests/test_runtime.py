@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from camcp.bench import compute_metrics
 from camcp.planner import MockPlanner, PlanBlueprint
 from camcp.protocol import validate_sequence
 from camcp.runtime import (
@@ -344,6 +345,19 @@ def test_traditional_failure_reason_reaches_trace_for_unknown_destination(travel
     assert trace.events[-1].payload["completed"] is False
 
 
+@pytest.mark.parametrize("mode", [MODE_TRADITIONAL, MODE_CA])
+def test_crashing_schedule_tool_becomes_stage_failed(wedding_scenario, mode):
+    tables = json.loads(json.dumps(wedding_scenario.data_tables))
+    tables["guests"][0]["ready_time_min"] = "soon"
+    broken = dataclasses.replace(wedding_scenario, data_tables=tables)
+    trace = run(broken, mode, 0)
+    failed = {e.payload["stage"]: e.payload["reason"] for e in trace.events_of("stage_failed")}
+    assert list(failed) == ["schedule"]
+    assert failed["schedule"].startswith("TypeError")
+    assert trace.events[-1].payload["completed"] is False
+    assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace)
+
+
 # -- Serialization and parsing -------------------------------------------------------------------
 
 
@@ -354,6 +368,22 @@ def _renumber(lines: list[str]) -> list[str]:
         record["t"] = i
         out.append(json.dumps(record, separators=(",", ":"), sort_keys=False))
     return out
+
+
+def _edit_payload(kind: str, field: str, value=None):
+    """Mangler for the first event of ``kind``: drop ``field`` from its
+    payload, or set it to ``value`` when one is given."""
+
+    def mangle(lines: list[str]) -> list[str]:
+        records = [json.loads(line) for line in lines]
+        payload = next(r for r in records if r["kind"] == kind)["payload"]
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        return [json.dumps(r, separators=(",", ":")) for r in records]
+
+    return mangle
 
 
 def test_write_read_round_trip(tmp_path, wedding_scenario):
@@ -384,6 +414,30 @@ def test_write_read_round_trip(tmp_path, wedding_scenario):
             lambda lines: [lines[0], lines[0].replace('"t":1', '"t":2')] + lines[2:],
             2,
             "run_start may only appear at the boundary",
+        ),
+        pytest.param(
+            _edit_payload("stage_done", "stage"), 14, "stage_done payload missing 'stage'",
+            id="stage-done-no-stage",
+        ),
+        pytest.param(
+            _edit_payload("stage_done", "outputs"), 14, "stage_done payload missing 'outputs'",
+            id="stage-done-no-outputs",
+        ),
+        pytest.param(
+            _edit_payload("stage_done", "stage", ["location"]), 14,
+            "stage_done payload 'stage' must be text", id="stage-done-stage-list",
+        ),
+        pytest.param(
+            _edit_payload("run_start", "stage_ids"), 1, "run_start payload missing 'stage_ids'",
+            id="run-start-no-stage-ids",
+        ),
+        pytest.param(
+            _edit_payload("run_start", "constraints", []), 1,
+            "run_start payload 'constraints' must be an object", id="run-start-constraints-list",
+        ),
+        pytest.param(
+            _edit_payload("run_end", "simulated_latency_s"), 32,
+            "run_end payload missing 'simulated_latency_s'", id="run-end-no-latency",
         ),
     ],
 )

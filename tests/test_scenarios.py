@@ -144,6 +144,12 @@ def _wedding_value() -> dict:
         ),
         (lambda d: d["constraints"].pop("budget"), "constraints.budget"),
         (lambda d: d["constraints"].update(destination="Atlantis"), "constraints.destination"),
+        pytest.param(
+            lambda d: d.update(call_policy={"traditional_calls": "single_orchestration_plus_synthesis"}),
+            "call_policy.traditional_calls",
+            id="policy-of-other-kind",
+        ),
+        pytest.param(lambda d: d.update(call_policy=[]), "call_policy", id="policy-list"),
     ],
 )
 def test_travel_validation_names_offending_field(mutate, field):

@@ -161,7 +161,7 @@ def test_snapshot_is_isolated_from_later_writes():
 
 def test_put_many_is_one_atomic_batch():
     store = ContextStore()
-    sub = store.subscribe(And((Exists("a"), Exists("b"))), "s")
+    sub = store.subscribe(And((Exists("a"), Exists("b"))))
     versions = store.put_many([("a", 1), ("b", 2), ("a", 3)], "w")
     assert versions == [1, 1, 2]
     # the conjunction rose exactly once, at the commit that completed it
@@ -173,9 +173,9 @@ def test_put_many_is_one_atomic_batch():
 
 def test_drain_order_example():
     store = ContextStore()
-    s1 = store.subscribe(Exists("x"), "a")
-    s2 = store.subscribe(Exists("y"), "b")
-    s3 = store.subscribe(Equals("x", 1), "c")
+    s1 = store.subscribe(Exists("x"))
+    s2 = store.subscribe(Exists("y"))
+    s3 = store.subscribe(Equals("x", 1))
     for i in range(4):
         store.put(f"dummy{i}", i, "w")  # t=1..4
     store.put("x", 1, "w")  # t=5, raises s1 and s3
@@ -193,13 +193,13 @@ def test_subscribe_fires_registration_edge_when_already_true():
     store = ContextStore()
     store.put("x", 1, "w")
     store.put("pad", 0, "w")
-    sub = store.subscribe(Exists("x"), "s")
+    sub = store.subscribe(Exists("x"))
     assert store.drain_notifications() == [(sub.subscription_id, 2)]
 
 
 def test_edge_requires_false_to_true_transition():
     store = ContextStore()
-    sub = store.subscribe(Equals("x", 1), "s")
+    sub = store.subscribe(Equals("x", 1))
     store.put("x", 1, "w")  # rises
     store.put("x", 1, "w")  # stays true, no edge
     store.put("x", 2, "w")  # falls silently
@@ -212,7 +212,7 @@ def test_edge_requires_false_to_true_transition():
 
 def test_exists_does_not_refire_on_overwrite():
     store = ContextStore()
-    sub = store.subscribe(Exists("x"), "s")
+    sub = store.subscribe(Exists("x"))
     store.put("x", 1, "w")
     store.put("x", 2, "w")
     store.put("x", None, "w")
@@ -235,7 +235,7 @@ def test_random_sequences_match_edge_oracle():
                 condition = Equals(key, rng.choice(value_pool))
             else:
                 condition = And((Exists(key), Equals(rng.choice(key_pool), rng.choice(value_pool))))
-            store.subscribe(condition, "s")
+            store.subscribe(condition)
             oracle.subscribe(condition)
         for _ in range(rng.randint(5, 25)):
             if rng.random() < 0.2:
