@@ -17,7 +17,6 @@ from .bench import (
 from .planner import (
     CostModel,
     IncompleteContextError,
-    LlmAdapter,
     MockPlanner,
     PlanBlueprint,
     Query,

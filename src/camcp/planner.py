@@ -1,14 +1,11 @@
 """Planning and summarizing seat.
 
-The default planner is a deterministic template mock so runs are cheap and
+The planner is a deterministic template mock so runs are cheap and
 reproducible; the runtime records each of its calls as an ``llm_call``
-trace event, which is what the benchmark counts. A thin HTTP adapter
-defines the contract for plugging in a hosted model; it imports
-``requests`` only when it sends a request.
+trace event, which is what the benchmark counts.
 """
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -26,8 +23,6 @@ from .store import (
 KIND_TRAVEL = "travel"
 KIND_WEDDING = "wedding"
 KINDS = (KIND_TRAVEL, KIND_WEDDING)
-
-ROLE_PLAN = "plan"
 
 
 class UnsupportedKindError(Exception):
@@ -122,7 +117,7 @@ def completion_condition(blueprint: PlanBlueprint) -> WatchCondition:
 def blueprint_to_value(blueprint: PlanBlueprint) -> dict:
     return {
         "goals": list(blueprint.goals),
-        "constraints": copy_value(blueprint.constraints),
+        "constraints": blueprint.constraints,
         "stages": [
             {
                 "stage_id": s.stage_id,
@@ -206,93 +201,3 @@ class MockPlanner:
             lines.append(f"{key}: {rendered}")
         return "\n".join(lines)
 
-
-# -- HTTP adapter seat --------------------------------------------------------
-
-
-class AdapterError(Exception):
-    pass
-
-
-class AdapterConfigurationError(AdapterError):
-    """The adapter is not configured; raised before any network activity."""
-
-
-class AdapterNetworkError(AdapterError):
-    pass
-
-
-class AdapterTimeoutError(AdapterNetworkError):
-    pass
-
-
-class AdapterStatusError(AdapterError):
-    def __init__(self, status_code: int, body: str):
-        super().__init__(f"model endpoint returned status {status_code}")
-        self.status_code = status_code
-        self.body = body
-
-
-class AdapterResponseError(AdapterError):
-    """The endpoint answered 2xx but not with the expected JSON shape."""
-
-
-ENV_URL = "CA_MCP_LLM_URL"
-ENV_TOKEN = "CA_MCP_LLM_TOKEN"
-DEFAULT_TIMEOUT_S = 60.0
-
-
-@dataclass
-class LlmAdapter:
-    """POSTs ``{"messages": [...], "tools": [...]}`` and expects ``{"text": ...}``.
-
-    ``recorder`` receives the verbatim request and response bodies, so a run
-    can log them into its trace; ``on_call(role)`` is invoked once per
-    request, so :meth:`camcp.runtime.TraceBuilder.llm_call` can count adapter
-    calls identically to mock calls.
-    """
-
-    url: str
-    token: str | None = None
-    timeout_s: float = DEFAULT_TIMEOUT_S
-    recorder: list | None = None
-    on_call: object = None
-
-    @classmethod
-    def from_env(cls, env: Mapping[str, str] | None = None, **kwargs) -> "LlmAdapter":
-        env = os.environ if env is None else env
-        url = env.get(ENV_URL)
-        if not url:
-            raise AdapterConfigurationError(f"{ENV_URL} is not set")
-        return cls(url=url, token=env.get(ENV_TOKEN), **kwargs)
-
-    def request(self, messages: list, tools: list) -> str:
-        if not self.url:
-            raise AdapterConfigurationError("adapter has no endpoint URL")
-        import requests  # imported here so that `import camcp` does not load it
-
-        body = {"messages": copy_value(messages), "tools": copy_value(tools)}
-        headers = {"content-type": "application/json"}
-        if self.token:
-            headers["authorization"] = f"Bearer {self.token}"
-        if callable(self.on_call):
-            self.on_call(ROLE_PLAN)
-        try:
-            response = requests.post(
-                self.url, json=body, headers=headers, timeout=self.timeout_s
-            )
-        except requests.Timeout as exc:
-            raise AdapterTimeoutError(f"model endpoint timed out: {exc}") from exc
-        except requests.RequestException as exc:
-            raise AdapterNetworkError(f"model endpoint unreachable: {exc}") from exc
-        if not 200 <= response.status_code < 300:
-            raise AdapterStatusError(response.status_code, response.text)
-        if self.recorder is not None:
-            self.recorder.append({"request": body, "response": response.text})
-        try:
-            data = response.json()
-        except ValueError as exc:
-            raise AdapterResponseError(f"response body is not JSON: {exc}") from exc
-        if not isinstance(data, dict) or not isinstance(data.get("text"), str):
-            raise AdapterResponseError('response JSON must carry a text field under "text"')
-        return data["text"]

@@ -82,13 +82,13 @@ class SequenceError(ProtocolError):
 
 @dataclass(frozen=True)
 class Envelope:
+    """One message. Its payload is the validated copy that
+    :func:`make_envelope` took, so later edits to the caller's value do not
+    reach it."""
+
     msg_type: str
     seq: int
     payload: dict
-
-    def __post_init__(self) -> None:
-        # Payloads are canonicalized copies, so envelopes stay value-like.
-        object.__setattr__(self, "payload", canonicalize_value(copy_value(self.payload)))
 
 
 def _is_text(v) -> bool:

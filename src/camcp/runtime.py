@@ -155,6 +155,8 @@ def parse_trace(text: str) -> Trace:
                 raise MalformedTraceError(line_no, f"{kind} payload missing {name!r}")
             if not isinstance(payload[name], types):
                 raise MalformedTraceError(line_no, f"{kind} payload {name!r} must be {description}")
+        if kind == RUN_START and not all(isinstance(s, str) for s in payload["stage_ids"]):
+            raise MalformedTraceError(line_no, "run_start payload 'stage_ids' must hold only text")
         events.append(TraceEvent(record["t"], kind, payload))
     if not events:
         raise MalformedTraceError(1, "empty trace")

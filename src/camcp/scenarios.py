@@ -274,20 +274,25 @@ def _validate_wedding(tables: dict, constraints: dict) -> None:
         for i, row in enumerate(rows):
             if not isinstance(row, dict) or not isinstance(row.get("id"), str):
                 raise ScenarioValidationError(f"data_tables.{section}[{i}].id", "must be text")
+            if "ready_time_min" in row and not _is_int(row["ready_time_min"]):
+                raise ScenarioValidationError(
+                    f"data_tables.{section}[{i}].ready_time_min", "must be an integer"
+                )
     ids = [r["id"] for r in tables["guests"]] + [r["id"] for r in tables["errands"]]
     if len(ids) != len(set(ids)):
         raise ScenarioValidationError("data_tables", "guest/errand ids must be unique")
     vehicle = tables.get("vehicle")
     if not isinstance(vehicle, dict):
         raise ScenarioValidationError("data_tables.vehicle", "must be an object")
-    if not isinstance(vehicle.get("capacity"), int) or vehicle["capacity"] < 1:
-        raise ScenarioValidationError("data_tables.vehicle.capacity", "must be an integer >= 1")
-    if not isinstance(vehicle.get("trip_duration_min"), int) or vehicle["trip_duration_min"] < 1:
-        raise ScenarioValidationError(
-            "data_tables.vehicle.trip_duration_min", "must be an integer >= 1"
-        )
+    for name in ("capacity", "trip_duration_min"):
+        if not _is_int(vehicle.get(name)) or vehicle[name] < 1:
+            raise ScenarioValidationError(f"data_tables.vehicle.{name}", "must be an integer >= 1")
     if "vehicle_capacity" not in constraints:
         raise ScenarioValidationError("constraints.vehicle_capacity", "required for wedding")
+    if not _is_int(constraints["vehicle_capacity"]) or constraints["vehicle_capacity"] < 1:
+        raise ScenarioValidationError("constraints.vehicle_capacity", "must be an integer >= 1")
+    if "deadline_min" in constraints and not _is_int(constraints["deadline_min"]):
+        raise ScenarioValidationError("constraints.deadline_min", "must be an integer")
 
 
 # -- Travel tool computations --------------------------------------------------

@@ -79,10 +79,9 @@ def canonicalize_value(value: ContextValue) -> ContextValue:
 
 
 def canonical_dumps(value: ContextValue) -> str:
-    """Serialize a value to compact JSON with sorted map keys everywhere."""
-    return json.dumps(
-        canonicalize_value(copy_value(value)), separators=(",", ":"), allow_nan=False
-    )
+    """Serialize an already-validated value to compact JSON with sorted map
+    keys everywhere."""
+    return json.dumps(canonicalize_value(value), separators=(",", ":"), allow_nan=False)
 
 
 # -- Watch conditions --------------------------------------------------------

@@ -1,21 +1,14 @@
-"""Planner templates and the HTTP adapter contract."""
+"""Planner templates, blueprint wiring, summaries, and the package's import cost."""
 import json
 import os
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from camcp.planner import (
-    AdapterConfigurationError,
-    AdapterNetworkError,
-    AdapterResponseError,
-    AdapterStatusError,
     CostModel,
     IncompleteContextError,
-    LlmAdapter,
     MockPlanner,
     Query,
     UnsupportedKindError,
@@ -24,7 +17,6 @@ from camcp.planner import (
     render_summary,
     stage_outline,
 )
-from camcp.runtime import TraceBuilder
 from camcp.store import And, ContextStore, Exists, evaluate
 
 TRAVEL_QUERY = Query(
@@ -169,45 +161,7 @@ def test_cost_model_defaults():
     assert cost.per_tool_latency_s == 0.4
 
 
-# -- HTTP adapter ------------------------------------------------------------------
-
-
-class _StubHandler(BaseHTTPRequestHandler):
-    captured: list = []
-    status = 200
-    body = '{"text": "stub answer"}'
-
-    def do_POST(self):
-        length = int(self.headers["content-length"])
-        type(self).captured.append(
-            {
-                "path": self.path,
-                "authorization": self.headers.get("authorization"),
-                "body": self.rfile.read(length).decode("utf-8"),
-            }
-        )
-        payload = type(self).body.encode("utf-8")
-        self.send_response(type(self).status)
-        self.send_header("content-type", "application/json")
-        self.send_header("content-length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def stub_server():
-    _StubHandler.captured = []
-    _StubHandler.status = 200
-    _StubHandler.body = '{"text": "stub answer"}'
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/complete", _StubHandler
-    server.shutdown()
-    thread.join()
+# -- Import cost ------------------------------------------------------------------
 
 
 def test_import_leaves_requests_unloaded():
@@ -220,69 +174,3 @@ def test_import_leaves_requests_unloaded():
     )
     assert result.stdout.strip() == "False"
 
-
-def test_adapter_from_env_requires_url():
-    with pytest.raises(AdapterConfigurationError):
-        LlmAdapter.from_env(env={})
-    adapter = LlmAdapter.from_env(env={"CA_MCP_LLM_URL": "http://example/api", "CA_MCP_LLM_TOKEN": "tok"})
-    assert adapter.url == "http://example/api"
-    assert adapter.token == "tok"
-
-
-def test_adapter_posts_verbatim_contract(stub_server):
-    url, handler = stub_server
-    recorder = []
-    adapter = LlmAdapter(url=url, token="secret", recorder=recorder)
-    text = adapter.request(
-        messages=[{"role": "user", "content": "plan"}],
-        tools=[{"name": "book_hotel"}],
-    )
-    assert text == "stub answer"
-    sent = handler.captured[0]
-    assert sent["authorization"] == "Bearer secret"
-    assert json.loads(sent["body"]) == {
-        "messages": [{"role": "user", "content": "plan"}],
-        "tools": [{"name": "book_hotel"}],
-    }
-    assert recorder == [
-        {
-            "request": {"messages": [{"role": "user", "content": "plan"}], "tools": [{"name": "book_hotel"}]},
-            "response": '{"text": "stub answer"}',
-        }
-    ]
-
-
-def test_adapter_maps_http_status_errors(stub_server):
-    url, handler = stub_server
-    handler.status = 500
-    handler.body = "boom"
-    with pytest.raises(AdapterStatusError) as info:
-        LlmAdapter(url=url).request([], [])
-    assert info.value.status_code == 500
-    assert info.value.body == "boom"
-
-
-def test_adapter_rejects_malformed_response(stub_server):
-    url, handler = stub_server
-    handler.body = '{"unexpected": 1}'
-    with pytest.raises(AdapterResponseError):
-        LlmAdapter(url=url).request([], [])
-    handler.body = "not json"
-    with pytest.raises(AdapterResponseError):
-        LlmAdapter(url=url).request([], [])
-
-
-def test_adapter_maps_connection_failures():
-    adapter = LlmAdapter(url="http://127.0.0.1:9/nothing-listens-here", timeout_s=2.0)
-    with pytest.raises(AdapterNetworkError):
-        adapter.request([], [])
-
-
-def test_adapter_counts_calls_through_hook(stub_server, travel_scenario):
-    url, _ = stub_server
-    builder = TraceBuilder("context_aware", 0, travel_scenario)
-    LlmAdapter(url=url, on_call=builder.llm_call).request([], [])
-    builder.run_end(True)
-    trace = builder.build()
-    assert trace.llm_call_count() == 1
-    assert trace.events_of("llm_call")[0].payload["role"] == "plan"

@@ -132,6 +132,22 @@ def test_decode_errors():
     with pytest.raises(SchemaViolationError) as info:
         decode('{"msg_type":"context_read","seq":1,"payload":{"key":"k"},"junk":0}')
     assert info.value.field == "junk"
+    with pytest.raises(SchemaViolationError) as info:
+        decode('{"msg_type":"context_write","seq":1,"payload":{"key":"k","value":NaN}}')
+    assert info.value.field == "payload"
+
+
+def test_envelope_holds_its_own_copy_of_the_payload():
+    payload = {"key": "k", "value": {"pair": (1, 2), "list": [1]}}
+    envelope = make_envelope("context_write", 1, payload)
+    line = encode(envelope)
+    payload["value"]["list"].append(2)
+    payload["value"]["extra"] = True
+    assert encode(envelope) == line
+    assert line == (
+        '{"msg_type":"context_write","seq":1,'
+        '"payload":{"key":"k","value":{"list":[1],"pair":[1,2]}}}'
+    )
 
 
 # -- Sequencing --------------------------------------------------------------------------

@@ -439,6 +439,10 @@ def test_write_read_round_trip(tmp_path, wedding_scenario):
             _edit_payload("run_end", "simulated_latency_s"), 32,
             "run_end payload missing 'simulated_latency_s'", id="run-end-no-latency",
         ),
+        pytest.param(
+            _edit_payload("run_start", "stage_ids", [["location"]]), 1,
+            "run_start payload 'stage_ids' must hold only text", id="run-start-stage-id-list",
+        ),
     ],
 )
 def test_parse_trace_rejects_corruption(travel_scenario, mangle, line_no, message):

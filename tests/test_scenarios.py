@@ -175,6 +175,41 @@ def test_travel_validation_names_offending_field(mutate, field):
             "data_tables.vehicle.trip_duration_min",
         ),
         (lambda d: d["constraints"].pop("vehicle_capacity"), "constraints.vehicle_capacity"),
+        pytest.param(
+            lambda d: d["data_tables"]["guests"][0].update(ready_time_min="soon"),
+            "data_tables.guests[0].ready_time_min",
+            id="guest-ready-text",
+        ),
+        pytest.param(
+            lambda d: d["data_tables"]["errands"][1].update(ready_time_min=True),
+            "data_tables.errands[1].ready_time_min",
+            id="errand-ready-bool",
+        ),
+        pytest.param(
+            lambda d: d["constraints"].update(vehicle_capacity="two"),
+            "constraints.vehicle_capacity",
+            id="capacity-text",
+        ),
+        pytest.param(
+            lambda d: d["constraints"].update(vehicle_capacity=0),
+            "constraints.vehicle_capacity",
+            id="capacity-zero",
+        ),
+        pytest.param(
+            lambda d: d["constraints"].update(deadline_min="soon"),
+            "constraints.deadline_min",
+            id="deadline-text",
+        ),
+        pytest.param(
+            lambda d: d["data_tables"]["vehicle"].update(capacity=True),
+            "data_tables.vehicle.capacity",
+            id="vehicle-capacity-bool",
+        ),
+        pytest.param(
+            lambda d: d["data_tables"]["vehicle"].update(trip_duration_min=True),
+            "data_tables.vehicle.trip_duration_min",
+            id="vehicle-duration-bool",
+        ),
     ],
 )
 def test_wedding_validation_names_offending_field(mutate, field):
