@@ -58,8 +58,8 @@ def _apply_overrides(scenario, window: int | None, latency: float | None):
             scenario, window=WindowConfig(enabled=True, budget_entries=window)
         )
     if latency is not None:
-        if latency < 0:
-            raise ScenarioValidationError("latency", "must be >= 0")
+        if not 0 <= latency <= sys.float_info.max:  # also false for nan
+            raise ScenarioValidationError("latency", "must be a finite number >= 0")
         scenario = dataclasses.replace(
             scenario,
             cost_model=CostModel(

@@ -1,9 +1,10 @@
 """Line-delimited JSON codec for the client/server message exchange.
 
 Every message is one envelope per line: ``{"msg_type": ..., "seq": ...,
-"payload": {...}}`` with that top-level field order fixed and all object
-keys inside the payload sorted, so encoding is canonical and injective.
-Trace events use the same compact, key-sorted line encoding.
+"payload": {...}}`` with that top-level field order fixed and the payload
+written by :func:`camcp.store.canonical_dumps` (compact, every object's keys
+sorted by the C JSON encoder), so encoding is canonical and injective.
+Trace events use the same line encoding.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .store import canonicalize_value, copy_value
+from .store import canonical_dumps, copy_value
 
 PLAN_REQUEST = "plan_request"
 TOOL_DECLARATION = "tool_declaration"
@@ -168,12 +169,10 @@ def make_envelope(msg_type: str, seq: int, payload: dict) -> Envelope:
 
 def encode(envelope: Envelope) -> str:
     """Encode to the canonical single-line JSON form."""
-    top = {
-        "msg_type": envelope.msg_type,
-        "seq": envelope.seq,
-        "payload": canonicalize_value(envelope.payload),
-    }
-    line = json.dumps(top, separators=(",", ":"), allow_nan=False)
+    line = (
+        f'{{"msg_type":{json.dumps(envelope.msg_type)},"seq":{envelope.seq},'
+        f'"payload":{canonical_dumps(envelope.payload)}}}'
+    )
     assert "\n" not in line
     return line
 

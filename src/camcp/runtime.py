@@ -32,7 +32,13 @@ from .scenarios import (
     Scenario,
     build_servers,
 )
-from .store import ContextStore, ContextValue, canonicalize_value, evaluate
+from .store import (
+    ContextStore,
+    ContextValue,
+    canonical_dumps,
+    canonicalize_value,  # not called here; perfbench's self-test reads runtime.canonicalize_value
+    evaluate,
+)
 
 RUN_START = "run_start"
 RUN_END = "run_end"
@@ -67,6 +73,11 @@ _PAYLOAD_FIELDS = {
     STAGE_DONE: {"stage": (str, "text"), "outputs": (dict, "an object")},
     RUN_END: {"simulated_latency_s": ((int, float), "a number")},
 }
+
+# Fields of a stage_done ``outputs.schedule`` that the wedding scoring reads:
+# the integers of each trip, and the fields of each request it carries.
+_TRIP_INTS = ("trip_id", "start_min", "duration_min")
+_REQUEST_FIELDS = ("request_id", "origin", "destination", "ready_time_min", "source")
 
 SEED_WRITER = "runtime"
 
@@ -115,8 +126,10 @@ class Trace:
 
 
 def _event_line(event: TraceEvent) -> str:
-    record = {"t": event.t, "kind": event.kind, "payload": canonicalize_value(event.payload)}
-    return json.dumps(record, separators=(",", ":"), allow_nan=False)
+    return (
+        f'{{"t":{event.t},"kind":{json.dumps(event.kind)},'
+        f'"payload":{canonical_dumps(event.payload)}}}'
+    )
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -157,6 +170,8 @@ def parse_trace(text: str) -> Trace:
                 raise MalformedTraceError(line_no, f"{kind} payload {name!r} must be {description}")
         if kind == RUN_START and not all(isinstance(s, str) for s in payload["stage_ids"]):
             raise MalformedTraceError(line_no, "run_start payload 'stage_ids' must hold only text")
+        if kind == STAGE_DONE and payload["outputs"].get("schedule") is not None:
+            _check_schedule(line_no, payload["outputs"]["schedule"])
         events.append(TraceEvent(record["t"], kind, payload))
     if not events:
         raise MalformedTraceError(1, "empty trace")
@@ -173,6 +188,51 @@ def parse_trace(text: str) -> Trace:
         seed=events[0].payload["seed"],
         simulated_latency_s=events[-1].payload["simulated_latency_s"],
     )
+
+
+def _check_schedule(line_no: int, schedule) -> None:
+    """Check, in place, the shape of a wedding schedule that the scoring
+    reads; raise :class:`MalformedTraceError` naming the first bad field.
+    Parsed JSON holds exact types, so ``type(v) is int`` also rules out
+    booleans."""
+    where = "stage_done outputs.schedule"
+    if type(schedule) is not dict:
+        raise MalformedTraceError(line_no, f"{where} must be an object")
+    if type(schedule.get("makespan_min")) is not int:
+        raise _field_error(line_no, where, schedule, "makespan_min", "an integer")
+    trips = schedule.get("trips")
+    if type(trips) is not list:
+        raise _field_error(line_no, where, schedule, "trips", "a list")
+    for i, trip in enumerate(trips):
+        if type(trip) is not dict:
+            raise MalformedTraceError(line_no, f"{where}.trips[{i}] must be an object")
+        for name in _TRIP_INTS:
+            if type(trip.get(name)) is not int:
+                raise _field_error(line_no, f"{where}.trips[{i}]", trip, name, "an integer")
+        requests = trip.get("requests")
+        if type(requests) is not list:
+            raise _field_error(line_no, f"{where}.trips[{i}]", trip, "requests", "a list")
+        for j, request in enumerate(requests):
+            if type(request) is not dict:
+                raise MalformedTraceError(
+                    line_no, f"{where}.trips[{i}].requests[{j}] must be an object"
+                )
+            for name in _REQUEST_FIELDS:
+                if name not in request:
+                    raise MalformedTraceError(
+                        line_no, f"{where}.trips[{i}].requests[{j}] missing {name!r}"
+                    )
+            if type(request["ready_time_min"]) is not int:
+                raise MalformedTraceError(
+                    line_no,
+                    f"{where}.trips[{i}].requests[{j}] 'ready_time_min' must be an integer",
+                )
+
+
+def _field_error(line_no: int, where: str, obj: dict, name: str, description: str):
+    if name not in obj:
+        return MalformedTraceError(line_no, f"{where} missing {name!r}")
+    return MalformedTraceError(line_no, f"{where} {name!r} must be {description}")
 
 
 def read_trace(path) -> Trace:

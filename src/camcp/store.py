@@ -6,6 +6,10 @@ snapshots, and subscribers are notified exactly once per false-to-true
 transition of a watch condition evaluated over successive post-commit
 states. Commit listeners see every commit in order; the runtime records
 each one as a trace event.
+
+Every stored value is a validated plain copy (:func:`copy_value`), and its
+canonical text is compact JSON with map keys sorted by the C encoder
+(:func:`canonical_dumps`); protocol lines and trace lines embed that text.
 """
 from __future__ import annotations
 
@@ -28,6 +32,20 @@ class CasConflict(Exception):
         self.current_version = current_version
 
 
+class _Rejected(Exception):
+    """A value :func:`copy_value` cannot store. ``steps`` collects the path
+    from the offending element outwards while the recursion unwinds, so no
+    path text is built for values that are accepted."""
+
+    def __init__(self, problem: str, detail: str = ""):
+        self.problem = problem
+        self.detail = detail
+        self.steps: list[str] = []
+
+
+_LEAVES = frozenset({type(None), bool, int, str})
+
+
 def copy_value(value: Any, _path: str = "$") -> ContextValue:
     """Deep-copy *value* into plain JSON-shaped data, validating as it goes.
 
@@ -35,22 +53,46 @@ def copy_value(value: Any, _path: str = "$") -> ContextValue:
     and foreign types are rejected so every stored value can round-trip
     through the canonical line encoding.
     """
-    if value is None or isinstance(value, (bool, int, str)):
+    try:
+        return _copy(value)
+    except _Rejected as exc:
+        path = _path + "".join(reversed(exc.steps))
+        raise TypeError(f"{exc.problem} at {path}{exc.detail}") from None
+
+
+def _copy(value: Any) -> ContextValue:
+    cls = type(value)
+    if cls in _LEAVES:
         return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise TypeError(f"non-finite number at {_path}")
-        return value
-    if isinstance(value, (list, tuple)):
-        return [copy_value(v, f"{_path}[{i}]") for i, v in enumerate(value)]
-    if isinstance(value, Mapping):
+    if cls is not dict and cls is not list:
+        # Floats and subclasses of the leaf types.
+        if isinstance(value, (bool, int, str)):
+            return value
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise _Rejected("non-finite number")
+            return value
+    if cls is list or isinstance(value, (list, tuple)):
+        items: list[ContextValue] = []
+        for i, item in enumerate(value):
+            try:
+                items.append(_copy(item))
+            except _Rejected as exc:
+                exc.steps.append(f"[{i}]")
+                raise
+        return items
+    if cls is dict or isinstance(value, Mapping):
         out: dict[str, ContextValue] = {}
         for k, v in value.items():
             if not isinstance(k, str):
-                raise TypeError(f"non-text key at {_path}: {k!r}")
-            out[k] = copy_value(v, f"{_path}.{k}")
+                raise _Rejected("non-text key", f": {k!r}")
+            try:
+                out[k] = _copy(v)
+            except _Rejected as exc:
+                exc.steps.append(f".{k}")
+                raise
         return out
-    raise TypeError(f"unsupported value type at {_path}: {type(value).__name__}")
+    raise _Rejected("unsupported value type", f": {cls.__name__}")
 
 
 def values_equal(a: ContextValue, b: ContextValue) -> bool:
@@ -70,7 +112,10 @@ def values_equal(a: ContextValue, b: ContextValue) -> bool:
 
 
 def canonicalize_value(value: ContextValue) -> ContextValue:
-    """Rebuild containers with map keys in sorted order (scalars unchanged)."""
+    """Rebuild containers with map keys in sorted order (scalars unchanged).
+
+    No run path calls this: it is the reference form that the tests hold
+    :func:`canonical_dumps` to, and ``perfbench`` counts its calls."""
     if isinstance(value, list):
         return [canonicalize_value(v) for v in value]
     if isinstance(value, dict):
@@ -80,8 +125,9 @@ def canonicalize_value(value: ContextValue) -> ContextValue:
 
 def canonical_dumps(value: ContextValue) -> str:
     """Serialize an already-validated value to compact JSON with sorted map
-    keys everywhere."""
-    return json.dumps(canonicalize_value(value), separators=(",", ":"), allow_nan=False)
+    keys everywhere. The C encoder sorts the keys, so this is the same text
+    as dumping :func:`canonicalize_value` of *value*, without the rebuild."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 # -- Watch conditions --------------------------------------------------------

@@ -236,6 +236,16 @@ def test_cli_bench_rejects_bad_window(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("latency", ["nan", "inf", "-1"])
+def test_cli_bench_rejects_bad_latency(tmp_path, capsys, latency):
+    out = tmp_path / "l.csv"
+    argv = ["bench", "--scenario", "travel", "--n", "2", "--out", str(out), "--latency", latency]
+    assert main(argv) == EXIT_USAGE
+    assert "scenario field 'latency': must be a finite number >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "l_summary.json").exists()
+
+
 def test_cli_bad_mode_is_argparse_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["run", "--scenario", "travel", "--mode", "psychic"])

@@ -174,3 +174,26 @@ def test_import_leaves_requests_unloaded():
     )
     assert result.stdout.strip() == "False"
 
+
+def test_import_loads_only_the_standard_library():
+    """camcp has no runtime dependency: importing it loads nothing beyond
+    the standard library and camcp's own modules."""
+    import camcp
+
+    src = os.path.dirname(os.path.dirname(camcp.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import camcp; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    loaded = result.stdout.split()
+    assert "camcp.store" in loaded
+    foreign = [
+        name
+        for name in loaded
+        if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "camcp"
+    ]
+    assert foreign == []
+

@@ -17,6 +17,7 @@ from camcp.protocol import (
     make_envelope,
     validate_sequence,
 )
+from camcp.store import canonicalize_value
 from strategies import json_values
 
 SAMPLE_PAYLOADS = {
@@ -235,6 +236,17 @@ def test_decode_encode_identity(envelope):
     assert encode(decode(line)) == line
     # canonical lines survive a JSON parse/re-parse cycle too
     assert decode(json.dumps(json.loads(line), separators=(",", ":"))) == envelope
+
+
+@given(envelopes)
+@settings(max_examples=300)
+def test_encode_equals_dumping_the_field_ordered_dict(envelope):
+    top = {
+        "msg_type": envelope.msg_type,
+        "seq": envelope.seq,
+        "payload": canonicalize_value(envelope.payload),
+    }
+    assert encode(envelope) == json.dumps(top, separators=(",", ":"), allow_nan=False)
 
 
 @given(st.lists(envelopes, min_size=2, max_size=6, unique_by=encode))

@@ -1,8 +1,11 @@
 """End-to-end runs: trace shape, call counts, determinism, protocol embedding."""
 import dataclasses
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camcp.bench import compute_metrics
 from camcp.planner import MockPlanner, PlanBlueprint
@@ -10,6 +13,8 @@ from camcp.protocol import validate_sequence
 from camcp.runtime import (
     EVENT_KINDS,
     MalformedTraceError,
+    Trace,
+    TraceEvent,
     parse_trace,
     query_for_seed,
     read_trace,
@@ -21,7 +26,8 @@ from camcp.runtime import (
     write_trace,
 )
 from camcp.scenarios import MODE_CA, MODE_TRADITIONAL, WindowConfig
-from camcp.store import ContextStore
+from camcp.store import ContextStore, canonicalize_value
+from strategies import json_values
 
 ALL = [("travel", MODE_TRADITIONAL), ("travel", MODE_CA), ("wedding_p5", MODE_TRADITIONAL), ("wedding_p5", MODE_CA)]
 
@@ -386,6 +392,46 @@ def _edit_payload(kind: str, field: str, value=None):
     return mangle
 
 
+def _edit_schedule(edit):
+    """Mangler for the wedding CA trace: apply ``edit`` to the outputs of the
+    stage_done event that carries the schedule (line 34)."""
+
+    def mangle(lines: list[str]) -> list[str]:
+        records = [json.loads(line) for line in lines]
+        done = [r for r in records if r["kind"] == "stage_done"]
+        edit(next(r for r in done if "schedule" in r["payload"]["outputs"])["payload"]["outputs"])
+        return [json.dumps(r, separators=(",", ":")) for r in records]
+
+    mangle.scenario = "wedding"
+    return mangle
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(EVENT_KINDS),
+            st.dictionaries(st.text(max_size=6), json_values, max_size=4),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+@settings(max_examples=300)
+def test_serialize_trace_equals_dumping_the_field_ordered_dicts(events):
+    trace = Trace(
+        events=[TraceEvent(t, kind, payload) for t, (kind, payload) in enumerate(events, 1)],
+        mode=MODE_CA,
+        seed=0,
+        simulated_latency_s=0.0,
+    )
+    records = [
+        {"t": t, "kind": kind, "payload": canonicalize_value(payload)}
+        for t, (kind, payload) in enumerate(events, 1)
+    ]
+    expected = "\n".join(json.dumps(r, separators=(",", ":"), allow_nan=False) for r in records)
+    assert serialize_trace(trace) == expected + "\n"
+
+
 def test_write_read_round_trip(tmp_path, wedding_scenario):
     trace = run_context_aware(wedding_scenario, 2)
     path = tmp_path / "trace.jsonl"
@@ -443,10 +489,62 @@ def test_write_read_round_trip(tmp_path, wedding_scenario):
             _edit_payload("run_start", "stage_ids", [["location"]]), 1,
             "run_start payload 'stage_ids' must hold only text", id="run-start-stage-id-list",
         ),
+        pytest.param(
+            _edit_schedule(lambda o: o["schedule"].pop("trips")), 34,
+            "stage_done outputs.schedule missing 'trips'", id="schedule-no-trips",
+        ),
+        pytest.param(
+            _edit_schedule(lambda o: o["schedule"]["trips"][0].update(requests="x")), 34,
+            re.escape("outputs.schedule.trips[0] 'requests' must be a list"),
+            id="schedule-requests-text",
+        ),
+        pytest.param(
+            _edit_schedule(lambda o: o.update(schedule=[])), 34,
+            "stage_done outputs.schedule must be an object", id="schedule-list",
+        ),
+        pytest.param(
+            _edit_schedule(lambda o: o["schedule"].update(makespan_min="180")), 34,
+            "outputs.schedule 'makespan_min' must be an integer", id="schedule-makespan-text",
+        ),
+        pytest.param(
+            _edit_schedule(lambda o: o["schedule"]["trips"].insert(1, [])), 34,
+            re.escape("outputs.schedule.trips[1] must be an object"), id="schedule-trip-list",
+        ),
+        pytest.param(
+            _edit_schedule(lambda o: o["schedule"]["trips"][2].update(start_min=True)), 34,
+            re.escape("outputs.schedule.trips[2] 'start_min' must be an integer"),
+            id="schedule-start-bool",
+        ),
+        pytest.param(
+            _edit_schedule(lambda o: o["schedule"]["trips"][0].pop("trip_id")), 34,
+            re.escape("outputs.schedule.trips[0] missing 'trip_id'"), id="schedule-no-trip-id",
+        ),
+        pytest.param(
+            _edit_schedule(lambda o: o["schedule"]["trips"][1]["requests"].append(7)), 34,
+            re.escape("outputs.schedule.trips[1].requests[2] must be an object"),
+            id="schedule-request-number",
+        ),
+        pytest.param(
+            _edit_schedule(lambda o: o["schedule"]["trips"][1]["requests"][0].pop("source")), 34,
+            re.escape("outputs.schedule.trips[1].requests[0] missing 'source'"),
+            id="schedule-request-no-source",
+        ),
+        pytest.param(
+            _edit_schedule(
+                lambda o: o["schedule"]["trips"][0]["requests"][1].update(ready_time_min="soon")
+            ),
+            34,
+            re.escape("outputs.schedule.trips[0].requests[1] 'ready_time_min' must be an integer"),
+            id="schedule-ready-text",
+        ),
     ],
 )
-def test_parse_trace_rejects_corruption(travel_scenario, mangle, line_no, message):
-    lines = serialize_trace(run_context_aware(travel_scenario, 0)).splitlines()
+def test_parse_trace_rejects_corruption(
+    travel_scenario, wedding_scenario, mangle, line_no, message
+):
+    wedding = getattr(mangle, "scenario", None) == "wedding"
+    scenario = wedding_scenario if wedding else travel_scenario
+    lines = serialize_trace(run_context_aware(scenario, 0)).splitlines()
     text = "\n".join(mangle(lines)) + "\n"
     with pytest.raises(MalformedTraceError, match=message) as info:
         parse_trace(text)

@@ -1,7 +1,11 @@
 """Store behavior: versioning, snapshots, rising edges, commit listeners, cas."""
+import copy
 import json
+import math
 import random
 import threading
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from camcp.store import (
     Not,
     Or,
     canonical_dumps,
+    canonicalize_value,
     condition_from_value,
     condition_to_value,
     copy_value,
@@ -23,7 +28,7 @@ from camcp.store import (
     values_equal,
 )
 from oracles import EdgeOracle, ModelStore, interleavings
-from strategies import conditions, json_values, keys, small_values
+from strategies import conditions, json_values, keys, scalars, small_values
 
 
 # -- Values and equality -------------------------------------------------------
@@ -68,6 +73,132 @@ def test_canonical_dumps_sorts_keys_deeply():
 @given(json_values)
 def test_canonical_dumps_round_trips(value):
     assert values_equal(json.loads(canonical_dumps(value)), copy_value(value))
+
+
+@given(json_values)
+@settings(max_examples=500)
+def test_canonical_dumps_equals_dumping_the_sorted_rebuild(value):
+    expected = json.dumps(canonicalize_value(value), separators=(",", ":"), allow_nan=False)
+    assert canonical_dumps(value) == expected
+
+
+def _reference_copy(value, _path="$"):
+    """copy_value as first written, building each element's path eagerly: the
+    oracle for its results and its error texts."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise TypeError(f"non-finite number at {_path}")
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_reference_copy(v, f"{_path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, Mapping):
+        out = {}
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"non-text key at {_path}: {k!r}")
+            out[k] = _reference_copy(v, f"{_path}.{k}")
+        return out
+    raise TypeError(f"unsupported value type at {_path}: {type(value).__name__}")
+
+
+def _containers(value) -> list:
+    if isinstance(value, list):
+        return [value] + [c for v in value for c in _containers(v)]
+    if isinstance(value, dict):
+        return [value] + [c for v in value.values() for c in _containers(v)]
+    return []
+
+
+non_text_keys = st.one_of(
+    st.integers(-3, 3),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.tuples(st.integers()),
+)
+
+
+@st.composite
+def poisoned_values(draw):
+    """A json_values value with one unstorable thing planted in a random
+    container at a random position: a non-finite number, a foreign object,
+    or a map with a non-text key."""
+    value = copy.deepcopy(draw(json_values))
+    if not _containers(value):
+        value = [value]
+    target = draw(st.sampled_from(_containers(value)))
+    poison = draw(st.sampled_from(["nan", "inf", "object", "key"]))
+    if poison == "key":
+        entry = (draw(non_text_keys), draw(json_values))
+    else:
+        bad = {"nan": float("nan"), "inf": float("-inf"), "object": object()}[poison]
+        taken = target if isinstance(target, dict) else {}
+        entry = (draw(st.text(max_size=6).filter(lambda k: k not in taken)), bad)
+    if isinstance(target, list):
+        planted = dict([entry]) if poison == "key" else entry[1]
+        target.insert(draw(st.integers(0, len(target))), planted)
+    else:
+        items = list(target.items())
+        items.insert(draw(st.integers(0, len(items))), entry)
+        target.clear()
+        target.update(items)
+    return value
+
+
+@given(poisoned_values())
+@settings(max_examples=400)
+def test_copy_value_error_text_equals_reference(value):
+    with pytest.raises(TypeError) as expected:
+        _reference_copy(value)
+    with pytest.raises(TypeError) as got:
+        copy_value(value)
+    assert str(got.value) == str(expected.value)
+
+
+@given(json_values)
+def test_copy_value_equals_input_and_shares_no_container(value):
+    copied = copy_value(value)
+    assert copied == value
+    assert not {id(c) for c in _containers(copied)} & {id(c) for c in _containers(value)}
+
+
+class _Text(str):
+    pass
+
+
+class _Number(int):
+    pass
+
+
+loose_values = st.recursive(
+    st.one_of(
+        scalars, st.builds(_Text, st.text(max_size=4)), st.builds(_Number, st.integers(-5, 5))
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3).map(MappingProxyType),
+    ),
+    max_leaves=10,
+)
+
+
+def _same_types(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same_types(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_types(v, b[k]) for k, v in a.items())
+    return a == b
+
+
+@given(loose_values)
+def test_copy_value_of_tuples_mappings_and_subclasses_equals_reference(value):
+    assert _same_types(copy_value(value), _reference_copy(value))
 
 
 # -- Conditions ------------------------------------------------------------------
