@@ -10,15 +10,13 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .runtime import LLM_CALL, Trace, read_trace, run
+from .runtime import LLM_CALL, STAGE_DONE, Trace, read_trace, run
 from .scenarios import (
     MODE_CA,
     MODE_TRADITIONAL,
     Scenario,
     coordination_score,
     evaluate_satisfaction,
-    outputs_from_trace,
-    schedule_from_value,
 )
 
 CSV_COLUMNS = [
@@ -76,37 +74,43 @@ class PairedStats:
 
 
 def compute_metrics(trace: Trace, scenario: Scenario | None = None) -> RunMetrics:
-    """Score one trace. ``scenario`` is an optional cross-check only; every
-    number comes out of the trace itself."""
+    """Score one trace in one pass over its events. ``scenario`` is an
+    optional cross-check only; every number comes out of the trace itself.
+    The wedding numbers are read from the ``outputs.schedule`` value whose
+    shape :func:`~camcp.runtime.parse_trace` checks."""
     start = trace.events[0].payload
     if scenario is not None and scenario.name != start.get("scenario"):
         raise ValueError(
             f"trace is for scenario {start.get('scenario')!r}, not {scenario.name!r}"
         )
-    stage_ids = list(start["stage_ids"])
+    stage_ids = start["stage_ids"]
     kind = start["kind"]
-    constraints = start["constraints"]
 
-    done = {e.payload["stage"] for e in trace.events if e.kind == "stage_done"}
+    done: set[str] = set()
+    outputs: dict = {}  # per-stage outputs, last write wins
+    llm_calls = 0
+    for event in trace.events:
+        if event.kind == STAGE_DONE:
+            done.add(event.payload["stage"])
+            outputs.update(event.payload["outputs"])
+        elif event.kind == LLM_CALL:
+            llm_calls += 1
     completeness = (
         sum(1 for sid in stage_ids if sid in done) / len(stage_ids) if stage_ids else 1.0
     )
-    outputs = outputs_from_trace(trace)
-    goal, constraint = evaluate_satisfaction(kind, constraints, stage_ids, outputs)
+    goal, constraint = evaluate_satisfaction(kind, start["constraints"], stage_ids, outputs)
 
     makespan: int | None = None
     coordination: int | None = None
-    if kind == "wedding":
-        schedule_value = outputs.get("schedule")
-        if schedule_value is not None:
-            schedule = schedule_from_value(schedule_value)
-            makespan = schedule.makespan_min
-            coordination = coordination_score(schedule)
+    schedule = outputs.get("schedule")
+    if kind == "wedding" and schedule is not None:
+        makespan = schedule["makespan_min"]
+        coordination = coordination_score(schedule)
 
     return RunMetrics(
         mode=trace.mode,
         seed=trace.seed,
-        llm_calls=len(trace.events_of(LLM_CALL)),
+        llm_calls=llm_calls,
         completeness=completeness,
         simulated_latency_s=trace.simulated_latency_s,
         makespan_min=makespan,

@@ -61,7 +61,8 @@ EVENT_KINDS = (
 )
 
 # Payload fields that compute_metrics reads, by event kind, with the JSON
-# type each must have.
+# type each must have. None of them may be a boolean, which Python counts as
+# an integer.
 _PAYLOAD_FIELDS = {
     RUN_START: {
         "mode": (str, "text"),
@@ -158,18 +159,21 @@ def parse_trace(text: str) -> Trace:
             raise MalformedTraceError(line_no, "expected an object with t, kind, payload")
         if record["kind"] not in EVENT_KINDS:
             raise MalformedTraceError(line_no, f"unknown event kind {record['kind']!r}")
-        if record["t"] != line_no:
-            raise MalformedTraceError(line_no, f"logical time {record['t']} != {line_no}")
+        if type(record["t"]) is not int or record["t"] != line_no:
+            raise MalformedTraceError(line_no, f"logical time 't' must be the integer {line_no}")
         kind, payload = record["kind"], record["payload"]
         if not isinstance(payload, dict):
             raise MalformedTraceError(line_no, "payload must be an object")
         for name, (types, description) in _PAYLOAD_FIELDS.get(kind, {}).items():
             if name not in payload:
                 raise MalformedTraceError(line_no, f"{kind} payload missing {name!r}")
-            if not isinstance(payload[name], types):
+            if not isinstance(payload[name], types) or isinstance(payload[name], bool):
                 raise MalformedTraceError(line_no, f"{kind} payload {name!r} must be {description}")
-        if kind == RUN_START and not all(isinstance(s, str) for s in payload["stage_ids"]):
-            raise MalformedTraceError(line_no, "run_start payload 'stage_ids' must hold only text")
+        if kind == RUN_START:
+            if not all(isinstance(s, str) for s in payload["stage_ids"]):
+                raise MalformedTraceError(line_no, "run_start payload 'stage_ids' must hold only text")
+            if payload["kind"] == "wedding":
+                _check_wedding_constraints(line_no, payload["constraints"])
         if kind == STAGE_DONE and payload["outputs"].get("schedule") is not None:
             _check_schedule(line_no, payload["outputs"]["schedule"])
         events.append(TraceEvent(record["t"], kind, payload))
@@ -188,6 +192,18 @@ def parse_trace(text: str) -> Trace:
         seed=events[0].payload["seed"],
         simulated_latency_s=events[-1].payload["simulated_latency_s"],
     )
+
+
+def _check_wedding_constraints(line_no: int, constraints: dict) -> None:
+    """Check the wedding limits that the scoring compares against."""
+    if type(constraints.get("vehicle_capacity")) is not int:
+        raise MalformedTraceError(
+            line_no, "run_start payload 'constraints.vehicle_capacity' must be an integer"
+        )
+    if type(constraints.get("deadline_min")) not in (int, type(None)):
+        raise MalformedTraceError(
+            line_no, "run_start payload 'constraints.deadline_min' must be null or an integer"
+        )
 
 
 def _check_schedule(line_no: int, schedule) -> None:

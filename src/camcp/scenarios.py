@@ -430,19 +430,6 @@ def schedule_to_value(schedule: Schedule) -> dict:
     }
 
 
-def schedule_from_value(value: Mapping) -> Schedule:
-    trips = tuple(
-        Trip(
-            trip_id=t["trip_id"],
-            requests=tuple(request_from_value(r) for r in t["requests"]),
-            start_min=t["start_min"],
-            duration_min=t["duration_min"],
-        )
-        for t in value["trips"]
-    )
-    return Schedule(trips=trips, makespan_min=value["makespan_min"])
-
-
 def batch_requests(
     requests: Iterable[TransportRequest], capacity: int, duration_min: int
 ) -> Schedule:
@@ -482,9 +469,10 @@ def append_single_trip(
     return trip
 
 
-def coordination_score(schedule: Schedule) -> int:
-    """1 when at least one trip carries two or more requests, else 0."""
-    return 1 if any(len(t.requests) >= 2 for t in schedule.trips) else 0
+def coordination_score(schedule: Mapping) -> int:
+    """1 when at least one trip of a schedule value carries two or more
+    requests, else 0."""
+    return 1 if any(len(t["requests"]) >= 2 for t in schedule["trips"]) else 0
 
 
 # -- Goal and constraint scoring -----------------------------------------------
@@ -497,7 +485,8 @@ def evaluate_satisfaction(
 
     Goal satisfaction is the fraction of stages whose output is present.
     Constraint satisfaction is 1.0 when every check passes, else the
-    satisfied fraction.
+    satisfied fraction. The wedding checks read the ``schedule`` output as
+    the plain value whose shape :func:`~camcp.runtime.parse_trace` checks.
     """
     if not stage_ids:
         goal = 1.0
@@ -516,28 +505,19 @@ def evaluate_satisfaction(
         if schedule_value is None:
             checks.extend([False, False] + ([False] if deadline is not None else []))
         else:
-            schedule = schedule_from_value(schedule_value)
-            checks.append(all(len(t.requests) <= capacity for t in schedule.trips))
+            trips = schedule_value["trips"]
+            checks.append(all(len(t["requests"]) <= capacity for t in trips))
             checks.append(
                 all(
-                    r.ready_time_min <= t.start_min
-                    for t in schedule.trips
-                    for r in t.requests
+                    r["ready_time_min"] <= t["start_min"]
+                    for t in trips
+                    for r in t["requests"]
                 )
             )
             if deadline is not None:
-                checks.append(schedule.makespan_min <= deadline)
+                checks.append(schedule_value["makespan_min"] <= deadline)
     constraint = 1.0 if all(checks) else sum(checks) / len(checks) if checks else 1.0
     return goal, constraint
-
-
-def outputs_from_trace(trace) -> dict[str, ContextValue]:
-    """Collect per-stage outputs from stage_done events (last write wins)."""
-    outputs: dict[str, ContextValue] = {}
-    for event in trace.events:
-        if event.kind == "stage_done":
-            outputs.update(event.payload.get("outputs", {}))
-    return outputs
 
 
 # -- Server builders -------------------------------------------------------------

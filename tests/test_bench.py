@@ -1,25 +1,44 @@
 """Metric extraction, paired statistics, benchmark sweeps, and the CLI."""
 import csv
 import json
+import random
 import subprocess
 import sys
 from dataclasses import asdict
+from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from camcp.bench import (
     CSV_COLUMNS,
     InsufficientDataError,
+    RunMetrics,
     compute_metrics,
     paired_stats,
     replay,
     run_bench,
 )
 from camcp.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, main
-from camcp.runtime import run, write_trace
-from camcp.scenarios import MODE_CA, MODE_TRADITIONAL
+from camcp.runtime import (
+    LLM_CALL,
+    MalformedTraceError,
+    Trace,
+    TraceEvent,
+    parse_trace,
+    run,
+    serialize_trace,
+    write_trace,
+)
+from camcp.scenarios import (
+    MODE_CA,
+    MODE_TRADITIONAL,
+    Schedule,
+    Trip,
+    request_from_value,
+    scenario_from_value,
+)
 
 from oracles import paired_recompute
 
@@ -77,6 +96,166 @@ def test_compute_metrics_rejects_cross_scenario_check(travel_scenario, wedding_s
     trace = run(travel_scenario, MODE_CA, 0)
     with pytest.raises(ValueError, match="travel"):
         compute_metrics(trace, wedding_scenario)
+
+
+# -- compute_metrics against the dataclass-building reference ---------------------
+#
+# The wedding scoring once rebuilt Schedule/Trip/TransportRequest objects from
+# the trace's schedule value before reading them; that version is kept here,
+# for wedding traces, as the reference the one-pass scorer must agree with.
+
+
+def _reference_schedule(value) -> Schedule:
+    trips = tuple(
+        Trip(
+            trip_id=t["trip_id"],
+            requests=tuple(request_from_value(r) for r in t["requests"]),
+            start_min=t["start_min"],
+            duration_min=t["duration_min"],
+        )
+        for t in value["trips"]
+    )
+    return Schedule(trips=trips, makespan_min=value["makespan_min"])
+
+
+def _reference_metrics(trace: Trace) -> RunMetrics:
+    start = trace.events[0].payload
+    assert start["kind"] == "wedding"
+    stage_ids = list(start["stage_ids"])
+    constraints = start["constraints"]
+    done = {e.payload["stage"] for e in trace.events if e.kind == "stage_done"}
+    outputs = {}
+    for event in trace.events:
+        if event.kind == "stage_done":
+            outputs.update(event.payload.get("outputs", {}))
+    goal = (
+        sum(1 for sid in stage_ids if outputs.get(sid) is not None) / len(stage_ids)
+        if stage_ids
+        else 1.0
+    )
+    capacity = constraints.get("vehicle_capacity")
+    deadline = constraints.get("deadline_min")
+    makespan = coordination = None
+    if outputs.get("schedule") is None:
+        checks = [False, False] + ([False] if deadline is not None else [])
+    else:
+        schedule = _reference_schedule(outputs["schedule"])
+        checks = [
+            all(len(t.requests) <= capacity for t in schedule.trips),
+            all(r.ready_time_min <= t.start_min for t in schedule.trips for r in t.requests),
+        ]
+        if deadline is not None:
+            checks.append(schedule.makespan_min <= deadline)
+        makespan = schedule.makespan_min
+        coordination = 1 if any(len(t.requests) >= 2 for t in schedule.trips) else 0
+    return RunMetrics(
+        mode=trace.mode,
+        seed=trace.seed,
+        llm_calls=len(trace.events_of(LLM_CALL)),
+        completeness=(
+            sum(1 for sid in stage_ids if sid in done) / len(stage_ids) if stage_ids else 1.0
+        ),
+        simulated_latency_s=trace.simulated_latency_s,
+        makespan_min=makespan,
+        coordination=coordination,
+        goal_satisfaction=goal,
+        constraint_satisfaction=1.0 if all(checks) else sum(checks) / len(checks),
+    )
+
+
+_minutes = st.integers(min_value=0, max_value=600)
+_requests = st.fixed_dictionaries(
+    {
+        "request_id": st.sampled_from(["g1", "g2", "e1"]),
+        "origin": st.just("venue"),
+        "destination": st.just("venue"),
+        "ready_time_min": _minutes,
+        "source": st.sampled_from(["arrival", "errand"]),
+    }
+)
+_schedules = st.fixed_dictionaries(
+    {
+        "trips": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "trip_id": st.integers(min_value=1, max_value=50),
+                    "start_min": _minutes,
+                    "duration_min": st.integers(min_value=1, max_value=60),
+                    "requests": st.lists(_requests, max_size=4),
+                }
+            ),
+            max_size=5,
+        ),
+        "makespan_min": st.integers(min_value=0, max_value=1200),
+    }
+)
+_wedding_constraints = st.fixed_dictionaries(
+    {"vehicle_capacity": st.integers(min_value=1, max_value=5)},
+    optional={"deadline_min": st.none() | st.integers(min_value=0, max_value=1200)},
+)
+
+
+@given(
+    schedule=st.none() | _schedules,
+    constraints=_wedding_constraints,
+    stage_ids=st.lists(st.sampled_from(["arrivals", "errands", "schedule"]), max_size=3),
+    llm_calls=st.integers(min_value=0, max_value=3),
+)
+def test_compute_metrics_matches_reference_on_schedule_values(
+    schedule, constraints, stage_ids, llm_calls
+):
+    events = [
+        ("run_start", {
+            "mode": MODE_CA, "seed": 0, "kind": "wedding", "scenario": "generated",
+            "stage_ids": stage_ids, "constraints": constraints,
+        }),
+        *[("llm_call", {"role": "combined"})] * llm_calls,
+        ("stage_done", {"stage": "arrivals", "outputs": {"arrivals": {"count": 0}}}),
+        ("stage_done", {"stage": "schedule", "outputs": {"schedule": schedule}}),
+        ("run_end", {"simulated_latency_s": 1.5}),
+    ]
+    trace = Trace(
+        events=[TraceEvent(t, kind, payload) for t, (kind, payload) in enumerate(events, 1)],
+        mode=MODE_CA,
+        seed=0,
+        simulated_latency_s=1.5,
+    )
+    parsed = parse_trace(serialize_trace(trace))  # the values are shape-valid
+    assert compute_metrics(parsed) == compute_metrics(trace) == _reference_metrics(trace)
+
+
+def _generated_wedding(seed: int):
+    """A small random wedding scenario: ready times, capacities, the vehicle
+    and the deadline all vary with ``seed``."""
+    rng = random.Random(seed)
+
+    def rows(prefix: str, n: int) -> list[dict]:
+        return [
+            {"id": f"{prefix}{i}", "ready_time_min": 15 * rng.randrange(12)} for i in range(n)
+        ]
+
+    value = json.loads(resources.files("camcp").joinpath("data", "wedding_p5.json").read_text())
+    value["name"] = f"generated_{seed}"
+    value["data_tables"]["guests"] = rows("g", rng.randint(1, 12))
+    value["data_tables"]["errands"] = rows("e", rng.randint(1, 8))
+    value["data_tables"]["vehicle"] = {
+        "capacity": rng.randint(1, 4),
+        "trip_duration_min": rng.choice([10, 30, 45]),
+    }
+    value["constraints"] = {"vehicle_capacity": rng.randint(1, 4)}
+    if rng.random() < 0.7:
+        value["constraints"]["deadline_min"] = rng.choice([60, 180, 360, 900])
+    return scenario_from_value(value)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("mode", [MODE_TRADITIONAL, MODE_CA])
+def test_compute_metrics_matches_reference_on_runs(wedding_scenario, seed, mode):
+    scenario = wedding_scenario if seed is None else _generated_wedding(seed)
+    trace = run(scenario, mode, seed or 0)
+    expected = _reference_metrics(trace)
+    assert compute_metrics(trace, scenario) == expected
+    assert compute_metrics(parse_trace(serialize_trace(trace))) == expected
 
 
 # -- paired statistics -----------------------------------------------------------
@@ -203,6 +382,82 @@ def test_cli_replay_malformed_trace_fails(tmp_path, capsys):
     bad.write_text("not json\n")
     assert main(["replay", "--trace", str(bad)]) == EXIT_RUN_FAILURE
     assert "trace line 1" in capsys.readouterr().err
+
+
+_MUTANTS = [None, True, False, 0, 1, -1, 2.5, 10**20, "", "two", [], [1], {}, {"a": 1}]
+_DELETE = object()
+
+
+def _paths(value, path=()):
+    """Every field of a decoded JSON value: object keys and list indices."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(lines: list[str], index: int, path: tuple, new) -> str:
+    """The trace text with the field at ``path`` of line ``index`` set to
+    ``new``, or deleted when ``new`` is ``_DELETE``."""
+    record = json.loads(lines[index])
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    edited = lines[:index] + [json.dumps(record, separators=(",", ":"))] + lines[index + 1 :]
+    return "\n".join(edited) + "\n"
+
+
+def _score_or_reject(text: str) -> RunMetrics | None:
+    try:
+        return compute_metrics(parse_trace(text))
+    except MalformedTraceError:
+        return None
+
+
+@pytest.mark.parametrize("name", ["trace_travel_ca.jsonl", "trace_wedding_ca.jsonl"])
+def test_every_field_mutation_of_a_golden_trace_scores_or_is_rejected(golden_dir, name):
+    """Each field of each line, deleted or set to a value of each JSON type:
+    parsing raises MalformedTraceError or the trace scores, never another
+    exception."""
+    lines = (golden_dir / name).read_text().splitlines()
+    for index, line in enumerate(lines):
+        for path in _paths(json.loads(line)):
+            for new in (_DELETE, None, True, -1, 2.5, "two", [], {}):
+                _score_or_reject(_mutated(lines, index, path, new))
+
+
+@pytest.mark.parametrize("name", ["trace_travel_ca.jsonl", "trace_wedding_ca.jsonl"])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_replay_of_a_mutated_golden_trace_exits_0_or_1(golden_dir, tmp_path, capsys, name, data):
+    """Change or delete one field of one line: ``camcp replay`` prints the
+    metrics and exits 0, or prints one error line and exits 1."""
+    lines = (golden_dir / name).read_text().splitlines()
+    index = data.draw(st.integers(min_value=0, max_value=len(lines) - 1), label="line")
+    path = data.draw(st.sampled_from(list(_paths(json.loads(lines[index])))), label="field")
+    new = data.draw(st.sampled_from([_DELETE] + _MUTANTS), label="value")
+    text = _mutated(lines, index, path, new)
+    metrics = _score_or_reject(text)
+    trace_path = tmp_path / name
+    trace_path.write_text(text)
+    capsys.readouterr()
+    code = main(["replay", "--trace", str(trace_path)])
+    out, err = capsys.readouterr()
+    if metrics is None:
+        assert code == EXIT_RUN_FAILURE
+        assert err.startswith("error: trace line ") and err.count("\n") == 1
+    else:
+        assert code == EXIT_OK
+        assert json.loads(out) == asdict(metrics)
 
 
 def test_cli_replay_missing_file_fails(tmp_path, capsys):

@@ -406,6 +406,19 @@ def _edit_schedule(edit):
     return mangle
 
 
+def _edit_wedding_constraints(edit):
+    """Mangler for the wedding CA trace: apply ``edit`` to the constraints of
+    its run_start (line 1)."""
+
+    def mangle(lines: list[str]) -> list[str]:
+        records = [json.loads(line) for line in lines]
+        edit(records[0]["payload"]["constraints"])
+        return [json.dumps(r, separators=(",", ":")) for r in records]
+
+    mangle.scenario = "wedding"
+    return mangle
+
+
 @given(
     st.lists(
         st.tuples(
@@ -536,6 +549,37 @@ def test_write_read_round_trip(tmp_path, wedding_scenario):
             34,
             re.escape("outputs.schedule.trips[0].requests[1] 'ready_time_min' must be an integer"),
             id="schedule-ready-text",
+        ),
+        pytest.param(
+            _edit_wedding_constraints(lambda c: c.update(vehicle_capacity="two")), 1,
+            re.escape("run_start payload 'constraints.vehicle_capacity' must be an integer"),
+            id="run-start-capacity-text",
+        ),
+        pytest.param(
+            _edit_wedding_constraints(lambda c: c.pop("vehicle_capacity")), 1,
+            re.escape("run_start payload 'constraints.vehicle_capacity' must be an integer"),
+            id="run-start-capacity-missing",
+        ),
+        pytest.param(
+            _edit_wedding_constraints(lambda c: c.update(deadline_min="soon")), 1,
+            re.escape("run_start payload 'constraints.deadline_min' must be null or an integer"),
+            id="run-start-deadline-text",
+        ),
+        pytest.param(
+            lambda lines: [lines[0].replace('"t":1,', '"t":true,', 1)] + lines[1:], 1,
+            "logical time 't' must be the integer 1", id="t-bool",
+        ),
+        pytest.param(
+            lambda lines: [lines[0].replace('"t":1,', '"t":1.0,', 1)] + lines[1:], 1,
+            "logical time 't' must be the integer 1", id="t-float",
+        ),
+        pytest.param(
+            _edit_payload("run_start", "seed", True), 1,
+            "run_start payload 'seed' must be an integer", id="run-start-seed-bool",
+        ),
+        pytest.param(
+            _edit_payload("run_end", "simulated_latency_s", True), 32,
+            "run_end payload 'simulated_latency_s' must be a number", id="run-end-latency-bool",
         ),
     ],
 )
