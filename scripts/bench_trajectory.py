@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print the performance trajectory recorded in the BENCH_<n>.json files at
 the repository root: for each file, in order of n, the median ``op_ms_best``
-of each workload's ``--trace 0`` runs, parent -> change.
+of each workload's ``--trace 0`` runs, parent -> change, and in how many of
+its pairs the change ran faster.
 
     python3 scripts/bench_trajectory.py
 """
@@ -19,16 +20,20 @@ def bench_number(path: Path) -> int:
 
 def main() -> None:
     for path in sorted(ROOT.glob("BENCH_*.json"), key=bench_number):
-        best: dict[str, dict[str, list[float]]] = {}
+        # workload -> pair -> side -> op_ms_best
+        best: dict[str, dict[int, dict[str, float]]] = {}
         for run in json.loads(path.read_text())["runs"]:
             if run["trace"] == 0:
-                sides = best.setdefault(run["workload"], {"parent": [], "change": []})
-                sides[run["side"]].append(run["result"]["metrics"]["op_ms_best"]["value"])
-        for workload, sides in best.items():
-            parent, change = (statistics.median(sides[s]) for s in ("parent", "change"))
+                pair = best.setdefault(run["workload"], {}).setdefault(run["pair"], {})
+                pair[run["side"]] = run["result"]["metrics"]["op_ms_best"]["value"]
+        for workload, pairs in best.items():
+            parent, change = (
+                statistics.median(p[s] for p in pairs.values()) for s in ("parent", "change")
+            )
+            won = sum(p["change"] < p["parent"] for p in pairs.values())
             print(
                 f"{path.name}  {workload:<14} op_ms_best {parent:8.3f} -> {change:8.3f} ms"
-                f"  ({change / parent - 1:+.1%}, {len(sides['change'])} pairs)"
+                f"  ({change / parent - 1:+.1%}, change faster in {won}/{len(pairs)} pairs)"
             )
 
 

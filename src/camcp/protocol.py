@@ -151,14 +151,23 @@ def check_payload(msg_type: str, payload: dict) -> None:
                     raise SchemaViolationError(f"tools[{i}].{field}", "unexpected field")
 
 
-def make_envelope(msg_type: str, seq: int, payload: dict) -> Envelope:
-    """Construct a validated envelope (the only sanctioned constructor)."""
+def _check_header(msg_type: str, seq: int, payload: dict) -> None:
     if msg_type not in _SCHEMAS:
         raise UnknownMessageTypeError(msg_type)
     if isinstance(seq, bool) or not isinstance(seq, int) or seq < 1:
         raise SchemaViolationError("seq", "expected integer >= 1")
     if not isinstance(payload, dict):
         raise SchemaViolationError("payload", "expected object")
+
+
+def make_envelope(msg_type: str, seq: int, payload: dict) -> Envelope:
+    """Construct a validated envelope around its own copy of *payload*.
+
+    This is the constructor for payloads from outside the store: decoded
+    lines, public callers, and the plan, seed and final-response messages of
+    a run. Lines whose payload holds only store entries come from
+    :func:`encode_stored`."""
+    _check_header(msg_type, seq, payload)
     try:
         payload = copy_value(payload)
     except TypeError as exc:
@@ -167,10 +176,24 @@ def make_envelope(msg_type: str, seq: int, payload: dict) -> Envelope:
     return Envelope(msg_type=msg_type, seq=seq, payload=payload)
 
 
+def encode_stored(msg_type: str, seq: int, payload: dict) -> str:
+    """Encode a message whose payload holds only values the store already
+    holds, with the checks of :func:`make_envelope` but without its copy.
+
+    Precondition: every value in *payload* (and every map key below it) came
+    out of :func:`camcp.store.copy_value` and has not been changed since, as
+    the entries of a :class:`camcp.store.ContextStore` have. Such values are
+    plain and finite, so copying them again would only repeat the
+    validation. The line is the one ``encode(make_envelope(...))`` gives."""
+    _check_header(msg_type, seq, payload)
+    check_payload(msg_type, payload)
+    return encode(Envelope(msg_type=msg_type, seq=seq, payload=payload))
+
+
 def encode(envelope: Envelope) -> str:
     """Encode to the canonical single-line JSON form."""
     line = (
-        f'{{"msg_type":{json.dumps(envelope.msg_type)},"seq":{envelope.seq},'
+        f'{{"msg_type":{canonical_dumps(envelope.msg_type)},"seq":{envelope.seq},'
         f'"payload":{canonical_dumps(envelope.payload)}}}'
     )
     assert "\n" not in line

@@ -22,7 +22,7 @@ from .planner import (
     completion_condition,
     render_summary,
 )
-from .reactor import ReactorPool
+from .reactor import BudgetExceededError, ReactorPool
 from .scenarios import (
     CA_COMBINED_SINGLE,
     CALL_POLICIES,
@@ -128,7 +128,7 @@ class Trace:
 
 def _event_line(event: TraceEvent) -> str:
     return (
-        f'{{"t":{event.t},"kind":{json.dumps(event.kind)},'
+        f'{{"t":{event.t},"kind":{canonical_dumps(event.kind)},'
         f'"payload":{canonical_dumps(event.payload)}}}'
     )
 
@@ -142,6 +142,14 @@ def write_trace(trace: Trace, path) -> None:
         fh.write(serialize_trace(trace))
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+# Built once; rejects the NaN, Infinity and -Infinity that json.loads accepts.
+_TRACE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def parse_trace(text: str) -> Trace:
     """Strict parse of a serialized trace; raises :class:`MalformedTraceError`
     naming the offending line."""
@@ -152,8 +160,8 @@ def parse_trace(text: str) -> Trace:
             continue
         line_no += 1
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            record = _TRACE_DECODER.decode(raw)
+        except ValueError as exc:
             raise MalformedTraceError(line_no, f"not valid JSON: {exc}") from exc
         if not isinstance(record, dict) or sorted(record) != ["kind", "payload", "t"]:
             raise MalformedTraceError(line_no, "expected an object with t, kind, payload")
@@ -174,6 +182,8 @@ def parse_trace(text: str) -> Trace:
                 raise MalformedTraceError(line_no, "run_start payload 'stage_ids' must hold only text")
             if payload["kind"] == "wedding":
                 _check_wedding_constraints(line_no, payload["constraints"])
+            elif payload["kind"] == "travel":
+                _check_travel_constraints(line_no, payload["constraints"])
         if kind == STAGE_DONE and payload["outputs"].get("schedule") is not None:
             _check_schedule(line_no, payload["outputs"]["schedule"])
         events.append(TraceEvent(record["t"], kind, payload))
@@ -204,6 +214,12 @@ def _check_wedding_constraints(line_no: int, constraints: dict) -> None:
         raise MalformedTraceError(
             line_no, "run_start payload 'constraints.deadline_min' must be null or an integer"
         )
+
+
+def _check_travel_constraints(line_no: int, constraints: dict) -> None:
+    """Check the travel budget that the scoring compares against."""
+    if type(constraints.get("budget")) not in (int, float):
+        raise MalformedTraceError(line_no, "run_start payload 'constraints.budget' must be a number")
 
 
 def _check_schedule(line_no: int, schedule) -> None:
@@ -284,6 +300,12 @@ class TraceBuilder:
         self._seq += 1
         return protocol.encode(protocol.make_envelope(msg_type, self._seq, payload))
 
+    def stored_envelope_line(self, msg_type: str, payload: dict) -> str:
+        """:meth:`envelope_line` for a payload that holds only store entries,
+        which the store copied when it committed them."""
+        self._seq += 1
+        return protocol.encode_stored(msg_type, self._seq, payload)
+
     def run_start(self, query: Query) -> None:
         constraints = {k: v for k, v in query.params.items() if k != "scenario"}
         self._append(
@@ -334,11 +356,11 @@ class TraceBuilder:
 
         def on_commit(entry) -> None:
             if entry.key == completion_key:
-                line = self.envelope_line(
+                line = self.stored_envelope_line(
                     protocol.COMPLETION_SIGNAL, {"completion_key": entry.key}
                 )
             else:
-                line = self.envelope_line(
+                line = self.stored_envelope_line(
                     protocol.CONTEXT_WRITE, {"key": entry.key, "value": entry.value}
                 )
             self._append(
@@ -451,7 +473,11 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
     pool = ReactorPool(store, on_firing=on_firing, on_fired=on_fired, on_failed=on_failed)
     for spec in build_servers(scenario, MODE_CA):
         pool.register(spec)
-    pool.run_until_quiescent(scenario.max_steps)
+    try:
+        pool.run_until_quiescent(scenario.max_steps)
+        unfinished = "never triggered: upstream incomplete"
+    except BudgetExceededError as exc:  # contained: the run ends incomplete
+        unfinished = str(exc)
 
     snapshot = store.snapshot()
     completed = evaluate(completion_condition(blueprint), snapshot)
@@ -464,7 +490,7 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
             summary = planner.summarize(final, blueprint)
             builder.llm_call(
                 "summarize",
-                envelope=builder.envelope_line(
+                envelope=builder.stored_envelope_line(
                     protocol.SUMMARY_REQUEST, {"snapshot": final.values_map()}
                 ),
             )
@@ -474,7 +500,7 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
     else:
         for stage in blueprint.stages:
             if stage.stage_id not in builder.stages_done | builder.stages_failed:
-                builder.stage_failed(stage.stage_id, "never triggered: upstream incomplete")
+                builder.stage_failed(stage.stage_id, unfinished)
         builder.run_end(False)
 
     trace = builder.build()

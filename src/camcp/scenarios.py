@@ -38,6 +38,9 @@ CALL_POLICIES = {
 
 REQUEST_KEY_PREFIX = "transport_request."
 
+# Longest travel plan a scenario may ask for; the tools build one row per day.
+MAX_TRAVEL_DAYS = 30
+
 
 class ScenarioParseError(Exception):
     """The scenario file is unreadable or not valid JSON."""
@@ -238,10 +241,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite_amount(value) -> bool:
+    """A non-bool number from 0 to the largest float; the upper bound also
+    rejects an integer too large to become a float."""
+    return (_is_int(value) or isinstance(value, float)) and 0 <= value <= sys.float_info.max
+
+
 def _latency(cost_data: dict, name: str, default: float) -> float:
     value = cost_data.get(name, default)
-    # The upper bound rejects an integer too large to become a float.
-    if not (_is_int(value) or isinstance(value, float)) or not 0 <= value <= sys.float_info.max:
+    if not _is_finite_amount(value):
         raise ScenarioValidationError(f"cost_model.{name}", "must be a finite number >= 0")
     return float(value)
 
@@ -260,10 +268,23 @@ def _validate_travel(tables: dict, constraints: dict) -> None:
     for fname in ("destination", "days", "budget"):
         if fname not in constraints:
             raise ScenarioValidationError(f"constraints.{fname}", "required for travel")
-    if constraints["destination"] not in destinations:
+    destination = constraints["destination"]
+    if not isinstance(destination, str):
+        raise ScenarioValidationError("constraints.destination", "must be text")
+    if destination not in destinations:
         raise ScenarioValidationError(
-            "constraints.destination", f"{constraints['destination']!r} not in data tables"
+            "constraints.destination", f"{destination!r} not in data tables"
         )
+    days = constraints["days"]
+    if not _is_int(days) or not 1 <= days <= MAX_TRAVEL_DAYS:
+        raise ScenarioValidationError(
+            "constraints.days", f"must be an integer from 1 to {MAX_TRAVEL_DAYS}"
+        )
+    if not _is_finite_amount(constraints["budget"]):
+        raise ScenarioValidationError("constraints.budget", "must be a finite number >= 0")
+    preferences = constraints.get("preferences", [])
+    if not isinstance(preferences, list) or not all(isinstance(p, str) for p in preferences):
+        raise ScenarioValidationError("constraints.preferences", "must be a list of text")
 
 
 def _validate_wedding(tables: dict, constraints: dict) -> None:

@@ -7,9 +7,11 @@ transition of a watch condition evaluated over successive post-commit
 states. Commit listeners see every commit in order; the runtime records
 each one as a trace event.
 
-Every stored value is a validated plain copy (:func:`copy_value`), and its
-canonical text is compact JSON with map keys sorted by the C encoder
-(:func:`canonical_dumps`); protocol lines and trace lines embed that text.
+Every stored value is a validated plain copy (:func:`copy_value`), made
+once at commit; listeners and readers must not change it, and the protocol
+lines of store writes embed it without copying again. Its canonical text is
+compact JSON with map keys sorted by the C encoder (:func:`canonical_dumps`);
+protocol lines and trace lines embed that text.
 """
 from __future__ import annotations
 
@@ -123,11 +125,15 @@ def canonicalize_value(value: ContextValue) -> ContextValue:
     return value
 
 
+# Built once: ``json.dumps`` with these arguments builds a new encoder per call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_dumps(value: ContextValue) -> str:
     """Serialize an already-validated value to compact JSON with sorted map
     keys everywhere. The C encoder sorts the keys, so this is the same text
     as dumping :func:`canonicalize_value` of *value*, without the rebuild."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL_ENCODER.encode(value)
 
 
 # -- Watch conditions --------------------------------------------------------

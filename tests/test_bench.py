@@ -34,7 +34,10 @@ from camcp.runtime import (
 from camcp.scenarios import (
     MODE_CA,
     MODE_TRADITIONAL,
+    MODES,
     Schedule,
+    ScenarioParseError,
+    ScenarioValidationError,
     Trip,
     request_from_value,
     scenario_from_value,
@@ -458,6 +461,71 @@ def test_replay_of_a_mutated_golden_trace_exits_0_or_1(golden_dir, tmp_path, cap
     else:
         assert code == EXIT_OK
         assert json.loads(out) == asdict(metrics)
+
+
+# No huge integers: a scenario may legitimately ask for work that grows with
+# a number it declares, so the pool keeps to values a run can finish on.
+_SCENARIO_MUTANTS = [None, True, False, 0, 1, -1, 2.5, "", "two", [], [1], {}, {"a": 1}]
+
+
+def _builtin_value(name: str) -> dict:
+    text = resources.files("camcp").joinpath("data", f"{name}.json").read_text("utf-8")
+    return json.loads(text)
+
+
+def _mutated_value(value: dict, path: tuple, new) -> dict:
+    """A copy of ``value`` with the field at ``path`` set to ``new``, or
+    deleted when ``new`` is ``_DELETE``."""
+    data = json.loads(json.dumps(value))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return data
+
+
+@pytest.mark.parametrize("name", ["travel", "wedding_p5"])
+def test_every_field_mutation_of_a_builtin_scenario_is_rejected_or_replays(name):
+    """Each field of a shipped scenario, deleted or set to a value of each
+    JSON type: the loader raises its documented errors, or both modes run to
+    a trace whose replayed metrics equal the live ones."""
+    base = _builtin_value(name)
+    for path in _paths(base):
+        for new in [_DELETE] + _SCENARIO_MUTANTS:
+            try:
+                scenario = scenario_from_value(_mutated_value(base, path, new))
+            except (ScenarioParseError, ScenarioValidationError):
+                continue
+            for mode in MODES:
+                trace = run(scenario, mode, 0)
+                replayed = compute_metrics(parse_trace(serialize_trace(trace)))
+                assert replayed == compute_metrics(trace, scenario), (path, new, mode)
+
+
+@pytest.mark.parametrize("name", ["travel", "wedding_p5"])
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_run_of_a_mutated_builtin_scenario_exits_0_or_2(tmp_path, capsys, name, data):
+    """Change or delete one field of a shipped scenario: ``camcp run`` prints
+    the metrics and exits 0, or prints one error line and exits 2."""
+    base = _builtin_value(name)
+    path = data.draw(st.sampled_from(list(_paths(base))), label="field")
+    new = data.draw(st.sampled_from([_DELETE] + _SCENARIO_MUTANTS), label="value")
+    mode = data.draw(st.sampled_from(["ca", "traditional"]), label="mode")
+    seed = data.draw(st.integers(min_value=0, max_value=3), label="seed")
+    scenario_path = tmp_path / f"{name}.json"
+    scenario_path.write_text(json.dumps(_mutated_value(base, path, new)))
+    capsys.readouterr()
+    code = main(["run", "--scenario", str(scenario_path), "--mode", mode, "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert json.loads(out)["mode"] == (MODE_CA if mode == "ca" else MODE_TRADITIONAL)
+    else:
+        assert code == EXIT_USAGE
+        assert err.startswith("error: scenario field ") and err.count("\n") == 1
 
 
 def test_cli_replay_missing_file_fails(tmp_path, capsys):

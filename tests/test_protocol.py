@@ -14,10 +14,11 @@ from camcp.protocol import (
     UnknownMessageTypeError,
     decode,
     encode,
+    encode_stored,
     make_envelope,
     validate_sequence,
 )
-from camcp.store import canonicalize_value
+from camcp.store import canonicalize_value, copy_value
 from strategies import json_values
 
 SAMPLE_PAYLOADS = {
@@ -151,6 +152,27 @@ def test_envelope_holds_its_own_copy_of_the_payload():
     )
 
 
+@pytest.mark.parametrize(
+    "msg_type, seq, payload, error, field",
+    [
+        pytest.param("bogus", 1, {}, UnknownMessageTypeError, None, id="unknown-type"),
+        pytest.param("context_read", 0, {"key": "k"}, SchemaViolationError, "seq", id="seq-zero"),
+        pytest.param("context_read", True, {"key": "k"}, SchemaViolationError, "seq", id="seq-bool"),
+        pytest.param("context_read", 1, ["k"], SchemaViolationError, "payload", id="payload-list"),
+        pytest.param("context_write", 1, {"value": 1}, SchemaViolationError, "key", id="missing"),
+        pytest.param("context_write", 1, {"key": 5, "value": 1}, SchemaViolationError, "key", id="ill-typed"),
+        pytest.param("completion_signal", 1, {"completion_key": "k", "x": 1}, SchemaViolationError, "x", id="extra"),
+        pytest.param("summary_request", 1, {"snapshot": []}, SchemaViolationError, "snapshot", id="snapshot-list"),
+    ],
+)
+def test_encode_stored_rejects_what_make_envelope_rejects(msg_type, seq, payload, error, field):
+    for build in (make_envelope, encode_stored):
+        with pytest.raises(error) as info:
+            build(msg_type, seq, payload)
+        if field is not None:
+            assert info.value.field == field
+
+
 # -- Sequencing --------------------------------------------------------------------------
 
 
@@ -254,3 +276,15 @@ def test_encode_equals_dumping_the_field_ordered_dict(envelope):
 def test_encoding_is_injective(batch):
     lines = [encode(e) for e in batch]
     assert len(set(lines)) == len(batch)
+
+
+@given(st.sampled_from(MESSAGE_TYPES).flatmap(
+    lambda t: st.tuples(st.just(t), st.integers(1, 10**6), payload_strategies[t])
+))
+@settings(max_examples=300)
+def test_encode_stored_equals_encoding_a_made_envelope(message):
+    """On a payload the store has already copied, skipping the second copy
+    gives the same line."""
+    msg_type, seq, payload = message
+    stored = copy_value(payload)
+    assert encode_stored(msg_type, seq, stored) == encode(make_envelope(msg_type, seq, stored))

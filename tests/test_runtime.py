@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camcp import protocol
 from camcp.bench import compute_metrics
 from camcp.planner import MockPlanner, PlanBlueprint
-from camcp.protocol import validate_sequence
+from camcp.protocol import decode, encode, validate_sequence
 from camcp.runtime import (
     EVENT_KINDS,
     MalformedTraceError,
@@ -248,6 +249,18 @@ def test_context_aware_ignores_window(windowed_travel):
     assert trace.events[-1].payload["completed"] is True
 
 
+@pytest.mark.parametrize("name", ["travel", "wedding_p5"])
+def test_ca_run_out_of_steps_ends_incomplete(name, travel_scenario, wedding_scenario):
+    scenario = dataclasses.replace(
+        scenario_by_name(name, travel_scenario, wedding_scenario), max_steps=1
+    )
+    trace = run_context_aware(scenario, 0)
+    assert trace.events[-1].payload["completed"] is False
+    reasons = {e.payload["reason"] for e in trace.events_of("stage_failed")}
+    assert reasons == {"not quiescent within 1 steps"}
+    assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace, scenario)
+
+
 # -- Protocol embedding ----------------------------------------------------------------------
 
 
@@ -260,6 +273,26 @@ def test_embedded_messages_validate(name, mode, travel_scenario, wedding_scenari
     assert seqs == sorted(seqs)
     assert messages[0].msg_type == "plan_request"
     assert messages[-1].msg_type == "final_response"
+    # decode copies and schema-checks every line, whichever way it was written
+    lines = [e.payload["envelope"] for e in trace.events if "envelope" in e.payload]
+    assert [encode(decode(line)) for line in lines] == lines
+
+
+def test_ca_run_copies_only_the_payloads_from_outside_the_store(monkeypatch, wedding_scenario):
+    """Context writes, the completion signal and the summary request embed
+    store entries, which the store copied at commit; only the plan request,
+    context seed and final response are copied again."""
+    calls = []
+    copy = protocol.copy_value
+
+    def counting_copy(value, *args):
+        calls.append(value)
+        return copy(value, *args)
+
+    monkeypatch.setattr(protocol, "copy_value", counting_copy)
+    trace = run_context_aware(wedding_scenario, 0)
+    assert len(trace.events_of("scs_write")) > 3
+    assert len(calls) == 3
 
 
 def test_travel_ca_message_vocabulary(travel_scenario):
@@ -403,6 +436,18 @@ def _edit_schedule(edit):
         return [json.dumps(r, separators=(",", ":")) for r in records]
 
     mangle.scenario = "wedding"
+    return mangle
+
+
+def _edit_travel_constraints(edit):
+    """Mangler for the travel CA trace: apply ``edit`` to the constraints of
+    its run_start (line 1)."""
+
+    def mangle(lines: list[str]) -> list[str]:
+        records = [json.loads(line) for line in lines]
+        edit(records[0]["payload"]["constraints"])
+        return [json.dumps(r, separators=(",", ":")) for r in records]
+
     return mangle
 
 
@@ -580,6 +625,28 @@ def test_write_read_round_trip(tmp_path, wedding_scenario):
         pytest.param(
             _edit_payload("run_end", "simulated_latency_s", True), 32,
             "run_end payload 'simulated_latency_s' must be a number", id="run-end-latency-bool",
+        ),
+        pytest.param(
+            _edit_payload("run_end", "simulated_latency_s", float("nan")), 32,
+            "not valid JSON: NaN is not a JSON value", id="run-end-latency-nan",
+        ),
+        pytest.param(
+            _edit_payload("run_end", "simulated_latency_s", float("inf")), 32,
+            "not valid JSON: Infinity is not a JSON value", id="run-end-latency-infinity",
+        ),
+        pytest.param(
+            _edit_payload("tool_exec", "latency_s", float("-inf")), 11,
+            "not valid JSON: -Infinity is not a JSON value", id="tool-exec-latency-minus-infinity",
+        ),
+        pytest.param(
+            _edit_travel_constraints(lambda c: c.update(budget=True)), 1,
+            re.escape("run_start payload 'constraints.budget' must be a number"),
+            id="run-start-budget-bool",
+        ),
+        pytest.param(
+            _edit_travel_constraints(lambda c: c.update(budget="1500")), 1,
+            re.escape("run_start payload 'constraints.budget' must be a number"),
+            id="run-start-budget-text",
         ),
     ],
 )

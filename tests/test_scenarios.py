@@ -6,6 +6,7 @@ import pytest
 
 from camcp.reactor import ServerSpec
 from camcp.scenarios import (
+    MAX_TRAVEL_DAYS,
     MODE_CA,
     MODE_TRADITIONAL,
     Scenario,
@@ -144,6 +145,44 @@ def _wedding_value() -> dict:
         (lambda d: d["constraints"].pop("budget"), "constraints.budget"),
         (lambda d: d["constraints"].update(destination="Atlantis"), "constraints.destination"),
         pytest.param(
+            lambda d: d["constraints"].update(destination=["Seattle"]),
+            "constraints.destination",
+            id="destination-list",
+        ),
+        pytest.param(lambda d: d["constraints"].update(days="3"), "constraints.days", id="days-text"),
+        pytest.param(lambda d: d["constraints"].update(days=0), "constraints.days", id="days-zero"),
+        pytest.param(lambda d: d["constraints"].update(days=2.5), "constraints.days", id="days-float"),
+        pytest.param(lambda d: d["constraints"].update(days=True), "constraints.days", id="days-bool"),
+        pytest.param(
+            lambda d: d["constraints"].update(days=MAX_TRAVEL_DAYS + 1),
+            "constraints.days",
+            id="days-over-max",
+        ),
+        pytest.param(
+            lambda d: d["constraints"].update(days=10**9), "constraints.days", id="days-huge"
+        ),
+        pytest.param(lambda d: d["constraints"].update(budget="x"), "constraints.budget", id="travel-budget-text"),
+        pytest.param(lambda d: d["constraints"].update(budget=-1), "constraints.budget", id="travel-budget-negative"),
+        pytest.param(lambda d: d["constraints"].update(budget=True), "constraints.budget", id="travel-budget-bool"),
+        pytest.param(
+            lambda d: d["constraints"].update(budget=10**400), "constraints.budget", id="travel-budget-overflow"
+        ),
+        pytest.param(
+            lambda d: d["constraints"].update(preferences=[None]),
+            "constraints.preferences",
+            id="preferences-null-item",
+        ),
+        pytest.param(
+            lambda d: d["constraints"].update(preferences="vegan"),
+            "constraints.preferences",
+            id="preferences-text",
+        ),
+        pytest.param(
+            lambda d: d["constraints"].update(preferences=None),
+            "constraints.preferences",
+            id="preferences-null",
+        ),
+        pytest.param(
             lambda d: d.update(call_policy={"traditional_calls": "single_orchestration_plus_synthesis"}),
             "call_policy.traditional_calls",
             id="policy-of-other-kind",
@@ -157,6 +196,28 @@ def test_travel_validation_names_offending_field(mutate, field):
     with pytest.raises(ScenarioValidationError) as info:
         scenario_from_value(data)
     assert info.value.field == field
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"days": 1},
+        {"days": MAX_TRAVEL_DAYS},
+        {"budget": 0},
+        {"budget": 1499.5},
+        {"preferences": []},
+    ],
+)
+def test_travel_accepts_constraints_within_bounds(edit):
+    data = _travel_value()
+    data["constraints"].update(edit)
+    assert scenario_from_value(data).constraints == data["constraints"]
+
+
+def test_travel_preferences_may_be_absent():
+    data = _travel_value()
+    del data["constraints"]["preferences"]
+    scenario_from_value(data)
 
 
 @pytest.mark.parametrize(
