@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Print the performance trajectory recorded in the BENCH_<n>.json files at
-the repository root: for each file, in order of n, the median ``op_ms_best``
-of each workload's ``--trace 0`` runs, parent -> change, and in how many of
-its pairs the change ran faster.
+the repository root.
+
+For each file, in order of n, and each workload of its ``--trace 0`` runs,
+one line per end-to-end metric that BENCHMARK.json names: the median over
+the pairs, parent -> change, the relative change, and in how many pairs the
+change was better. A metric that got worse by more than its ``bound`` (a
+fraction of the parent's median) is marked ``WORSE THAN BOUND``.
 
     python3 scripts/bench_trajectory.py
 """
@@ -18,23 +22,55 @@ def bench_number(path: Path) -> int:
     return int(re.fullmatch(r"BENCH_(\d+)\.json", path.name).group(1))
 
 
-def main() -> None:
-    for path in sorted(ROOT.glob("BENCH_*.json"), key=bench_number):
-        # workload -> pair -> side -> op_ms_best
-        best: dict[str, dict[int, dict[str, float]]] = {}
+def worsening(parent: float, change: float, better: str) -> float:
+    """How much worse *change* is than *parent*, as a fraction of *parent*;
+    negative when it is better."""
+    delta = change - parent if better == "lower" else parent - change
+    if parent == 0:
+        return 0.0 if delta == 0 else (float("inf") if delta > 0 else float("-inf"))
+    return delta / abs(parent)
+
+
+def trajectory(root: Path = ROOT) -> list[str]:
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    lines = []
+    for path in sorted(root.glob("BENCH_*.json"), key=bench_number):
+        # workload -> pair -> side -> metric -> value
+        runs: dict[str, dict[int, dict[str, dict[str, float]]]] = {}
         for run in json.loads(path.read_text())["runs"]:
             if run["trace"] == 0:
-                pair = best.setdefault(run["workload"], {}).setdefault(run["pair"], {})
-                pair[run["side"]] = run["result"]["metrics"]["op_ms_best"]["value"]
-        for workload, pairs in best.items():
-            parent, change = (
-                statistics.median(p[s] for p in pairs.values()) for s in ("parent", "change")
-            )
-            won = sum(p["change"] < p["parent"] for p in pairs.values())
-            print(
-                f"{path.name}  {workload:<14} op_ms_best {parent:8.3f} -> {change:8.3f} ms"
-                f"  ({change / parent - 1:+.1%}, change faster in {won}/{len(pairs)} pairs)"
-            )
+                pair = runs.setdefault(run["workload"], {}).setdefault(run["pair"], {})
+                pair[run["side"]] = {k: v["value"] for k, v in run["result"]["metrics"].items()}
+        for workload, pairs in runs.items():
+            for metric in metrics:
+                name, better = metric["name"], metric["better"]
+                both = [
+                    p for p in pairs.values()
+                    if all(name in p.get(side, {}) for side in ("parent", "change"))
+                ]
+                if not both:
+                    continue
+                parent, change = (
+                    statistics.median(p[s][name] for p in both) for s in ("parent", "change")
+                )
+                won = sum(
+                    worsening(p["parent"][name], p["change"][name], better) < 0 for p in both
+                )
+                worse = worsening(parent, change, better)
+                relative = f"{change / parent - 1:+.1%}" if parent else "n/a"
+                line = (
+                    f"{path.name}  {workload:<14} {name:<12} {parent:10.4g} -> {change:10.4g}"
+                    f" {metric['unit']:<8} ({relative}, change better in {won}/{len(both)} pairs)"
+                )
+                if worse > metric["bound"]:
+                    line += f"  WORSE THAN BOUND {metric['bound']:g}"
+                lines.append(line)
+    return lines
+
+
+def main() -> None:
+    for line in trajectory():
+        print(line)
 
 
 if __name__ == "__main__":

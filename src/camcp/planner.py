@@ -131,21 +131,28 @@ def blueprint_to_value(blueprint: PlanBlueprint) -> dict:
     }
 
 
-def render_summary(values: Mapping[str, ContextValue], blueprint: PlanBlueprint) -> str:
-    """Render the final answer from context values with a fixed template.
+def rendered(value: ContextValue) -> str:
+    """How a summary shows a value: text as it is, anything else as its
+    canonical JSON."""
+    return value if isinstance(value, str) else canonical_dumps(value)
+
+
+def render_summary(entries: Mapping[str, ContextEntry], blueprint: PlanBlueprint) -> str:
+    """Render the final answer from context entries with a fixed template.
 
     Pure and deterministic: echoes every constraint verbatim and one line
     per stage output, so nothing the servers produced can silently drop out.
+    Each output is shown as the canonical text its entry got at commit.
     """
     lines = ["=== final response ==="]
     lines.append("goals: " + "; ".join(blueprint.goals))
     for name, value in blueprint.constraints.items():
-        rendered = value if isinstance(value, str) else canonical_dumps(value)
-        lines.append(f"constraint {name}: {rendered}")
+        lines.append(f"constraint {name}: {rendered(value)}")
     for stage in blueprint.stages:
-        output = values.get(stage.stage_id)
-        lines.append(f"{stage.stage_id}: {canonical_dumps(output)}")
-    lines.append(f"complete: {str(bool(values.get(blueprint.completion_key))).lower()}")
+        entry = entries.get(stage.stage_id)
+        lines.append(f"{stage.stage_id}: {'null' if entry is None else entry.text}")
+    done = entries.get(blueprint.completion_key)
+    lines.append(f"complete: {str(done is not None and bool(done.value)).lower()}")
     return "\n".join(lines)
 
 
@@ -186,18 +193,16 @@ class MockPlanner:
         """
         if blueprint.completion_key not in snapshot:
             raise IncompleteContextError(blueprint.completion_key)
-        values = {k: e.value for k, e in snapshot.items()}
-        return render_summary(values, blueprint)
+        return render_summary(snapshot, blueprint)
 
     def step_decision(self, stage_id: str, visible_keys: list[str]) -> str:
         """One orchestration decision in the centrally driven baseline."""
         return f"run stage {stage_id} with context [{', '.join(visible_keys)}]"
 
-    def synthesize(self, entries: list[tuple[str, ContextValue]]) -> str:
-        """Final synthesis over the orchestrator's private history."""
+    def synthesize(self, entries: list[tuple[str, str]]) -> str:
+        """Final synthesis over the orchestrator's private history, given as
+        (key, :func:`rendered` value) pairs."""
         lines = ["=== final response ==="]
-        for key, value in entries:
-            rendered = value if isinstance(value, str) else canonical_dumps(value)
-            lines.append(f"{key}: {rendered}")
+        lines.extend(f"{key}: {text}" for key, text in entries)
         return "\n".join(lines)
 

@@ -5,6 +5,12 @@ Every message is one envelope per line: ``{"msg_type": ..., "seq": ...,
 written by :func:`camcp.store.canonical_dumps` (compact, every object's keys
 sorted by the C JSON encoder), so encoding is canonical and injective.
 Trace events use the same line encoding.
+
+One private function, ``_line``, writes that layout. :func:`encode` fills
+it with the canonical text of an envelope's payload; :func:`encode_stored`
+fills it with a payload text that the runtime assembled from the ``text``
+each store entry got at commit (``ContextEntry.text``), so the context-write
+and summary-request lines do not encode a stored value again.
 """
 from __future__ import annotations
 
@@ -176,7 +182,7 @@ def make_envelope(msg_type: str, seq: int, payload: dict) -> Envelope:
     return Envelope(msg_type=msg_type, seq=seq, payload=payload)
 
 
-def encode_stored(msg_type: str, seq: int, payload: dict) -> str:
+def encode_stored(msg_type: str, seq: int, payload: dict, payload_text: str) -> str:
     """Encode a message whose payload holds only values the store already
     holds, with the checks of :func:`make_envelope` but without its copy.
 
@@ -184,18 +190,21 @@ def encode_stored(msg_type: str, seq: int, payload: dict) -> str:
     out of :func:`camcp.store.copy_value` and has not been changed since, as
     the entries of a :class:`camcp.store.ContextStore` have. Such values are
     plain and finite, so copying them again would only repeat the
-    validation. The line is the one ``encode(make_envelope(...))`` gives."""
+    validation. *payload_text* must be ``canonical_dumps(payload)``, which
+    the caller assembles from the texts it already has. The line is the one
+    ``encode(make_envelope(...))`` gives."""
     _check_header(msg_type, seq, payload)
     check_payload(msg_type, payload)
-    return encode(Envelope(msg_type=msg_type, seq=seq, payload=payload))
+    return _line(msg_type, seq, payload_text)
 
 
 def encode(envelope: Envelope) -> str:
     """Encode to the canonical single-line JSON form."""
-    line = (
-        f'{{"msg_type":{canonical_dumps(envelope.msg_type)},"seq":{envelope.seq},'
-        f'"payload":{canonical_dumps(envelope.payload)}}}'
-    )
+    return _line(envelope.msg_type, envelope.seq, canonical_dumps(envelope.payload))
+
+
+def _line(msg_type: str, seq: int, payload_text: str) -> str:
+    line = f'{{"msg_type":{canonical_dumps(msg_type)},"seq":{seq},"payload":{payload_text}}}'
     assert "\n" not in line
     return line
 

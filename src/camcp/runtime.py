@@ -5,10 +5,18 @@ self-coordinate to quiescence, then summarize. Traditional runs drive every
 stage from the center through a private history that can lose context under
 a window budget. Either way the trace is a pure function of (scenario,
 mode, seed): replaying a serialized trace reproduces the same metrics.
+
+Each value a run produces is encoded once. A store commit's ``scs_write``
+line, a ``stage_done`` line and the final summary are assembled from the
+canonical text that the store made at commit (``ContextEntry.text``), or, in
+traditional mode, from the one text made per stage output; the builder
+keeps each such line on its event and :func:`serialize_trace` joins them.
+Events without a prebuilt line, such as parsed ones, are encoded in full.
 """
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -21,6 +29,7 @@ from .planner import (
     blueprint_to_value,
     completion_condition,
     render_summary,
+    rendered,
 )
 from .reactor import BudgetExceededError, ReactorPool
 from .scenarios import (
@@ -36,6 +45,7 @@ from .store import (
     ContextStore,
     ContextValue,
     canonical_dumps,
+    canonical_object,
     canonicalize_value,  # not called here; perfbench's self-test reads runtime.canonicalize_value
     evaluate,
 )
@@ -62,7 +72,9 @@ EVENT_KINDS = (
 
 # Payload fields that compute_metrics reads, by event kind, with the JSON
 # type each must have. None of them may be a boolean, which Python counts as
-# an integer.
+# an integer, and a number must be finite: a literal such as 1e400 decodes to
+# a float infinity.
+_NUMBER = (int, float)
 _PAYLOAD_FIELDS = {
     RUN_START: {
         "mode": (str, "text"),
@@ -72,7 +84,7 @@ _PAYLOAD_FIELDS = {
         "constraints": (dict, "an object"),
     },
     STAGE_DONE: {"stage": (str, "text"), "outputs": (dict, "an object")},
-    RUN_END: {"simulated_latency_s": ((int, float), "a number")},
+    RUN_END: {"simulated_latency_s": (_NUMBER, "a number")},
 }
 
 # Fields of a stage_done ``outputs.schedule`` that the wedding scoring reads:
@@ -95,6 +107,10 @@ class TraceEvent:
     t: int
     kind: str
     payload: dict
+    # Not a field: the event's serialized line, which TraceBuilder assembles
+    # from texts it already has; the payload must not change after that.
+    # Parsed and hand-built events have none and are encoded in full.
+    line = None
 
 
 @dataclass
@@ -126,15 +142,15 @@ class Trace:
         return messages
 
 
-def _event_line(event: TraceEvent) -> str:
-    return (
-        f'{{"t":{event.t},"kind":{canonical_dumps(event.kind)},'
-        f'"payload":{canonical_dumps(event.payload)}}}'
-    )
+def _line(t: int, kind: str, payload_text: str) -> str:
+    return f'{{"t":{t},"kind":{canonical_dumps(kind)},"payload":{payload_text}}}'
 
 
 def serialize_trace(trace: Trace) -> str:
-    return "\n".join(_event_line(e) for e in trace.events) + "\n"
+    return "\n".join(
+        _line(e.t, e.kind, canonical_dumps(e.payload)) if e.line is None else e.line
+        for e in trace.events
+    ) + "\n"
 
 
 def write_trace(trace: Trace, path) -> None:
@@ -177,6 +193,8 @@ def parse_trace(text: str) -> Trace:
                 raise MalformedTraceError(line_no, f"{kind} payload missing {name!r}")
             if not isinstance(payload[name], types) or isinstance(payload[name], bool):
                 raise MalformedTraceError(line_no, f"{kind} payload {name!r} must be {description}")
+            if types is _NUMBER and not math.isfinite(payload[name]):
+                raise MalformedTraceError(line_no, f"{kind} payload {name!r} must be finite")
         if kind == RUN_START:
             if not all(isinstance(s, str) for s in payload["stage_ids"]):
                 raise MalformedTraceError(line_no, "run_start payload 'stage_ids' must hold only text")
@@ -218,8 +236,11 @@ def _check_wedding_constraints(line_no: int, constraints: dict) -> None:
 
 def _check_travel_constraints(line_no: int, constraints: dict) -> None:
     """Check the travel budget that the scoring compares against."""
-    if type(constraints.get("budget")) not in (int, float):
+    budget = constraints.get("budget")
+    if type(budget) not in _NUMBER:
         raise MalformedTraceError(line_no, "run_start payload 'constraints.budget' must be a number")
+    if not math.isfinite(budget):
+        raise MalformedTraceError(line_no, "run_start payload 'constraints.budget' must be finite")
 
 
 def _check_schedule(line_no: int, schedule) -> None:
@@ -290,21 +311,29 @@ class TraceBuilder:
         self._tool_execs = 0
         self._closed = False
 
-    def _append(self, kind: str, payload: dict) -> None:
+    def _append(self, kind: str, payload: dict, payload_text: str | None = None) -> None:
+        """Record an event; *payload_text*, when given, is
+        ``canonical_dumps(payload)`` and becomes the event's prebuilt line.
+        Callers write its fields in sorted order, as the encoder would."""
         if self._closed:
             raise RuntimeError("trace already ended")
         self._t += 1
-        self._events.append(TraceEvent(self._t, kind, payload))
+        event = TraceEvent(self._t, kind, payload)
+        if payload_text is not None:
+            object.__setattr__(event, "line", _line(self._t, kind, payload_text))
+        self._events.append(event)
 
     def envelope_line(self, msg_type: str, payload: dict) -> str:
         self._seq += 1
         return protocol.encode(protocol.make_envelope(msg_type, self._seq, payload))
 
-    def stored_envelope_line(self, msg_type: str, payload: dict) -> str:
+    def stored_envelope_line(self, msg_type: str, payload: dict, payload_text: str) -> str:
         """:meth:`envelope_line` for a payload that holds only store entries,
-        which the store copied when it committed them."""
+        which the store copied and encoded when it committed them;
+        *payload_text* is the payload's canonical text, assembled from the
+        entries' texts."""
         self._seq += 1
-        return protocol.encode_stored(msg_type, self._seq, payload)
+        return protocol.encode_stored(msg_type, self._seq, payload, payload_text)
 
     def run_start(self, query: Query) -> None:
         constraints = {k: v for k, v in query.params.items() if k != "scenario"}
@@ -341,9 +370,21 @@ class TraceBuilder:
     def trigger_fire(self, server_id: str, edge_time: int) -> None:
         self._append(TRIGGER_FIRE, {"server": server_id, "edge_time": edge_time})
 
-    def stage_done(self, stage_id: str, outputs: dict) -> None:
+    def stage_done(
+        self, stage_id: str, output: ContextValue = None, text: str | None = None
+    ) -> None:
+        """Record a finished stage and its *output*, whose canonical text is
+        *text*; without a text the stage recorded no output."""
         self.stages_done.add(stage_id)
-        self._append(STAGE_DONE, {"stage": stage_id, "outputs": outputs})
+        if text is None:
+            self._append(STAGE_DONE, {"stage": stage_id, "outputs": {}})
+            return
+        key = canonical_dumps(stage_id)
+        self._append(
+            STAGE_DONE,
+            {"stage": stage_id, "outputs": {stage_id: output}},
+            f'{{"outputs":{{{key}:{text}}},"stage":{key}}}',
+        )
 
     def stage_failed(self, stage_id: str, reason: str) -> None:
         self.stages_failed.add(stage_id)
@@ -355,13 +396,18 @@ class TraceBuilder:
         signal; everything else is a plain context write)."""
 
         def on_commit(entry) -> None:
+            key = canonical_dumps(entry.key)
             if entry.key == completion_key:
                 line = self.stored_envelope_line(
-                    protocol.COMPLETION_SIGNAL, {"completion_key": entry.key}
+                    protocol.COMPLETION_SIGNAL,
+                    {"completion_key": entry.key},
+                    f'{{"completion_key":{key}}}',
                 )
             else:
                 line = self.stored_envelope_line(
-                    protocol.CONTEXT_WRITE, {"key": entry.key, "value": entry.value}
+                    protocol.CONTEXT_WRITE,
+                    {"key": entry.key, "value": entry.value},
+                    f'{{"key":{key},"value":{entry.text}}}',
                 )
             self._append(
                 SCS_WRITE,
@@ -372,6 +418,8 @@ class TraceBuilder:
                     "writer": entry.writer_id,
                     "envelope": line,
                 },
+                f'{{"envelope":{canonical_dumps(line)},"key":{key},"value":{entry.text},'
+                f'"version":{entry.version},"writer":{canonical_dumps(entry.writer_id)}}}',
             )
 
         return on_commit
@@ -464,8 +512,11 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
 
     def on_fired(server_id: str, writes) -> None:
         stage_id = stage_by_server[server_id]
-        outputs = {k: v for k, v in writes if k == stage_id}
-        builder.stage_done(stage_id, outputs)
+        if any(k == stage_id for k, _ in writes):
+            entry = store.get(stage_id)
+            builder.stage_done(stage_id, entry.value, entry.text)
+        else:
+            builder.stage_done(stage_id)
 
     def on_failed(server_id: str, reason: str) -> None:
         builder.stage_failed(stage_by_server[server_id], reason)
@@ -485,13 +536,16 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
         store.put(blueprint.completion_key, True, SEED_WRITER)
         final = store.snapshot()
         if combined:
-            summary = render_summary(final.values_map(), blueprint)
+            summary = render_summary(final, blueprint)
         else:
             summary = planner.summarize(final, blueprint)
+            snapshot_text = canonical_object({k: e.text for k, e in final.items()})
             builder.llm_call(
                 "summarize",
                 envelope=builder.stored_envelope_line(
-                    protocol.SUMMARY_REQUEST, {"snapshot": final.values_map()}
+                    protocol.SUMMARY_REQUEST,
+                    {"snapshot": final.values_map()},
+                    f'{{"snapshot":{snapshot_text}}}',
                 ),
             )
         builder.run_end(
@@ -517,19 +571,26 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
 
     planner = MockPlanner()
     tools = {t.stage_id: t for t in build_servers(scenario, MODE_TRADITIONAL)}
-    history: list[tuple[str, ContextValue]] = [
-        (k, v) for k, v in query.params.items() if k != "scenario"
+    # (key, value, rendered text) in the order the orchestrator learned them.
+    history: list[tuple[str, ContextValue, str]] = [
+        (k, v, rendered(v)) for k, v in query.params.items() if k != "scenario"
     ]
 
-    def window() -> list[tuple[str, ContextValue]]:
+    def window() -> list[tuple[str, ContextValue, str]]:
         if scenario.window.enabled:
             return history[-scenario.window.budget_entries :]
         return list(history)
 
+    def record_output(stage_id: str, output: ContextValue) -> None:
+        # One encoding per output, shared by its stage_done line and the synthesis.
+        text = canonical_dumps(output)
+        history.append((stage_id, output, output if isinstance(output, str) else text))
+        builder.stage_done(stage_id, output, text)
+
     if CALL_POLICIES[scenario.kind]["traditional_calls"] == TRADITIONAL_PER_STAGE:
         for stage in scenario.stages:
             visible = window()
-            visible_keys = [k for k, _ in visible]
+            visible_keys = [k for k, _, _ in visible]
             planner.step_decision(stage.stage_id, visible_keys)
             builder.llm_call("step_decision")
             tool = tools[stage.stage_id]
@@ -539,12 +600,11 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
                 continue
             builder.tool_exec(tool.server_id, stage.stage_id)
             try:
-                output = tool.run(dict(visible))
+                output = tool.run({k: v for k, v, _ in visible})
             except Exception as exc:
                 builder.stage_failed(stage.stage_id, f"{type(exc).__name__}: {exc}")
                 continue
-            history.append((stage.stage_id, output))
-            builder.stage_done(stage.stage_id, {stage.stage_id: output})
+            record_output(stage.stage_id, output)
     else:
         # One upfront orchestration decides everything; tools then run
         # open-loop. The schedule tool reads the whole history and dispatches
@@ -555,7 +615,7 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
             tool = tools[stage.stage_id]
             schedule = stage.stage_id == "schedule"
             try:
-                output = tool.run(dict(history if schedule else window()))
+                output = tool.run({k: v for k, v, _ in (history if schedule else window())})
             except Exception as exc:
                 builder.tool_exec(tool.server_id, stage.stage_id)
                 builder.stage_failed(stage.stage_id, f"{type(exc).__name__}: {exc}")
@@ -566,10 +626,9 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
                     builder.tool_exec(tool.server_id, stage.stage_id, {"request": request_id})
             else:
                 builder.tool_exec(tool.server_id, stage.stage_id)
-            history.append((stage.stage_id, output))
-            builder.stage_done(stage.stage_id, {stage.stage_id: output})
+            record_output(stage.stage_id, output)
 
-    summary = planner.synthesize(window())
+    summary = planner.synthesize([(k, text) for k, _, text in window()])
     builder.llm_call("summarize")
     completed = len(builder.stages_done) == len(scenario.stages)
     builder.run_end(

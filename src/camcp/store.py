@@ -8,10 +8,13 @@ states. Commit listeners see every commit in order; the runtime records
 each one as a trace event.
 
 Every stored value is a validated plain copy (:func:`copy_value`), made
-once at commit; listeners and readers must not change it, and the protocol
-lines of store writes embed it without copying again. Its canonical text is
-compact JSON with map keys sorted by the C encoder (:func:`canonical_dumps`);
-protocol lines and trace lines embed that text.
+once at commit; listeners and readers must not change it. Its canonical
+text, compact JSON with map keys sorted by the C encoder
+(:func:`canonical_dumps`), is also made once at commit and kept on the entry
+as ``ContextEntry.text``. Every line that embeds a stored value (the
+protocol's context-write and summary-request lines, the trace's
+``scs_write`` and ``stage_done`` lines, the final summary) is assembled from
+that text instead of encoding the value again.
 """
 from __future__ import annotations
 
@@ -136,6 +139,13 @@ def canonical_dumps(value: ContextValue) -> str:
     return _CANONICAL_ENCODER.encode(value)
 
 
+def canonical_object(members: Mapping[str, str]) -> str:
+    """The canonical text of an object, from the canonical texts of its
+    member values: what :func:`canonical_dumps` gives for the object itself,
+    without encoding any member value again."""
+    return "{" + ",".join(f"{canonical_dumps(k)}:{members[k]}" for k in sorted(members)) + "}"
+
+
 # -- Watch conditions --------------------------------------------------------
 
 
@@ -226,11 +236,14 @@ def condition_from_value(data: Mapping) -> WatchCondition:
 
 @dataclass(frozen=True)
 class ContextEntry:
+    """One committed version of a key. ``text`` is ``canonical_dumps(value)``."""
+
     key: str
     value: ContextValue
     version: int
     writer_id: str
     logical_time: int
+    text: str
 
 
 class Snapshot(Mapping):
@@ -367,14 +380,20 @@ class ContextStore:
             raise TypeError(f"key must be non-empty text, got {key!r}")
         if not isinstance(writer_id, str) or not writer_id:
             raise TypeError(f"writer_id must be non-empty text, got {writer_id!r}")
+        value = copy_value(value)
+        try:
+            text = canonical_dumps(value)
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise TypeError(f"value has no canonical text: {exc}") from None
         previous = self._entries.get(key)
         self._logical_time += 1
         entry = ContextEntry(
             key=key,
-            value=copy_value(value),
+            value=value,
             version=1 if previous is None else previous.version + 1,
             writer_id=writer_id,
             logical_time=self._logical_time,
+            text=text,
         )
         self._entries[key] = entry
         for listener in self._listeners:

@@ -1,8 +1,14 @@
-"""Shared hypothesis strategies for JSON-shaped values and watch conditions."""
+"""Shared hypothesis strategies for JSON-shaped values and watch conditions,
+and a seeded generator of small wedding scenarios."""
 from __future__ import annotations
+
+import json
+import random
+from importlib import resources
 
 from hypothesis import strategies as st
 
+from camcp.scenarios import scenario_from_value
 from camcp.store import And, Equals, Exists, Not, Or
 
 scalars = st.one_of(
@@ -40,3 +46,27 @@ def conditions(depth: int = 2):
         st.builds(lambda cs: Or(tuple(cs)), st.lists(sub, min_size=1, max_size=3)),
         st.builds(Not, sub),
     )
+
+
+def generated_wedding(seed: int):
+    """A small random wedding scenario: ready times, capacities, the vehicle
+    and the deadline all vary with ``seed``."""
+    rng = random.Random(seed)
+
+    def rows(prefix: str, n: int) -> list[dict]:
+        return [
+            {"id": f"{prefix}{i}", "ready_time_min": 15 * rng.randrange(12)} for i in range(n)
+        ]
+
+    value = json.loads(resources.files("camcp").joinpath("data", "wedding_p5.json").read_text())
+    value["name"] = f"generated_{seed}"
+    value["data_tables"]["guests"] = rows("g", rng.randint(1, 12))
+    value["data_tables"]["errands"] = rows("e", rng.randint(1, 8))
+    value["data_tables"]["vehicle"] = {
+        "capacity": rng.randint(1, 4),
+        "trip_duration_min": rng.choice([10, 30, 45]),
+    }
+    value["constraints"] = {"vehicle_capacity": rng.randint(1, 4)}
+    if rng.random() < 0.7:
+        value["constraints"]["deadline_min"] = rng.choice([60, 180, 360, 900])
+    return scenario_from_value(value)

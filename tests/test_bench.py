@@ -1,11 +1,12 @@
 """Metric extraction, paired statistics, benchmark sweeps, and the CLI."""
 import csv
+import importlib.util
 import json
-import random
 import subprocess
 import sys
 from dataclasses import asdict
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -44,6 +45,7 @@ from camcp.scenarios import (
 )
 
 from oracles import paired_recompute
+from strategies import generated_wedding
 
 
 # -- compute_metrics ------------------------------------------------------------
@@ -227,34 +229,10 @@ def test_compute_metrics_matches_reference_on_schedule_values(
     assert compute_metrics(parsed) == compute_metrics(trace) == _reference_metrics(trace)
 
 
-def _generated_wedding(seed: int):
-    """A small random wedding scenario: ready times, capacities, the vehicle
-    and the deadline all vary with ``seed``."""
-    rng = random.Random(seed)
-
-    def rows(prefix: str, n: int) -> list[dict]:
-        return [
-            {"id": f"{prefix}{i}", "ready_time_min": 15 * rng.randrange(12)} for i in range(n)
-        ]
-
-    value = json.loads(resources.files("camcp").joinpath("data", "wedding_p5.json").read_text())
-    value["name"] = f"generated_{seed}"
-    value["data_tables"]["guests"] = rows("g", rng.randint(1, 12))
-    value["data_tables"]["errands"] = rows("e", rng.randint(1, 8))
-    value["data_tables"]["vehicle"] = {
-        "capacity": rng.randint(1, 4),
-        "trip_duration_min": rng.choice([10, 30, 45]),
-    }
-    value["constraints"] = {"vehicle_capacity": rng.randint(1, 4)}
-    if rng.random() < 0.7:
-        value["constraints"]["deadline_min"] = rng.choice([60, 180, 360, 900])
-    return scenario_from_value(value)
-
-
 @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
 @pytest.mark.parametrize("mode", [MODE_TRADITIONAL, MODE_CA])
 def test_compute_metrics_matches_reference_on_runs(wedding_scenario, seed, mode):
-    scenario = wedding_scenario if seed is None else _generated_wedding(seed)
+    scenario = wedding_scenario if seed is None else generated_wedding(seed)
     trace = run(scenario, mode, seed or 0)
     expected = _reference_metrics(trace)
     assert compute_metrics(trace, scenario) == expected
@@ -262,6 +240,68 @@ def test_compute_metrics_matches_reference_on_runs(wedding_scenario, seed, mode)
 
 
 # -- paired statistics -----------------------------------------------------------
+
+
+# -- perf trajectory script ---------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_trajectory_script():
+    spec = importlib.util.spec_from_file_location(
+        "bench_trajectory", ROOT / "scripts" / "bench_trajectory.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_run(pair: int, side: str, workload: str, trace: int = 0, **values) -> dict:
+    units = {"op_ms_best": "ms", "peak_rss_mb": "MB", "op_ok_frac": "fraction"}
+    return {
+        "pair": pair, "workload": workload, "seed": pair, "trace": trace, "side": side,
+        "result": {
+            "correct": True,
+            "metrics": {k: {"value": v, "unit": units.get(k, "us")} for k, v in values.items()},
+        },
+    }
+
+
+def test_trajectory_prints_every_end_to_end_metric_and_marks_bound_breaches(tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    runs = []
+    for pair, (best, rss, ok) in enumerate([(10.0, 100.0, 1.0), (12.0, 100.0, 1.0), (11.0, 100.0, 1.0)]):
+        runs.append(_bench_run(pair, "parent", "w", op_ms_best=best, peak_rss_mb=rss, op_ok_frac=ok))
+        runs.append(
+            _bench_run(pair, "change", "w", op_ms_best=best * 1.2, peak_rss_mb=rss * 1.15,
+                       op_ok_frac=ok - 0.02 * (pair != 1))
+        )
+    # A traced run carries per-layer numbers only and is left out.
+    runs.append(_bench_run(9, "change", "w", trace=1, op_ms_best=0.001))
+    (tmp_path / "BENCH_12.json").write_text(json.dumps({"runs": runs}))
+    (tmp_path / "BENCH_3.json").write_text(json.dumps({"runs": runs[:2]}))
+    lines = _load_trajectory_script().trajectory(tmp_path)
+    assert [line.split()[0] for line in lines] == ["BENCH_3.json"] * 3 + ["BENCH_12.json"] * 3
+    by_metric = {line.split()[2]: line for line in lines[3:]}
+    assert list(by_metric) == ["op_ms_best", "peak_rss_mb", "op_ok_frac"]
+    # op_ms_best: median 11 -> 13.2, +20%, inside its 0.25 bound.
+    assert "11 ->       13.2 ms" in by_metric["op_ms_best"]
+    assert "(+20.0%, change better in 0/3 pairs)" in by_metric["op_ms_best"]
+    assert "WORSE" not in by_metric["op_ms_best"]
+    # peak_rss_mb: +15% against a 0.1 bound.
+    assert by_metric["peak_rss_mb"].endswith("WORSE THAN BOUND 0.1")
+    # op_ok_frac is better higher: a 2% fall breaches its 0.01 bound.
+    assert by_metric["op_ok_frac"].endswith("WORSE THAN BOUND 0.01")
+
+
+def test_trajectory_covers_every_committed_bench_file():
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    lines = _load_trajectory_script().trajectory(ROOT)
+    for path in ROOT.glob("BENCH_*.json"):
+        workloads = {r["workload"] for r in json.loads(path.read_text())["runs"] if r["trace"] == 0}
+        for workload in workloads:
+            printed = [l.split()[2] for l in lines if l.split()[:2] == [path.name, workload]]
+            assert printed == metrics, (path.name, workload)
 
 
 def test_paired_stats_pinned_example():
@@ -387,6 +427,19 @@ def test_cli_replay_malformed_trace_fails(tmp_path, capsys):
     assert "trace line 1" in capsys.readouterr().err
 
 
+def test_cli_replay_rejects_a_number_that_overflows(golden_dir, tmp_path, capsys):
+    """``1e400`` decodes to a float infinity, which the scoring would print
+    as ``Infinity``, not JSON; replay names the field and exits 1."""
+    text = (golden_dir / "trace_travel_ca.jsonl").read_text()
+    assert text.count('"simulated_latency_s":13.6}') == 1
+    bad = tmp_path / "overflow.jsonl"
+    bad.write_text(text.replace('"simulated_latency_s":13.6}', '"simulated_latency_s":1e400}'))
+    assert main(["replay", "--trace", str(bad)]) == EXIT_RUN_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: trace line 32: run_end payload 'simulated_latency_s' must be finite\n"
+
+
 _MUTANTS = [None, True, False, 0, 1, -1, 2.5, 10**20, "", "two", [], [1], {}, {"a": 1}]
 _DELETE = object()
 
@@ -463,9 +516,12 @@ def test_replay_of_a_mutated_golden_trace_exits_0_or_1(golden_dir, tmp_path, cap
         assert json.loads(out) == asdict(metrics)
 
 
-# No huge integers: a scenario may legitimately ask for work that grows with
-# a number it declares, so the pool keeps to values a run can finish on.
-_SCENARIO_MUTANTS = [None, True, False, 0, 1, -1, 2.5, "", "two", [], [1], {}, {"a": 1}]
+# Huge integers included: every number a run's work grows with is bounded by
+# the loader (travel ``days`` is at most 30), so each mutant is rejected or
+# finishes quickly.
+_SCENARIO_MUTANTS = [
+    None, True, False, 0, 1, -1, 2.5, 10**30, -10**30, 10**400, "", "two", [], [1], {}, {"a": 1}
+]
 
 
 def _builtin_value(name: str) -> dict:

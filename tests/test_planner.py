@@ -15,6 +15,7 @@ from camcp.planner import (
     blueprint_to_value,
     completion_condition,
     render_summary,
+    rendered,
     stage_outline,
 )
 from camcp.store import And, ContextStore, Exists, evaluate
@@ -138,7 +139,9 @@ def test_summarize_golden(golden_dir, travel_scenario):
 
 def test_render_summary_echoes_every_constraint_and_stage():
     blueprint = MockPlanner().plan(TRAVEL_QUERY)
-    summary = render_summary({"location": {"cost": 1}}, blueprint)
+    store = ContextStore()
+    store.put("location", {"cost": 1}, "location_server")
+    summary = render_summary(store.snapshot(), blueprint)
     for name, value in blueprint.constraints.items():
         assert f"constraint {name}:" in summary
     assert "Seattle" in summary and "1500" in summary
@@ -148,7 +151,8 @@ def test_render_summary_echoes_every_constraint_and_stage():
 
 def test_synthesize_lists_history_in_order():
     planner = MockPlanner()
-    text = planner.synthesize([("destination", "Seattle"), ("hotel", {"cost": 285})])
+    history = [("destination", "Seattle"), ("hotel", {"cost": 285})]
+    text = planner.synthesize([(key, rendered(value)) for key, value in history])
     lines = text.splitlines()
     assert lines[0] == "=== final response ==="
     assert lines[1] == "destination: Seattle"

@@ -15,6 +15,7 @@ from camcp.runtime import (
     EVENT_KINDS,
     MalformedTraceError,
     Trace,
+    TraceBuilder,
     TraceEvent,
     parse_trace,
     query_for_seed,
@@ -28,7 +29,7 @@ from camcp.runtime import (
 )
 from camcp.scenarios import MODE_CA, MODE_TRADITIONAL, WindowConfig
 from camcp.store import ContextStore, canonicalize_value
-from strategies import json_values
+from strategies import generated_wedding, json_values
 
 ALL = [("travel", MODE_TRADITIONAL), ("travel", MODE_CA), ("wedding_p5", MODE_TRADITIONAL), ("wedding_p5", MODE_CA)]
 
@@ -439,6 +440,19 @@ def _edit_schedule(edit):
     return mangle
 
 
+def _edit_text(index: int, old: str, new: str):
+    """Mangler that replaces ``old`` with ``new`` in the raw text of line
+    ``index``, for edits a JSON encoder cannot write, such as ``1e400``."""
+
+    def mangle(lines: list[str]) -> list[str]:
+        assert old in lines[index]
+        lines = list(lines)
+        lines[index] = lines[index].replace(old, new)
+        return lines
+
+    return mangle
+
+
 def _edit_travel_constraints(edit):
     """Mangler for the travel CA trace: apply ``edit`` to the constraints of
     its run_start (line 1)."""
@@ -499,6 +513,71 @@ def test_write_read_round_trip(tmp_path, wedding_scenario):
     assert loaded.seed == trace.seed
     assert loaded.simulated_latency_s == trace.simulated_latency_s
     assert serialize_trace(loaded) == serialize_trace(trace)
+
+
+# -- Prebuilt lines ------------------------------------------------------------------------
+
+
+def _encoded_line(event: TraceEvent) -> str:
+    """An event's line from a fresh ``json.dumps`` of its payload."""
+    payload = json.dumps(event.payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return f'{{"t":{event.t},"kind":{json.dumps(event.kind)},"payload":{payload}}}'
+
+
+# Text that needs escaping, or reads as a format directive or a line break.
+_awkward_text = st.text(
+    alphabet=st.sampled_from(list('az"\\%/\n\t\x00\x7fé☃\U0001f600')), min_size=1, max_size=6
+)
+_stored_values = st.one_of(
+    json_values,
+    _awkward_text,
+    st.lists(json_values, max_size=3).map(tuple),
+    st.dictionaries(_awkward_text, st.tuples(st.just(1), st.just(1.0)), max_size=2),
+    st.sampled_from([1, 1.0, -0.0, 1e300, [1, 1.0], {"n": 1.0, "%s": "%d\n"}]),
+)
+
+
+@given(commits=st.lists(st.tuples(_awkward_text, _stored_values, _awkward_text), min_size=1, max_size=6))
+@settings(max_examples=300)
+def test_prebuilt_lines_equal_encoding_their_payload(travel_scenario, commits):
+    """Commit through a store with the trace listener and record each entry
+    as a finished stage: every line the builder assembled from entry texts
+    is the line a full encoding of its event gives."""
+    builder = TraceBuilder(MODE_CA, 0, travel_scenario)
+    store = ContextStore()
+    store.add_commit_listener(builder.scs_listener(commits[-1][0]))
+    for key, value, writer in commits:
+        store.put(key, value, writer)
+        entry = store.get(key)
+        builder.stage_done(key, entry.value, entry.text)
+    builder.run_end(True)
+    trace = builder.build()
+    prebuilt = [e for e in trace.events if e.line is not None]
+    assert [e.kind for e in prebuilt] == ["scs_write", "stage_done"] * len(commits)
+    for event in prebuilt:
+        assert event.line == _encoded_line(event)
+        envelope = event.payload.get("envelope")
+        if envelope is not None:
+            assert encode(decode(envelope)) == envelope
+    assert serialize_trace(trace) == "".join(_encoded_line(e) + "\n" for e in trace.events)
+
+
+@pytest.mark.parametrize("mode", [MODE_TRADITIONAL, MODE_CA])
+@pytest.mark.parametrize("which", ["travel", "wedding_p5", 1, 2, 3, 4, 5])
+def test_every_line_of_a_run_equals_encoding_its_event(
+    travel_scenario, wedding_scenario, which, mode
+):
+    """Both shipped scenarios, and five generated wedding scenarios: each
+    serialized line, prebuilt or not, is the full encoding of its event, and
+    every value-carrying line (scs_write, stage_done) was prebuilt."""
+    if isinstance(which, int):
+        scenario = generated_wedding(which)
+    else:
+        scenario = scenario_by_name(which, travel_scenario, wedding_scenario)
+    trace = run(scenario, mode, 0)
+    assert serialize_trace(trace).splitlines() == [_encoded_line(e) for e in trace.events]
+    for event in trace.events:
+        assert (event.line is not None) == (event.kind in ("scs_write", "stage_done"))
 
 
 @pytest.mark.parametrize(
@@ -647,6 +726,20 @@ def test_write_read_round_trip(tmp_path, wedding_scenario):
             _edit_travel_constraints(lambda c: c.update(budget="1500")), 1,
             re.escape("run_start payload 'constraints.budget' must be a number"),
             id="run-start-budget-text",
+        ),
+        pytest.param(
+            _edit_text(-1, '"simulated_latency_s":13.6}', '"simulated_latency_s":1e400}'), 32,
+            "run_end payload 'simulated_latency_s' must be finite", id="run-end-latency-overflow",
+        ),
+        pytest.param(
+            _edit_text(0, '"budget":1500', '"budget":1e400'), 1,
+            re.escape("run_start payload 'constraints.budget' must be finite"),
+            id="run-start-budget-overflow",
+        ),
+        pytest.param(
+            _edit_text(0, '"budget":1500', '"budget":-1e400'), 1,
+            re.escape("run_start payload 'constraints.budget' must be finite"),
+            id="run-start-budget-minus-overflow",
         ),
     ],
 )

@@ -20,6 +20,7 @@ from camcp.store import (
     Not,
     Or,
     canonical_dumps,
+    canonical_object,
     canonicalize_value,
     condition_from_value,
     condition_to_value,
@@ -263,6 +264,38 @@ def test_put_rejects_bad_key_and_writer():
         store.put("", 1, "w")
     with pytest.raises(TypeError):
         store.put("x", 1, "")
+
+
+@given(json_values)
+def test_entry_text_is_the_canonical_text_of_its_value(value):
+    store = ContextStore()
+    store.put("k", value, "w")
+    entry = store.get("k")
+    assert entry.text == canonical_dumps(entry.value) == canonical_dumps(copy_value(value))
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), {"x": object()}, 10**5000], ids=["nan", "object", "long-integer"]
+)
+def test_rejected_put_leaves_no_trace_in_the_store(value):
+    """The value is copied and encoded before the clock ticks, so a value
+    the store cannot hold (here an integer too long to write as text)
+    changes nothing, and no listener hears of it."""
+    store = ContextStore()
+    store.put("k", 1, "w")
+    heard = []
+    store.add_commit_listener(heard.append)
+    with pytest.raises(TypeError):
+        store.put("k", value, "w")
+    assert store.last_logical_time() == 1
+    assert store.get("k").version == 1
+    assert heard == []
+
+
+def test_canonical_object_equals_dumping_the_object():
+    members = {"b": canonical_dumps([1, 1.0]), "é\n": canonical_dumps("%s"), "a": "{}"}
+    value = {"b": [1, 1.0], "é\n": "%s", "a": {}}
+    assert canonical_object(members) == canonical_dumps(value)
 
 
 def test_cas_put_create_update_conflict():
