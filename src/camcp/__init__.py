@@ -47,9 +47,6 @@ from .scenarios import (
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
-    Schedule,
-    TransportRequest,
-    Trip,
     batch_requests,
     build_servers,
     coordination_score,

@@ -289,8 +289,16 @@ def _field_error(line_no: int, where: str, obj: dict, name: str, description: st
 
 
 def read_trace(path) -> Trace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Number lines as parse_trace does; "x" keeps the bad byte's line non-blank.
+        head = data[: exc.start].decode("utf-8") + "x"
+        line_no = sum(1 for raw in head.splitlines() if raw.strip())
+        raise MalformedTraceError(line_no, f"not UTF-8 text: {exc.reason}") from exc
+    return parse_trace(text)
 
 
 class TraceBuilder:

@@ -6,6 +6,10 @@ A scenario file is a single JSON document. The same underlying tool
 computations are exposed two ways: as stateful reactors over the shared
 store (context-aware mode) and as stateless functions over an assembled
 context window (traditional mode).
+
+Wedding requests and schedules are the plain values that the store holds and
+the trace carries. No function here changes a request value it is handed: the
+store, or an earlier stage output, owns it.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ MAX_TRAVEL_DAYS = 30
 
 
 class ScenarioParseError(Exception):
-    """The scenario file is unreadable or not valid JSON."""
+    """The scenario file is unreadable, not UTF-8 text or not valid JSON."""
 
 
 class ScenarioValidationError(Exception):
@@ -77,32 +81,6 @@ class Scenario:
         return [s.stage_id for s in self.stages]
 
 
-@dataclass(frozen=True)
-class TransportRequest:
-    request_id: str
-    origin: str
-    destination: str
-    ready_time_min: int
-    source: str
-
-
-@dataclass(frozen=True)
-class Trip:
-    trip_id: int
-    requests: tuple[TransportRequest, ...]
-    start_min: int
-    duration_min: int
-
-    def end_min(self) -> int:
-        return self.start_min + self.duration_min
-
-
-@dataclass(frozen=True)
-class Schedule:
-    trips: tuple[Trip, ...]
-    makespan_min: int
-
-
 # -- Loading and validation ---------------------------------------------------
 
 
@@ -112,9 +90,11 @@ def load_scenario(path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioParseError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"scenario file {path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the interpreter's digit limit
         raise ScenarioParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError(f"scenario file {path} must hold a JSON object")
@@ -390,104 +370,60 @@ def itinerary_cost(outputs: Mapping[str, ContextValue]) -> float:
 # -- Wedding requests and batching ---------------------------------------------
 
 
-def request_to_value(request: TransportRequest) -> dict:
+def _request(row: Mapping, origin: str, source: str) -> dict:
     return {
-        "request_id": request.request_id,
-        "origin": request.origin,
-        "destination": request.destination,
-        "ready_time_min": request.ready_time_min,
-        "source": request.source,
+        "request_id": row["id"],
+        "origin": row.get("origin", origin),
+        "destination": row.get("destination", "venue"),
+        "ready_time_min": row.get("ready_time_min", 0),
+        "source": source,
     }
 
 
-def request_from_value(value: Mapping) -> TransportRequest:
-    return TransportRequest(
-        request_id=value["request_id"],
-        origin=value["origin"],
-        destination=value["destination"],
-        ready_time_min=value["ready_time_min"],
-        source=value["source"],
-    )
+def guest_requests(tables: dict) -> list[dict]:
+    return [_request(g, "city", "arrival") for g in tables["guests"]]
 
 
-def guest_requests(tables: dict) -> list[TransportRequest]:
-    return [
-        TransportRequest(
-            request_id=g["id"],
-            origin=g.get("origin", "city"),
-            destination=g.get("destination", "venue"),
-            ready_time_min=g.get("ready_time_min", 0),
-            source="arrival",
-        )
-        for g in tables["guests"]
-    ]
+def errand_requests(tables: dict) -> list[dict]:
+    return [_request(e, "venue", "errand") for e in tables["errands"]]
 
 
-def errand_requests(tables: dict) -> list[TransportRequest]:
-    return [
-        TransportRequest(
-            request_id=e["id"],
-            origin=e.get("origin", "venue"),
-            destination=e.get("destination", "venue"),
-            ready_time_min=e.get("ready_time_min", 0),
-            source="errand",
-        )
-        for e in tables["errands"]
-    ]
-
-
-def schedule_to_value(schedule: Schedule) -> dict:
-    return {
-        "trips": [
-            {
-                "trip_id": t.trip_id,
-                "start_min": t.start_min,
-                "duration_min": t.duration_min,
-                "requests": [request_to_value(r) for r in t.requests],
-            }
-            for t in schedule.trips
-        ],
-        "makespan_min": schedule.makespan_min,
-    }
-
-
-def batch_requests(
-    requests: Iterable[TransportRequest], capacity: int, duration_min: int
-) -> Schedule:
+def batch_requests(requests: Iterable[Mapping], capacity: int, duration_min: int) -> dict:
     """Greedy batching: sort by (ready_time_min, request_id), fill each trip
-    to capacity in order, run trips back to back on the single vehicle."""
+    to capacity in order, run trips back to back on the single vehicle.
+    The schedule's trips hold the request values they are given."""
     if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
         raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
     if isinstance(duration_min, bool) or not isinstance(duration_min, int) or duration_min < 1:
         raise ValueError(f"duration_min must be an integer >= 1, got {duration_min!r}")
-    ordered = sorted(requests, key=lambda r: (r.ready_time_min, r.request_id))
-    trips: list[Trip] = []
-    previous_end = 0
+    ordered = sorted(requests, key=lambda r: (r["ready_time_min"], r["request_id"]))
+    trips: list[dict] = []
     for i in range(0, len(ordered), capacity):
-        group = tuple(ordered[i : i + capacity])
-        start = max(previous_end, min(r.ready_time_min for r in group))
-        trips.append(
-            Trip(trip_id=len(trips) + 1, requests=group, start_min=start, duration_min=duration_min)
-        )
-        previous_end = start + duration_min
-    makespan = trips[-1].end_min() if trips else 0
-    return Schedule(trips=tuple(trips), makespan_min=makespan)
+        _append_trip(trips, ordered[i : i + capacity], duration_min)
+    return {"trips": trips, "makespan_min": _end_min(trips)}
 
 
-def append_single_trip(
-    trips: list[Trip], request: TransportRequest, duration_min: int
-) -> Trip:
-    """One unbatched dispatch: the request gets its own trip, queued after
-    whatever the vehicle is already committed to."""
-    previous_end = trips[-1].end_min() if trips else 0
-    trip = Trip(
-        trip_id=len(trips) + 1,
-        requests=(request,),
-        start_min=max(previous_end, request.ready_time_min),
-        duration_min=duration_min,
-    )
+def append_single_trip(trips: list[dict], request: Mapping, duration_min: int) -> dict:
+    """One unbatched dispatch: the request gets its own trip."""
+    return _append_trip(trips, [request], duration_min)
+
+
+def _append_trip(trips: list[dict], requests: list, duration_min: int) -> dict:
+    """Queue a trip after whatever the vehicle is already committed to; it
+    leaves at the earliest ready time among its requests."""
+    start = max(_end_min(trips), min(r["ready_time_min"] for r in requests))
+    trip = {
+        "trip_id": len(trips) + 1,
+        "start_min": start,
+        "duration_min": duration_min,
+        "requests": requests,
+    }
     trips.append(trip)
     return trip
+
+
+def _end_min(trips: list[dict]) -> int:
+    return trips[-1]["start_min"] + trips[-1]["duration_min"] if trips else 0
 
 
 def coordination_score(schedule: Mapping) -> int:
@@ -601,13 +537,13 @@ def _build_wedding_ca(scenario: Scenario) -> list[ServerSpec]:
     tables = scenario.data_tables
     arrivals, errands, transport = scenario.stages
 
-    def tracker_action(requests: list[TransportRequest], summary_key: str, other_done: str):
+    def tracker_action(requests: list[dict], summary_key: str, other_done: str):
         def action(snapshot: Snapshot) -> ActionResult:
             writes: list[tuple[str, ContextValue]] = [
-                (REQUEST_KEY_PREFIX + r.request_id, request_to_value(r)) for r in requests
+                (REQUEST_KEY_PREFIX + r["request_id"], r) for r in requests
             ]
             writes.append(
-                (summary_key, {"requests": [r.request_id for r in requests], "count": len(requests)})
+                (summary_key, {"requests": [r["request_id"] for r in requests], "count": len(requests)})
             )
             # The slower tracker posts the shared flag: coordination happens
             # through the store, not through any central scheduler.
@@ -619,13 +555,11 @@ def _build_wedding_ca(scenario: Scenario) -> list[ServerSpec]:
 
     def transport_action(snapshot: Snapshot) -> ActionResult:
         requests = [
-            request_from_value(entry.value)
-            for key, entry in snapshot.items()
-            if key.startswith(REQUEST_KEY_PREFIX)
+            entry.value for key, entry in snapshot.items() if key.startswith(REQUEST_KEY_PREFIX)
         ]
         capacity = snapshot.value("constraints.vehicle_capacity", tables["vehicle"]["capacity"])
         schedule = batch_requests(requests, capacity, tables["vehicle"]["trip_duration_min"])
-        return ActionResult.ok([("schedule", schedule_to_value(schedule))])
+        return ActionResult.ok([("schedule", schedule)])
 
     return [
         ServerSpec(
@@ -675,15 +609,14 @@ def _build_wedding_traditional(scenario: Scenario) -> list[StatelessTool]:
 
     def run_arrivals(window: Mapping[str, ContextValue]) -> dict:
         requests = guest_requests(tables)
-        return {"requests": [request_to_value(r) for r in requests], "count": len(requests)}
+        return {"requests": requests, "count": len(requests)}
 
     def run_errands(window: Mapping[str, ContextValue]) -> dict:
         requests = errand_requests(tables)
-        return {"requests": [request_to_value(r) for r in requests], "count": len(requests)}
+        return {"requests": requests, "count": len(requests)}
 
     def run_schedule(window: Mapping[str, ContextValue]) -> dict:
-        requests = collect_window_requests(window)
-        return schedule_to_value(batch_requests(requests, 1, duration))
+        return batch_requests(collect_window_requests(window), 1, duration)
 
     by_stage = {
         "arrivals": run_arrivals,
@@ -696,12 +629,12 @@ def _build_wedding_traditional(scenario: Scenario) -> list[StatelessTool]:
     ]
 
 
-def collect_window_requests(window: Mapping[str, ContextValue]) -> list[TransportRequest]:
-    requests: list[TransportRequest] = []
+def collect_window_requests(window: Mapping[str, ContextValue]) -> list[dict]:
+    requests: list[dict] = []
     for key in ("arrivals", "errands"):
         value = window.get(key)
         if isinstance(value, dict):
-            requests.extend(request_from_value(r) for r in value.get("requests", []))
+            requests.extend(value.get("requests", []))
     return requests
 
 

@@ -30,7 +30,6 @@ from camcp.runtime import read_trace, run, serialize_trace, write_trace
 from camcp.scenarios import (
     MODE_CA,
     MODE_TRADITIONAL,
-    TransportRequest,
     WindowConfig,
     batch_requests,
 )
@@ -299,9 +298,16 @@ def test_criterion_08_batching_oracle():
     for capacity in range(1, 5):
         for n in range(0, 9):
             requests = [
-                TransportRequest(f"r{i:02d}", "a", "b", 0, "arrival") for i in range(n)
+                {
+                    "request_id": f"r{i:02d}",
+                    "origin": "a",
+                    "destination": "b",
+                    "ready_time_min": 0,
+                    "source": "arrival",
+                }
+                for i in range(n)
             ]
-            greedy = len(batch_requests(requests, capacity, 30).trips)
+            greedy = len(batch_requests(requests, capacity, 30)["trips"])
             optimal = brute_force_min_trips(n, capacity)
             if greedy != optimal:
                 mismatches.append((n, capacity, greedy, optimal))

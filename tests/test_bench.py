@@ -7,6 +7,7 @@ import sys
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,11 +37,8 @@ from camcp.scenarios import (
     MODE_CA,
     MODE_TRADITIONAL,
     MODES,
-    Schedule,
     ScenarioParseError,
     ScenarioValidationError,
-    Trip,
-    request_from_value,
     scenario_from_value,
 )
 
@@ -103,24 +101,39 @@ def test_compute_metrics_rejects_cross_scenario_check(travel_scenario, wedding_s
         compute_metrics(trace, wedding_scenario)
 
 
-# -- compute_metrics against the dataclass-building reference ---------------------
+# -- compute_metrics against the object-building reference -------------------------
 #
-# The wedding scoring once rebuilt Schedule/Trip/TransportRequest objects from
-# the trace's schedule value before reading them; that version is kept here,
-# for wedding traces, as the reference the one-pass scorer must agree with.
+# The wedding scoring once rebuilt trip and request objects from the trace's
+# schedule value before reading them; that version is kept here, with
+# test-local tuples, for wedding traces, as the reference the one-pass scorer
+# must agree with.
 
 
-def _reference_schedule(value) -> Schedule:
-    trips = tuple(
-        Trip(
+class _Request(NamedTuple):
+    request_id: str
+    origin: str
+    destination: str
+    ready_time_min: int
+    source: str
+
+
+class _Trip(NamedTuple):
+    trip_id: int
+    requests: tuple[_Request, ...]
+    start_min: int
+    duration_min: int
+
+
+def _reference_trips(schedule) -> list[_Trip]:
+    return [
+        _Trip(
             trip_id=t["trip_id"],
-            requests=tuple(request_from_value(r) for r in t["requests"]),
+            requests=tuple(_Request(*(r[f] for f in _Request._fields)) for r in t["requests"]),
             start_min=t["start_min"],
             duration_min=t["duration_min"],
         )
-        for t in value["trips"]
-    )
-    return Schedule(trips=trips, makespan_min=value["makespan_min"])
+        for t in schedule["trips"]
+    ]
 
 
 def _reference_metrics(trace: Trace) -> RunMetrics:
@@ -144,15 +157,15 @@ def _reference_metrics(trace: Trace) -> RunMetrics:
     if outputs.get("schedule") is None:
         checks = [False, False] + ([False] if deadline is not None else [])
     else:
-        schedule = _reference_schedule(outputs["schedule"])
+        trips = _reference_trips(outputs["schedule"])
+        makespan = outputs["schedule"]["makespan_min"]
         checks = [
-            all(len(t.requests) <= capacity for t in schedule.trips),
-            all(r.ready_time_min <= t.start_min for t in schedule.trips for r in t.requests),
+            all(len(t.requests) <= capacity for t in trips),
+            all(r.ready_time_min <= t.start_min for t in trips for r in t.requests),
         ]
         if deadline is not None:
-            checks.append(schedule.makespan_min <= deadline)
-        makespan = schedule.makespan_min
-        coordination = 1 if any(len(t.requests) >= 2 for t in schedule.trips) else 0
+            checks.append(makespan <= deadline)
+        coordination = 1 if any(len(t.requests) >= 2 for t in trips) else 0
     return RunMetrics(
         mode=trace.mode,
         seed=trace.seed,
@@ -440,6 +453,36 @@ def test_cli_replay_rejects_a_number_that_overflows(golden_dir, tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: trace line 32: run_end payload 'simulated_latency_s' must be finite\n"
+
+
+def test_cli_replay_of_a_trace_that_is_not_utf8_names_the_line(golden_dir, tmp_path, capsys):
+    """A byte that is not UTF-8 is a trace failure (exit 1) on the line that
+    holds it, numbered as parse_trace numbers lines: blank lines do not count."""
+    lines = (golden_dir / "trace_travel_ca.jsonl").read_bytes().splitlines(keepends=True)
+    lines[4] = lines[4].replace(b'"kind"', b'"k\xffind"', 1)
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes(b"\n" + b"".join(lines))
+    assert main(["replay", "--trace", str(bad)]) == EXIT_RUN_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: trace line 5: not UTF-8 text: invalid start byte\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"kind": "wedding", "max_steps": ' + b"7" * 5001 + b"}",
+        b'{"kind": "travel", "name": "caf\xe9"}',
+    ],
+    ids=["integer-past-digit-limit", "not-utf8"],
+)
+def test_cli_run_of_an_undecodable_scenario_names_the_file(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main(["run", "--scenario", str(path), "--mode", "ca"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: scenario file {path} is not ") and err.count("\n") == 1
 
 
 _MUTANTS = [None, True, False, 0, 1, -1, 2.5, 10**20, "", "two", [], [1], {}, {"a": 1}]

@@ -1,10 +1,14 @@
 """Scenario loading, data validation, travel tools, batching, scoring."""
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camcp.reactor import ServerSpec
+from camcp.runtime import Trace, TraceEvent, parse_trace, serialize_trace
 from camcp.scenarios import (
     MAX_TRAVEL_DAYS,
     MODE_CA,
@@ -13,7 +17,6 @@ from camcp.scenarios import (
     ScenarioParseError,
     ScenarioValidationError,
     StatelessTool,
-    TransportRequest,
     append_single_trip,
     batch_requests,
     book_hotel,
@@ -30,14 +33,19 @@ from camcp.scenarios import (
     plan_dining,
     resolve_scenario,
     scenario_from_value,
-    schedule_to_value,
     suggest_locations,
 )
 from oracles import brute_force_min_trips
 
 
-def request(request_id: str, ready: int = 0) -> TransportRequest:
-    return TransportRequest(request_id, "a", "b", ready, "arrival")
+def request(request_id: str, ready: int = 0) -> dict:
+    return {
+        "request_id": request_id,
+        "origin": "a",
+        "destination": "b",
+        "ready_time_min": ready,
+        "source": "arrival",
+    }
 
 
 # -- Loading -----------------------------------------------------------------------
@@ -370,18 +378,18 @@ def test_request_extraction_defaults(wedding_scenario):
     tables = wedding_scenario.data_tables
     guests = guest_requests(tables)
     errands = errand_requests(tables)
-    assert [g.request_id for g in guests] == ["g1", "g2", "g3", "g4", "g5", "g6"]
-    assert [e.request_id for e in errands] == ["e1", "e2", "e3", "e4", "e5"]
-    assert all(g.source == "arrival" for g in guests)
-    assert all(e.source == "errand" for e in errands)
-    assert guests[0].destination == "venue"
+    assert [g["request_id"] for g in guests] == ["g1", "g2", "g3", "g4", "g5", "g6"]
+    assert [e["request_id"] for e in errands] == ["e1", "e2", "e3", "e4", "e5"]
+    assert all(g["source"] == "arrival" for g in guests)
+    assert all(e["source"] == "errand" for e in errands)
+    assert guests[0]["destination"] == "venue"
 
 
 def test_batch_requests_empty():
     schedule = batch_requests([], 2, 30)
-    assert schedule.trips == ()
-    assert schedule.makespan_min == 0
-    assert coordination_score(schedule_to_value(schedule)) == 0
+    assert schedule["trips"] == []
+    assert schedule["makespan_min"] == 0
+    assert coordination_score(schedule) == 0
 
 
 def test_batch_requests_wedding_tables(wedding_scenario):
@@ -389,45 +397,95 @@ def test_batch_requests_wedding_tables(wedding_scenario):
     requests = guest_requests(tables) + errand_requests(tables)
     assert len(requests) == 11
     batched = batch_requests(requests, 2, 30)
-    assert len(batched.trips) == 6
-    assert batched.makespan_min == 180
-    assert coordination_score(schedule_to_value(batched)) == 1
-    assert [r.request_id for r in batched.trips[0].requests] == ["e1", "e2"]
+    assert len(batched["trips"]) == 6
+    assert batched["makespan_min"] == 180
+    assert coordination_score(batched) == 1
+    assert [r["request_id"] for r in batched["trips"][0]["requests"]] == ["e1", "e2"]
     solo = batch_requests(requests, 1, 30)
-    assert len(solo.trips) == 11
-    assert solo.makespan_min == 330
-    assert coordination_score(schedule_to_value(solo)) == 0
+    assert len(solo["trips"]) == 11
+    assert solo["makespan_min"] == 330
+    assert coordination_score(solo) == 0
 
 
 def test_batch_requests_orders_by_ready_time_then_id():
     requests = [request("b", 10), request("a", 10), request("c", 0)]
     schedule = batch_requests(requests, 2, 5)
-    assert [r.request_id for r in schedule.trips[0].requests] == ["c", "a"]
-    assert [r.request_id for r in schedule.trips[1].requests] == ["b"]
+    assert [r["request_id"] for r in schedule["trips"][0]["requests"]] == ["c", "a"]
+    assert [r["request_id"] for r in schedule["trips"][1]["requests"]] == ["b"]
 
 
 def test_batch_requests_trip_start_uses_group_earliest_ready():
     """Trip start is max(previous end, earliest ready in the group). A group
     mixing ready times can therefore start before its latest member."""
     schedule = batch_requests([request("a", 0), request("b", 100)], 2, 30)
-    trip = schedule.trips[0]
-    assert trip.start_min == 0
-    assert schedule.makespan_min == 30
+    trip = schedule["trips"][0]
+    assert trip["start_min"] == 0
+    assert schedule["makespan_min"] == 30
     goal, constraint = evaluate_satisfaction(
         "wedding",
         {"vehicle_capacity": 2},
         ["schedule"],
-        {"schedule": schedule_to_value(schedule)},
+        {"schedule": schedule},
     )
     assert constraint < 1.0  # the late rider boarded before being ready
 
 
 def test_batch_requests_waits_for_ready_groups():
     schedule = batch_requests([request("a", 50), request("b", 60)], 1, 30)
-    assert schedule.trips[0].start_min == 50
-    assert schedule.trips[1].start_min == 80  # vehicle busy until 80, b ready at 60
+    assert schedule["trips"][0]["start_min"] == 50
+    assert schedule["trips"][1]["start_min"] == 80  # vehicle busy until 80, b ready at 60
     schedule = batch_requests([request("a", 0), request("b", 200)], 1, 30)
-    assert schedule.trips[1].start_min == 200  # vehicle idles until b is ready
+    assert schedule["trips"][1]["start_min"] == 200  # vehicle idles until b is ready
+
+
+_request_values = st.lists(
+    st.fixed_dictionaries(
+        {
+            "request_id": st.text(max_size=6),
+            "origin": st.text(max_size=4),
+            "destination": st.text(max_size=4),
+            "ready_time_min": st.integers(min_value=0, max_value=10_000),
+            "source": st.sampled_from(["arrival", "errand"]),
+        }
+    ),
+    max_size=12,
+)
+
+
+@given(
+    requests=_request_values,
+    capacity=st.integers(min_value=1, max_value=4),
+    duration=st.integers(min_value=1, max_value=60),
+)
+@settings(max_examples=200)
+def test_batched_schedule_passes_the_trace_check_and_leaves_requests_alone(
+    requests, capacity, duration
+):
+    """Every schedule batch_requests writes is one parse_trace accepts in a
+    stage_done line, and batching changes none of the request values."""
+    before = copy.deepcopy(requests)
+    schedule = batch_requests(requests, capacity, duration)
+    assert requests == before
+    start = {
+        "mode": MODE_CA,
+        "seed": 0,
+        "kind": "wedding",
+        "stage_ids": ["schedule"],
+        "constraints": {"vehicle_capacity": capacity},
+    }
+    trace = Trace(
+        events=[
+            TraceEvent(1, "run_start", start),
+            TraceEvent(2, "stage_done", {"stage": "schedule", "outputs": {"schedule": schedule}}),
+            TraceEvent(3, "run_end", {"simulated_latency_s": 0.0}),
+        ],
+        mode=MODE_CA,
+        seed=0,
+        simulated_latency_s=0.0,
+    )
+    parsed = parse_trace(serialize_trace(trace))
+    assert parsed.events[1].payload["outputs"]["schedule"] == schedule
+    assert requests == before
 
 
 def test_batch_requests_validates_arguments():
@@ -448,30 +506,30 @@ def test_append_single_trip_matches_capacity_one_batching():
         duration = rng.choice([10, 30])
         expected = batch_requests(requests, 1, duration)
         trips = []
-        for r in sorted(requests, key=lambda r: (r.ready_time_min, r.request_id)):
+        for r in sorted(requests, key=lambda r: (r["ready_time_min"], r["request_id"])):
             append_single_trip(trips, r, duration)
-        makespan = trips[-1].end_min() if trips else 0
-        assert tuple(trips) == expected.trips
-        assert makespan == expected.makespan_min
+        makespan = trips[-1]["start_min"] + trips[-1]["duration_min"] if trips else 0
+        assert trips == expected["trips"]
+        assert makespan == expected["makespan_min"]
 
 
 def test_greedy_trip_count_matches_brute_force_small():
     for n in range(0, 7):
         for capacity in range(1, 4):
             requests = [request(f"r{i}") for i in range(n)]
-            greedy = len(batch_requests(requests, capacity, 30).trips)
+            greedy = len(batch_requests(requests, capacity, 30)["trips"])
             assert greedy == brute_force_min_trips(n, capacity)
 
 
 def test_collect_window_requests_merges_both_trackers(wedding_scenario):
     tables = wedding_scenario.data_tables
     window = {
-        "arrivals": {"requests": [r.__dict__ for r in guest_requests(tables)[:2]]},
-        "errands": {"requests": [r.__dict__ for r in errand_requests(tables)[:1]]},
+        "arrivals": {"requests": guest_requests(tables)[:2]},
+        "errands": {"requests": errand_requests(tables)[:1]},
         "unrelated": 5,
     }
     merged = collect_window_requests(window)
-    assert [r.request_id for r in merged] == ["g1", "g2", "e1"]
+    assert [r["request_id"] for r in merged] == ["g1", "g2", "e1"]
 
 
 # -- Satisfaction scoring -----------------------------------------------------------------
@@ -504,7 +562,7 @@ def test_wedding_missing_schedule_fails_all_checks():
 
 
 def test_wedding_deadline_check():
-    schedule = schedule_to_value(batch_requests([request("a"), request("b")], 1, 100))
+    schedule = batch_requests([request("a"), request("b")], 1, 100)
     _, ok = evaluate_satisfaction(
         "wedding", {"vehicle_capacity": 1, "deadline_min": 200}, ["schedule"], {"schedule": schedule}
     )
