@@ -23,7 +23,6 @@ from .planner import (
     Stage,
     completion_condition,
     render_summary,
-    stage_outline,
 )
 from .protocol import Envelope, ProtocolError, decode, encode, make_envelope, validate_sequence
 from .reactor import BudgetExceededError, ReactorPool, ReactorState, ServerSpec

@@ -10,6 +10,8 @@ from .bench import compute_metrics, replay, run_bench
 from .planner import CostModel
 from .runtime import MalformedTraceError, run, write_trace
 from .scenarios import (
+    _LATENCY_RANGE,
+    _MAX_LATENCY_S,
     MODE_CA,
     MODE_TRADITIONAL,
     ScenarioParseError,
@@ -58,8 +60,8 @@ def _apply_overrides(scenario, window: int | None, latency: float | None):
             scenario, window=WindowConfig(enabled=True, budget_entries=window)
         )
     if latency is not None:
-        if not 0 <= latency <= sys.float_info.max:  # also false for nan
-            raise ScenarioValidationError("latency", "must be a finite number >= 0")
+        if not 0 <= latency <= _MAX_LATENCY_S:  # also false for nan
+            raise ScenarioValidationError("latency", _LATENCY_RANGE)
         scenario = dataclasses.replace(
             scenario,
             cost_model=CostModel(

@@ -2,12 +2,14 @@
 
 The planner is a deterministic template mock so runs are cheap and
 reproducible; the runtime records each of its calls as an ``llm_call``
-trace event, which is what the benchmark counts.
+trace event, which is what the benchmark counts. It holds no stage wiring:
+a plan restates the stages and completion key of the scenario it is given.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .store import (
     And,
@@ -20,9 +22,8 @@ from .store import (
     copy_value,
 )
 
-KIND_TRAVEL = "travel"
-KIND_WEDDING = "wedding"
-KINDS = (KIND_TRAVEL, KIND_WEDDING)
+if TYPE_CHECKING:
+    from .scenarios import Scenario
 
 
 class UnsupportedKindError(Exception):
@@ -75,38 +76,9 @@ class CostModel:
 
 
 _REQUIRED_PARAMS = {
-    KIND_TRAVEL: ("destination", "days", "budget"),
-    KIND_WEDDING: ("scenario",),
+    "travel": ("destination", "days", "budget"),
+    "wedding": ("scenario",),
 }
-
-# Fixed per-kind stage wiring. A scenario file restates the (stage_id,
-# server_id) list and adds each stage's required keys.
-_OUTLINES = {
-    KIND_TRAVEL: (
-        Stage("location", "location_server", Exists("goals_seeded"), "location_done",
-              "shortlist places to visit"),
-        Stage("weather", "weather_server", Exists("location_done"), "weather_done",
-              "forecast the weather"),
-        Stage("hotel", "hotel_server", Exists("location_done"), "hotel_done", "book a hotel"),
-        Stage("dining", "dining_server", Exists("hotel_done"), "dining_done", "plan the dining"),
-    ),
-    KIND_WEDDING: (
-        Stage("arrivals", "arrival_tracker", Exists("goals_seeded"), "arrivals_done",
-              "track guest arrivals"),
-        Stage("errands", "errand_tracker", Exists("goals_seeded"), "errands_done",
-              "track errand pickups"),
-        Stage("schedule", "transport", Exists("requests_posted"), "schedule_done",
-              "produce the shared-vehicle schedule"),
-    ),
-}
-
-_COMPLETION_KEYS = {KIND_TRAVEL: "itinerary_complete", KIND_WEDDING: "logistics_complete"}
-
-
-def stage_outline(kind: str) -> tuple[Stage, ...]:
-    if kind not in _OUTLINES:
-        raise UnsupportedKindError(kind)
-    return _OUTLINES[kind]
 
 
 def completion_condition(blueprint: PlanBlueprint) -> WatchCondition:
@@ -159,28 +131,28 @@ def render_summary(entries: Mapping[str, ContextEntry], blueprint: PlanBlueprint
 class MockPlanner:
     """Deterministic stand-in for the central model.
 
-    Stateless: plan() is a pure function of the query; summarize() is a pure
-    function of (snapshot, blueprint).
+    Stateless: plan() is a pure function of (query, scenario); summarize() is
+    a pure function of (snapshot, blueprint).
     """
 
     # -- Planning --
 
-    def plan(self, query: Query) -> PlanBlueprint:
-        """Turn a query into a blueprint: goals, constraints, stage wiring,
-        completion key."""
-        if query.kind not in KINDS:
+    def plan(self, query: Query, scenario: Scenario) -> PlanBlueprint:
+        """Turn a query into a blueprint: the goals, stage wiring and
+        completion key the scenario declares, and the query's constraints."""
+        if query.kind != scenario.kind:
             raise UnsupportedKindError(query.kind)
-        missing = [p for p in _REQUIRED_PARAMS[query.kind] if p not in query.params]
+        missing = [p for p in _REQUIRED_PARAMS.get(query.kind, ()) if p not in query.params]
         if missing:
             raise ValueError(f"query params missing {missing[0]!r} for kind {query.kind!r}")
         constraints = {
             k: copy_value(v) for k, v in query.params.items() if k != "scenario"
         }
         return PlanBlueprint(
-            goals=tuple(s.goal for s in _OUTLINES[query.kind]),
+            goals=tuple(s.goal for s in scenario.stages),
             constraints=constraints,
-            stages=_OUTLINES[query.kind],
-            completion_key=_COMPLETION_KEYS[query.kind],
+            stages=scenario.stages,
+            completion_key=scenario.completion_key,
         )
 
     # -- Summarization --

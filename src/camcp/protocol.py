@@ -218,7 +218,7 @@ def decode(line: str) -> Envelope:
     """
     try:
         data = json.loads(line)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, TypeError, RecursionError) as exc:
         raise MalformedSyntaxError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedSyntaxError("envelope must be a JSON object")

@@ -1,9 +1,10 @@
 """Stateful tool-server reactors driven by store watch edges.
 
 A reactor idles until its watch condition rises, then fires once: it takes
-a fresh consistent snapshot, runs its action, and commits the action's
-writes as one atomic batch ending with its done flag. Failures are
-contained per reactor; independent reactors keep running.
+a fresh consistent snapshot, runs its action, and commits the writes the
+action returns as one atomic batch ending with its done flag. An action
+fails only by raising; that failure, or a batch the store rejects, is
+contained per reactor, and independent reactors keep running.
 """
 from __future__ import annotations
 
@@ -32,23 +33,9 @@ class BudgetExceededError(Exception):
         self.max_steps = max_steps
 
 
-@dataclass(frozen=True)
-class ActionResult:
-    """What an action produced: ordered writes on success, or a failure text."""
-
-    writes: tuple[tuple[str, ContextValue], ...] = ()
-    failure: str | None = None
-
-    @classmethod
-    def ok(cls, writes) -> "ActionResult":
-        return cls(writes=tuple((k, v) for k, v in writes), failure=None)
-
-    @classmethod
-    def fail(cls, reason: str) -> "ActionResult":
-        return cls(writes=(), failure=reason)
-
-
-Action = Callable[[Snapshot], ActionResult]
+# An action returns its ordered writes; the done flag is appended when the
+# writes do not already end with it.
+Action = Callable[[Snapshot], list[tuple[str, ContextValue]]]
 
 
 @dataclass(frozen=True)
@@ -148,19 +135,16 @@ class ReactorPool:
             self._on_firing(spec.server_id, reactor.edge_time or 0)
         snapshot = self.store.snapshot()
         try:
-            result = spec.action(snapshot)
-        except Exception as exc:  # a crashing action must not sink the run
-            result = ActionResult.fail(f"{type(exc).__name__}: {exc}")
-        if result.failure is not None:
+            writes = list(spec.action(snapshot))
+            if not (writes and writes[-1][0] == spec.done_key and values_equal(writes[-1][1], True)):
+                writes.append((spec.done_key, True))
+            self.store.put_many(writes, writer_id=spec.server_id)
+        except Exception as exc:  # a crash, or a batch the store rejected whole
             reactor.state = ReactorState.FAILED
-            reactor.failure = result.failure
+            reactor.failure = f"{type(exc).__name__}: {exc}"
             if self._on_failed is not None:
-                self._on_failed(spec.server_id, result.failure)
+                self._on_failed(spec.server_id, reactor.failure)
             return
-        writes = list(result.writes)
-        if not (writes and writes[-1][0] == spec.done_key and values_equal(writes[-1][1], True)):
-            writes.append((spec.done_key, True))
-        self.store.put_many(writes, writer_id=spec.server_id)
         reactor.state = ReactorState.FIRED
         if self._on_fired is not None:
             self._on_fired(spec.server_id, writes)

@@ -177,7 +177,7 @@ def parse_trace(text: str) -> Trace:
         line_no += 1
         try:
             record = _TRACE_DECODER.decode(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise MalformedTraceError(line_no, f"not valid JSON: {exc}") from exc
         if not isinstance(record, dict) or sorted(record) != ["kind", "payload", "t"]:
             raise MalformedTraceError(line_no, "expected an object with t, kind, payload")
@@ -378,15 +378,10 @@ class TraceBuilder:
     def trigger_fire(self, server_id: str, edge_time: int) -> None:
         self._append(TRIGGER_FIRE, {"server": server_id, "edge_time": edge_time})
 
-    def stage_done(
-        self, stage_id: str, output: ContextValue = None, text: str | None = None
-    ) -> None:
+    def stage_done(self, stage_id: str, output: ContextValue, text: str) -> None:
         """Record a finished stage and its *output*, whose canonical text is
-        *text*; without a text the stage recorded no output."""
+        *text*."""
         self.stages_done.add(stage_id)
-        if text is None:
-            self._append(STAGE_DONE, {"stage": stage_id, "outputs": {}})
-            return
         key = canonical_dumps(stage_id)
         self._append(
             STAGE_DONE,
@@ -500,7 +495,7 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
 
     planner = MockPlanner()
     combined = CALL_POLICIES[scenario.kind]["ca_calls"] == CA_COMBINED_SINGLE
-    blueprint = planner.plan(query)
+    blueprint = planner.plan(query, scenario)
     builder.llm_call(
         "combined" if combined else "plan",
         envelope=builder.envelope_line(
@@ -519,12 +514,9 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
         builder.tool_exec(server_id, stage_by_server[server_id])
 
     def on_fired(server_id: str, writes) -> None:
-        stage_id = stage_by_server[server_id]
-        if any(k == stage_id for k, _ in writes):
-            entry = store.get(stage_id)
-            builder.stage_done(stage_id, entry.value, entry.text)
-        else:
-            builder.stage_done(stage_id)
+        # Every action writes its stage's output under the stage id.
+        entry = store.get(stage_by_server[server_id])
+        builder.stage_done(entry.key, entry.value, entry.text)
 
     def on_failed(server_id: str, reason: str) -> None:
         builder.stage_failed(stage_by_server[server_id], reason)
@@ -571,7 +563,9 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
 
 
 def run_traditional(scenario: Scenario, seed: int) -> Trace:
-    """One centrally orchestrated run over a private, evictable history."""
+    """One centrally orchestrated run over a private, evictable history. Both
+    call policies share this stage loop; the per-stage policy adds a step
+    decision and the eviction check before each stage."""
     started = time.perf_counter()
     query = query_for_seed(scenario, seed)
     builder = TraceBuilder(MODE_TRADITIONAL, seed, scenario)
@@ -589,52 +583,41 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
             return history[-scenario.window.budget_entries :]
         return list(history)
 
-    def record_output(stage_id: str, output: ContextValue) -> None:
-        # One encoding per output, shared by its stage_done line and the synthesis.
-        text = canonical_dumps(output)
-        history.append((stage_id, output, output if isinstance(output, str) else text))
-        builder.stage_done(stage_id, output, text)
-
-    if CALL_POLICIES[scenario.kind]["traditional_calls"] == TRADITIONAL_PER_STAGE:
-        for stage in scenario.stages:
-            visible = window()
+    per_stage = CALL_POLICIES[scenario.kind]["traditional_calls"] == TRADITIONAL_PER_STAGE
+    if not per_stage:
+        # One upfront orchestration decides everything; tools then run open-loop.
+        planner.plan(query, scenario)
+        builder.llm_call("plan")
+    for stage in scenario.stages:
+        tool = tools[stage.stage_id]
+        # The schedule tool reads the whole history and dispatches each
+        # transport request as its own trip, one tool call per trip.
+        schedule = stage.stage_id == "schedule"
+        visible = history if schedule else window()
+        if per_stage:
             visible_keys = [k for k, _, _ in visible]
             planner.step_decision(stage.stage_id, visible_keys)
             builder.llm_call("step_decision")
-            tool = tools[stage.stage_id]
             missing = [k for k in tool.required if k not in visible_keys]
             if missing:
                 builder.stage_failed(stage.stage_id, f"required context evicted: {missing[0]}")
                 continue
+        try:
+            output = tool.run({k: v for k, v, _ in visible})
+            # One encoding per output, shared by its stage_done line and the synthesis.
+            text = canonical_dumps(output)
+        except Exception as exc:  # a crash, or an output with no JSON text
             builder.tool_exec(tool.server_id, stage.stage_id)
-            try:
-                output = tool.run({k: v for k, v, _ in visible})
-            except Exception as exc:
-                builder.stage_failed(stage.stage_id, f"{type(exc).__name__}: {exc}")
-                continue
-            record_output(stage.stage_id, output)
-    else:
-        # One upfront orchestration decides everything; tools then run
-        # open-loop. The schedule tool reads the whole history and dispatches
-        # each transport request as its own trip, one tool call per trip.
-        planner.plan(query)
-        builder.llm_call("plan")
-        for stage in scenario.stages:
-            tool = tools[stage.stage_id]
-            schedule = stage.stage_id == "schedule"
-            try:
-                output = tool.run({k: v for k, v, _ in (history if schedule else window())})
-            except Exception as exc:
-                builder.tool_exec(tool.server_id, stage.stage_id)
-                builder.stage_failed(stage.stage_id, f"{type(exc).__name__}: {exc}")
-                continue
-            if schedule:
-                for trip in output["trips"]:
-                    request_id = trip["requests"][0]["request_id"]
-                    builder.tool_exec(tool.server_id, stage.stage_id, {"request": request_id})
-            else:
-                builder.tool_exec(tool.server_id, stage.stage_id)
-            record_output(stage.stage_id, output)
+            builder.stage_failed(stage.stage_id, f"{type(exc).__name__}: {exc}")
+            continue
+        if schedule:
+            for trip in output["trips"]:
+                request_id = trip["requests"][0]["request_id"]
+                builder.tool_exec(tool.server_id, stage.stage_id, {"request": request_id})
+        else:
+            builder.tool_exec(tool.server_id, stage.stage_id)
+        history.append((stage.stage_id, output, output if isinstance(output, str) else text))
+        builder.stage_done(stage.stage_id, output, text)
 
     summary = planner.synthesize([(k, text) for k, _, text in window()])
     builder.llm_call("summarize")

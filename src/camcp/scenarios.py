@@ -2,10 +2,13 @@
 computations shared by both execution modes, vehicle-trip batching, and
 goal/constraint scoring.
 
-A scenario file is a single JSON document. The same underlying tool
-computations are exposed two ways: as stateful reactors over the shared
-store (context-aware mode) and as stateless functions over an assembled
-context window (traditional mode).
+A scenario file is a single JSON document, checked against its kind's fixed
+wiring in the ``_WIRING`` table: the stages with their triggers, done flags and
+goals, and the completion key. The planner reads that wiring from the loaded
+scenario. The same tool computations are exposed two ways, through one maker
+per kind and mode: as stateful reactors over the shared store (context-aware
+mode) and as stateless functions over an assembled context window
+(traditional mode).
 
 Wedding requests and schedules are the plain values that the store holds and
 the trace carries. No function here changes a request value it is handed: the
@@ -20,9 +23,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .planner import CostModel, Stage, stage_outline
-from .reactor import ActionResult, ServerSpec
-from .store import ContextValue, Snapshot, copy_value
+from .planner import CostModel, Stage
+from .reactor import Action, ServerSpec
+from .store import ContextValue, Exists, Snapshot, copy_value
 
 MODE_CA = "context_aware"
 MODE_TRADITIONAL = "traditional"
@@ -41,9 +44,45 @@ CALL_POLICIES = {
 }
 
 REQUEST_KEY_PREFIX = "transport_request."
+# The flag the wedding trackers raise once all of them have posted requests.
+_REQUESTS_POSTED = "requests_posted"
+
+# Each kind's fixed wiring: its stages in run order, and the flag that marks a
+# run complete. A scenario file restates each stage's (stage_id, server_id)
+# and adds the context keys the stage requires.
+_WIRING = {
+    "travel": (
+        (
+            Stage("location", "location_server", Exists("goals_seeded"), "location_done",
+                  "shortlist places to visit"),
+            Stage("weather", "weather_server", Exists("location_done"), "weather_done",
+                  "forecast the weather"),
+            Stage("hotel", "hotel_server", Exists("location_done"), "hotel_done", "book a hotel"),
+            Stage("dining", "dining_server", Exists("hotel_done"), "dining_done",
+                  "plan the dining"),
+        ),
+        "itinerary_complete",
+    ),
+    "wedding": (
+        (
+            Stage("arrivals", "arrival_tracker", Exists("goals_seeded"), "arrivals_done",
+                  "track guest arrivals"),
+            Stage("errands", "errand_tracker", Exists("goals_seeded"), "errands_done",
+                  "track errand pickups"),
+            Stage("schedule", "transport", Exists(_REQUESTS_POSTED), "schedule_done",
+                  "produce the shared-vehicle schedule"),
+        ),
+        "logistics_complete",
+    ),
+}
 
 # Longest travel plan a scenario may ask for; the tools build one row per day.
 MAX_TRAVEL_DAYS = 30
+
+# Longest simulated latency of one model or tool call: one simulated day, so a
+# run's total stays finite.
+_MAX_LATENCY_S = 86400
+_LATENCY_RANGE = f"must be a finite number >= 0 and <= {_MAX_LATENCY_S} (one simulated day)"
 
 
 class ScenarioParseError(Exception):
@@ -71,6 +110,7 @@ class Scenario:
     name: str
     kind: str
     stages: tuple[Stage, ...]
+    completion_key: str
     data_tables: dict
     window: WindowConfig
     constraints: dict
@@ -94,7 +134,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioParseError(f"scenario file {path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
-    except ValueError as exc:  # also an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:  # also a huge integer, or nesting too deep
         raise ScenarioParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError(f"scenario file {path} must hold a JSON object")
@@ -128,7 +168,7 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         raise ScenarioParseError(f"scenario holds non-JSON data: {exc}") from exc
 
     kind = data.get("kind")
-    if kind not in ("travel", "wedding"):
+    if not isinstance(kind, str) or kind not in _WIRING:
         raise ScenarioValidationError("kind", f"must be travel or wedding, got {kind!r}")
 
     name = data.get("name", default_name or kind)
@@ -186,7 +226,7 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         if not isinstance(required, list) or not all(isinstance(r, str) for r in required):
             raise ScenarioValidationError(f"stages[{i}].required", "must be a list of key names")
         required_keys.append(tuple(required))
-    outline = stage_outline(kind)
+    outline, completion_key = _WIRING[kind]
     declared = [(s["stage_id"], s["server_id"]) for s in stages_data]
     if declared != [(s.stage_id, s.server_id) for s in outline]:
         raise ScenarioValidationError(
@@ -209,6 +249,7 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         name=name,
         kind=kind,
         stages=stages,
+        completion_key=completion_key,
         data_tables=tables,
         window=window,
         constraints=constraints,
@@ -229,8 +270,8 @@ def _is_finite_amount(value) -> bool:
 
 def _latency(cost_data: dict, name: str, default: float) -> float:
     value = cost_data.get(name, default)
-    if not _is_finite_amount(value):
-        raise ScenarioValidationError(f"cost_model.{name}", "must be a finite number >= 0")
+    if not _is_finite_amount(value) or value > _MAX_LATENCY_S:
+        raise ScenarioValidationError(f"cost_model.{name}", _LATENCY_RANGE)
     return float(value)
 
 
@@ -325,7 +366,7 @@ def suggest_locations(tables: dict, destination, days, preferences) -> dict:
     }
 
 
-def forecast_weather(tables: dict, destination, days) -> dict:
+def forecast_weather(tables: dict, destination, days, preferences=()) -> dict:
     entry = _destination_entry(tables, destination)
     reports = entry["weather"]
     return {
@@ -334,7 +375,7 @@ def forecast_weather(tables: dict, destination, days) -> dict:
     }
 
 
-def book_hotel(tables: dict, destination, days) -> dict:
+def book_hotel(tables: dict, destination, days, preferences=()) -> dict:
     entry = _destination_entry(tables, destination)
     hotel = entry["hotels"][0]
     nights = int(days)
@@ -491,151 +532,117 @@ class StatelessTool:
     run: Callable[[Mapping[str, ContextValue]], dict]
 
 
-def _travel_stage_fn(tables: dict, stage_id: str):
-    """Stage computation over explicit inputs, shared by both modes."""
+# Travel tools by stage, each called with (tables, destination, days,
+# preferences); the weather and hotel tools ignore the preferences.
+_TRAVEL_TOOLS = {
+    "location": suggest_locations,
+    "weather": forecast_weather,
+    "hotel": book_hotel,
+    "dining": plan_dining,
+}
 
-    def compute(destination, days, preferences) -> dict:
-        if stage_id == "location":
-            return suggest_locations(tables, destination, days, preferences)
-        if stage_id == "weather":
-            return forecast_weather(tables, destination, days)
-        if stage_id == "hotel":
-            return book_hotel(tables, destination, days)
-        if stage_id == "dining":
-            return plan_dining(tables, destination, days, preferences)
-        raise LookupError(f"unknown travel stage: {stage_id!r}")
-
-    return compute
+# Wedding trackers by stage: each turns its data-table rows into requests.
+_WEDDING_TRACKERS = {"arrivals": guest_requests, "errands": errand_requests}
 
 
-def _build_travel_ca(scenario: Scenario) -> list[ServerSpec]:
-    tables = scenario.data_tables
-    specs = []
-    for stage in scenario.stages:
-        compute = _travel_stage_fn(tables, stage.stage_id)
+def _travel_action(scenario: Scenario, stage: Stage) -> Action:
+    """A travel stage reads the seeded constraints from the store."""
+    tool = _TRAVEL_TOOLS[stage.stage_id]
 
-        def action(snapshot: Snapshot, stage_id=stage.stage_id, compute=compute) -> ActionResult:
-            output = compute(
-                snapshot.value("constraints.destination"),
-                snapshot.value("constraints.days"),
-                snapshot.value("constraints.preferences") or [],
-            )
-            return ActionResult.ok([(stage_id, output)])
-
-        specs.append(
-            ServerSpec(
-                server_id=stage.server_id,
-                trigger=stage.trigger,
-                action=action,
-                done_key=stage.done_key,
-            )
+    def action(snapshot: Snapshot) -> list[tuple[str, ContextValue]]:
+        output = tool(
+            scenario.data_tables,
+            snapshot.value("constraints.destination"),
+            snapshot.value("constraints.days"),
+            snapshot.value("constraints.preferences") or [],
         )
-    return specs
+        return [(stage.stage_id, output)]
+
+    return action
 
 
-def _build_wedding_ca(scenario: Scenario) -> list[ServerSpec]:
+def _travel_tool(scenario: Scenario, stage: Stage):
+    """A travel stage reads the destination and length of the location
+    output when the window still holds it, else the query's."""
+    tool = _TRAVEL_TOOLS[stage.stage_id]
+
+    def run(window: Mapping[str, ContextValue]) -> dict:
+        location = window.get("location")
+        source = location if isinstance(location, dict) else window
+        destination = source.get("destination", window.get("destination"))
+        days = source.get("days", window.get("days", 1))
+        return tool(scenario.data_tables, destination, days, window.get("preferences") or [])
+
+    return run
+
+
+def _wedding_action(scenario: Scenario, stage: Stage) -> Action:
+    """A tracker posts its requests; the schedule batches every request
+    posted."""
     tables = scenario.data_tables
-    arrivals, errands, transport = scenario.stages
+    if stage.stage_id not in _WEDDING_TRACKERS:
 
-    def tracker_action(requests: list[dict], summary_key: str, other_done: str):
-        def action(snapshot: Snapshot) -> ActionResult:
-            writes: list[tuple[str, ContextValue]] = [
-                (REQUEST_KEY_PREFIX + r["request_id"], r) for r in requests
+        def schedule(snapshot: Snapshot) -> list[tuple[str, ContextValue]]:
+            requests = [
+                entry.value for key, entry in snapshot.items() if key.startswith(REQUEST_KEY_PREFIX)
             ]
-            writes.append(
-                (summary_key, {"requests": [r["request_id"] for r in requests], "count": len(requests)})
-            )
-            # The slower tracker posts the shared flag: coordination happens
-            # through the store, not through any central scheduler.
-            if other_done in snapshot:
-                writes.append(("requests_posted", True))
-            return ActionResult.ok(writes)
+            capacity = snapshot.value("constraints.vehicle_capacity", tables["vehicle"]["capacity"])
+            duration = tables["vehicle"]["trip_duration_min"]
+            return [(stage.stage_id, batch_requests(requests, capacity, duration))]
 
-        return action
-
-    def transport_action(snapshot: Snapshot) -> ActionResult:
-        requests = [
-            entry.value for key, entry in snapshot.items() if key.startswith(REQUEST_KEY_PREFIX)
-        ]
-        capacity = snapshot.value("constraints.vehicle_capacity", tables["vehicle"]["capacity"])
-        schedule = batch_requests(requests, capacity, tables["vehicle"]["trip_duration_min"])
-        return ActionResult.ok([("schedule", schedule)])
-
-    return [
-        ServerSpec(
-            server_id=arrivals.server_id,
-            trigger=arrivals.trigger,
-            action=tracker_action(guest_requests(tables), "arrivals", errands.done_key),
-            done_key=arrivals.done_key,
-        ),
-        ServerSpec(
-            server_id=errands.server_id,
-            trigger=errands.trigger,
-            action=tracker_action(errand_requests(tables), "errands", arrivals.done_key),
-            done_key=errands.done_key,
-        ),
-        ServerSpec(
-            server_id=transport.server_id,
-            trigger=transport.trigger,
-            action=transport_action,
-            done_key=transport.done_key,
-        ),
-    ]
-
-
-def _build_travel_traditional(scenario: Scenario) -> list[StatelessTool]:
-    tables = scenario.data_tables
-    tools = []
-    for stage in scenario.stages:
-        compute = _travel_stage_fn(tables, stage.stage_id)
-
-        def run(window: Mapping[str, ContextValue], compute=compute) -> dict:
-            location = window.get("location")
-            if isinstance(location, dict):
-                destination = location.get("destination", window.get("destination"))
-                days = location.get("days", window.get("days", 1))
-            else:
-                destination = window.get("destination")
-                days = window.get("days", 1)
-            return compute(destination, days, window.get("preferences") or [])
-
-        tools.append(StatelessTool(stage.stage_id, stage.server_id, stage.required, run))
-    return tools
-
-
-def _build_wedding_traditional(scenario: Scenario) -> list[StatelessTool]:
-    tables = scenario.data_tables
-    duration = tables["vehicle"]["trip_duration_min"]
-
-    def run_arrivals(window: Mapping[str, ContextValue]) -> dict:
-        requests = guest_requests(tables)
-        return {"requests": requests, "count": len(requests)}
-
-    def run_errands(window: Mapping[str, ContextValue]) -> dict:
-        requests = errand_requests(tables)
-        return {"requests": requests, "count": len(requests)}
-
-    def run_schedule(window: Mapping[str, ContextValue]) -> dict:
-        return batch_requests(collect_window_requests(window), 1, duration)
-
-    by_stage = {
-        "arrivals": run_arrivals,
-        "errands": run_errands,
-        "schedule": run_schedule,
-    }
-    return [
-        StatelessTool(s.stage_id, s.server_id, s.required, by_stage[s.stage_id])
+        return schedule
+    make_requests = _WEDDING_TRACKERS[stage.stage_id]
+    others_done = [
+        s.done_key
         for s in scenario.stages
+        if s.stage_id in _WEDDING_TRACKERS and s.stage_id != stage.stage_id
     ]
+
+    def track(snapshot: Snapshot) -> list[tuple[str, ContextValue]]:
+        requests = make_requests(tables)
+        writes: list[tuple[str, ContextValue]] = [
+            (REQUEST_KEY_PREFIX + r["request_id"], r) for r in requests
+        ]
+        writes.append(
+            (stage.stage_id, {"requests": [r["request_id"] for r in requests], "count": len(requests)})
+        )
+        # The last tracker to finish posts the shared flag: coordination
+        # happens through the store, not through any central scheduler.
+        if all(key in snapshot for key in others_done):
+            writes.append((_REQUESTS_POSTED, True))
+        return writes
+
+    return track
 
 
 def collect_window_requests(window: Mapping[str, ContextValue]) -> list[dict]:
     requests: list[dict] = []
-    for key in ("arrivals", "errands"):
+    for key in _WEDDING_TRACKERS:
         value = window.get(key)
         if isinstance(value, dict):
             requests.extend(value.get("requests", []))
     return requests
+
+
+def _wedding_tool(scenario: Scenario, stage: Stage):
+    """A tracker lists its requests; the schedule dispatches every request
+    in the window as its own trip."""
+    tables = scenario.data_tables
+    if stage.stage_id not in _WEDDING_TRACKERS:
+        duration = tables["vehicle"]["trip_duration_min"]
+        return lambda window: batch_requests(collect_window_requests(window), 1, duration)
+    make_requests = _WEDDING_TRACKERS[stage.stage_id]
+
+    def run(window: Mapping[str, ContextValue]) -> dict:
+        requests = make_requests(tables)
+        return {"requests": requests, "count": len(requests)}
+
+    return run
+
+
+# Per kind: the maker of a stage's context-aware action and of its
+# traditional tool, each called with (scenario, stage).
+_MAKERS = {"travel": (_travel_action, _travel_tool), "wedding": (_wedding_action, _wedding_tool)}
 
 
 def build_servers(scenario: Scenario, mode: str):
@@ -644,6 +651,13 @@ def build_servers(scenario: Scenario, mode: str):
     ``traditional``."""
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
-    if scenario.kind == "travel":
-        return _build_travel_ca(scenario) if mode == MODE_CA else _build_travel_traditional(scenario)
-    return _build_wedding_ca(scenario) if mode == MODE_CA else _build_wedding_traditional(scenario)
+    make_action, make_tool = _MAKERS[scenario.kind]
+    if mode == MODE_CA:
+        return [
+            ServerSpec(s.server_id, s.trigger, make_action(scenario, s), s.done_key)
+            for s in scenario.stages
+        ]
+    return [
+        StatelessTool(s.stage_id, s.server_id, s.required, make_tool(scenario, s))
+        for s in scenario.stages
+    ]

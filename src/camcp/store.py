@@ -54,8 +54,9 @@ _LEAVES = frozenset({type(None), bool, int, str})
 def copy_value(value: Any, _path: str = "$") -> ContextValue:
     """Deep-copy *value* into plain JSON-shaped data, validating as it goes.
 
-    Tuples are normalized to lists. Non-finite numbers, non-text map keys
-    and foreign types are rejected so every stored value can round-trip
+    Tuples are normalized to lists. Non-finite numbers, non-text map keys,
+    foreign types and nesting too deep for the interpreter's recursion limit
+    are rejected with ``TypeError``, so every stored value can round-trip
     through the canonical line encoding.
     """
     try:
@@ -63,6 +64,8 @@ def copy_value(value: Any, _path: str = "$") -> ContextValue:
     except _Rejected as exc:
         path = _path + "".join(reversed(exc.steps))
         raise TypeError(f"{exc.problem} at {path}{exc.detail}") from None
+    except RecursionError:
+        raise TypeError(f"value at {_path} is nested too deeply") from None
 
 
 def _copy(value: Any) -> ContextValue:
@@ -303,7 +306,7 @@ class ContextStore:
     def put(self, key: str, value: ContextValue, writer_id: str) -> int:
         """Commit a new version of *key*; returns the committed version."""
         with self._lock:
-            return self._commit(key, value, writer_id).version
+            return self._commit(*self._prepare(key, value, writer_id)).version
 
     def cas_put(self, key: str, value: ContextValue, expected_version: int, writer_id: str) -> int:
         """Commit only if *key* is still at *expected_version* (0 = absent).
@@ -315,16 +318,19 @@ class ContextStore:
             current_version = 0 if current is None else current.version
             if current_version != expected_version:
                 raise CasConflict(key, current_version)
-            return self._commit(key, value, writer_id).version
+            return self._commit(*self._prepare(key, value, writer_id)).version
 
     def put_many(self, writes: Iterable[tuple[str, ContextValue]], writer_id: str) -> list[int]:
-        """Commit a batch atomically: no other writer or snapshot interleaves.
+        """Commit a batch atomically: no other writer or snapshot interleaves,
+        and every write is checked, copied and encoded before any commits, so
+        a rejected batch (``TypeError``) leaves the store unchanged.
 
         Each write still gets its own version and logical time, and
         subscriptions are re-evaluated after each one.
         """
         with self._lock:
-            return [self._commit(k, v, writer_id).version for k, v in writes]
+            prepared = [self._prepare(k, v, writer_id) for k, v in writes]
+            return [self._commit(*write).version for write in prepared]
 
     # -- Read operations --
 
@@ -375,7 +381,8 @@ class ContextStore:
 
     # -- Internals --
 
-    def _commit(self, key: str, value: ContextValue, writer_id: str) -> ContextEntry:
+    def _prepare(self, key: str, value: ContextValue, writer_id: str):
+        """Check one write and make its stored copy and canonical text."""
         if not isinstance(key, str) or not key:
             raise TypeError(f"key must be non-empty text, got {key!r}")
         if not isinstance(writer_id, str) or not writer_id:
@@ -383,8 +390,11 @@ class ContextStore:
         value = copy_value(value)
         try:
             text = canonical_dumps(value)
-        except ValueError as exc:  # an integer past the interpreter's digit limit
+        except (ValueError, RecursionError) as exc:  # a huge integer, or nesting too deep
             raise TypeError(f"value has no canonical text: {exc}") from None
+        return key, value, writer_id, text
+
+    def _commit(self, key: str, value: ContextValue, writer_id: str, text: str) -> ContextEntry:
         previous = self._entries.get(key)
         self._logical_time += 1
         entry = ContextEntry(

@@ -468,6 +468,31 @@ def test_cli_replay_of_a_trace_that_is_not_utf8_names_the_line(golden_dir, tmp_p
     assert err == "error: trace line 5: not UTF-8 text: invalid start byte\n"
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested past the interpreter's recursion limit
+
+
+def test_cli_replay_of_a_trace_nested_too_deeply_names_the_line(golden_dir, tmp_path, capsys):
+    lines = (golden_dir / "trace_travel_ca.jsonl").read_text().splitlines()
+    lines[2] = lines[2][:-2] + ',"deep":' + _DEEP + "}}"
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["replay", "--trace", str(bad)]) == EXIT_RUN_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: trace line 3: not valid JSON: ") and err.count("\n") == 1
+
+
+def test_cli_run_of_a_scenario_nested_too_deeply_names_the_file(tmp_path, capsys):
+    value = _builtin_value("travel")
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(value)[:-1] + ',"notes":' + _DEEP + "}")
+    assert main(["run", "--scenario", str(path), "--mode", "ca"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: scenario file {path} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -563,9 +588,11 @@ def test_replay_of_a_mutated_golden_trace_exits_0_or_1(golden_dir, tmp_path, cap
 
 # Huge integers included: every number a run's work grows with is bounded by
 # the loader (travel ``days`` is at most 30), so each mutant is rejected or
-# finishes quickly.
+# finishes quickly. ``1e308`` overflows a product (a hotel's nightly price
+# times the nights) or a latency sum unless the run contains it.
 _SCENARIO_MUTANTS = [
-    None, True, False, 0, 1, -1, 2.5, 10**30, -10**30, 10**400, "", "two", [], [1], {}, {"a": 1}
+    None, True, False, 0, 1, -1, 2.5, 1e308, 10**30, -10**30, 10**400, "", "two", [], [1], {},
+    {"a": 1},
 ]
 
 
@@ -660,7 +687,7 @@ def test_cli_bench_rejects_bad_window(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("latency", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("latency", ["nan", "inf", "-1", "86400.5", "1e308"])
 def test_cli_bench_rejects_bad_latency(tmp_path, capsys, latency):
     out = tmp_path / "l.csv"
     argv = ["bench", "--scenario", "travel", "--n", "2", "--out", str(out), "--latency", latency]

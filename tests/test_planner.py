@@ -16,7 +16,6 @@ from camcp.planner import (
     completion_condition,
     render_summary,
     rendered,
-    stage_outline,
 )
 from camcp.store import And, ContextStore, Exists, evaluate
 
@@ -35,15 +34,15 @@ WEDDING_QUERY = Query(
 # -- Planning -------------------------------------------------------------------
 
 
-def test_plan_is_deterministic():
+def test_plan_is_deterministic(travel_scenario):
     planner = MockPlanner()
-    first = planner.plan(TRAVEL_QUERY)
-    second = planner.plan(TRAVEL_QUERY)
+    first = planner.plan(TRAVEL_QUERY, travel_scenario)
+    second = planner.plan(TRAVEL_QUERY, travel_scenario)
     assert first == second
 
 
-def test_travel_blueprint_wiring():
-    blueprint = MockPlanner().plan(TRAVEL_QUERY)
+def test_travel_blueprint_wiring(travel_scenario):
+    blueprint = MockPlanner().plan(TRAVEL_QUERY, travel_scenario)
     assert [s.stage_id for s in blueprint.stages] == ["location", "weather", "hotel", "dining"]
     assert [s.server_id for s in blueprint.stages] == [
         "location_server",
@@ -58,10 +57,13 @@ def test_travel_blueprint_wiring():
     assert blueprint.completion_key == "itinerary_complete"
     assert blueprint.constraints == TRAVEL_QUERY.params
     assert len(blueprint.goals) == 4
+    # the plan holds the scenario's stage records, required keys included
+    assert blueprint.stages is travel_scenario.stages
+    assert blueprint.stages[1].required == ("location",)
 
 
-def test_wedding_blueprint_wiring():
-    blueprint = MockPlanner().plan(WEDDING_QUERY)
+def test_wedding_blueprint_wiring(wedding_scenario):
+    blueprint = MockPlanner().plan(WEDDING_QUERY, wedding_scenario)
     assert [s.stage_id for s in blueprint.stages] == ["arrivals", "errands", "schedule"]
     assert blueprint.stages[2].trigger == Exists("requests_posted")
     assert blueprint.completion_key == "logistics_complete"
@@ -70,16 +72,18 @@ def test_wedding_blueprint_wiring():
     assert blueprint.constraints == {"vehicle_capacity": 2, "deadline_min": 360}
 
 
-def test_plan_rejects_bad_queries():
+def test_plan_rejects_bad_queries(travel_scenario):
     planner = MockPlanner()
     with pytest.raises(UnsupportedKindError):
-        planner.plan(Query("x", "cooking", {}))
+        planner.plan(Query("x", "cooking", {}), travel_scenario)
+    with pytest.raises(UnsupportedKindError):
+        planner.plan(WEDDING_QUERY, travel_scenario)
     with pytest.raises(ValueError, match="budget"):
-        planner.plan(Query("x", "travel", {"destination": "Seattle", "days": 3}))
+        planner.plan(Query("x", "travel", {"destination": "Seattle", "days": 3}), travel_scenario)
 
 
-def test_completion_condition_is_conjunction_of_done_keys():
-    blueprint = MockPlanner().plan(TRAVEL_QUERY)
+def test_completion_condition_is_conjunction_of_done_keys(travel_scenario):
+    blueprint = MockPlanner().plan(TRAVEL_QUERY, travel_scenario)
     condition = completion_condition(blueprint)
     assert condition == And(
         (
@@ -96,13 +100,8 @@ def test_completion_condition_is_conjunction_of_done_keys():
     assert evaluate(condition, store.snapshot())
 
 
-def test_stage_outline_rejects_unknown_kind():
-    with pytest.raises(UnsupportedKindError):
-        stage_outline("heist")
-
-
-def test_blueprint_to_value_is_json_shaped():
-    value = blueprint_to_value(MockPlanner().plan(TRAVEL_QUERY))
+def test_blueprint_to_value_is_json_shaped(travel_scenario):
+    value = blueprint_to_value(MockPlanner().plan(TRAVEL_QUERY, travel_scenario))
     json.dumps(value)
     assert value["stages"][0]["trigger"] == {"op": "exists", "key": "goals_seeded"}
 
@@ -110,9 +109,9 @@ def test_blueprint_to_value_is_json_shaped():
 # -- Summaries -------------------------------------------------------------------
 
 
-def test_summarize_requires_completion_flag():
+def test_summarize_requires_completion_flag(travel_scenario):
     planner = MockPlanner()
-    blueprint = planner.plan(TRAVEL_QUERY)
+    blueprint = planner.plan(TRAVEL_QUERY, travel_scenario)
     store = ContextStore()
     with pytest.raises(IncompleteContextError) as info:
         planner.summarize(store.snapshot(), blueprint)
@@ -125,7 +124,7 @@ def test_summarize_golden(golden_dir, travel_scenario):
     from camcp.scenarios import build_servers
 
     planner = MockPlanner()
-    blueprint = planner.plan(query_for_seed(travel_scenario, 0))
+    blueprint = planner.plan(query_for_seed(travel_scenario, 0), travel_scenario)
     store = ContextStore()
     seed_context(store, blueprint)
     pool = ReactorPool(store)
@@ -137,8 +136,8 @@ def test_summarize_golden(golden_dir, travel_scenario):
     assert summary + "\n" == (golden_dir / "summary_travel.txt").read_text()
 
 
-def test_render_summary_echoes_every_constraint_and_stage():
-    blueprint = MockPlanner().plan(TRAVEL_QUERY)
+def test_render_summary_echoes_every_constraint_and_stage(travel_scenario):
+    blueprint = MockPlanner().plan(TRAVEL_QUERY, travel_scenario)
     store = ContextStore()
     store.put("location", {"cost": 1}, "location_server")
     summary = render_summary(store.snapshot(), blueprint)

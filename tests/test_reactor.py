@@ -4,7 +4,6 @@ import random
 import pytest
 
 from camcp.reactor import (
-    ActionResult,
     BudgetExceededError,
     DuplicateServerError,
     ReactorPool,
@@ -24,8 +23,8 @@ def spec(server_id: str, trigger, action, done_key: str | None = None) -> Server
 
 
 def write_output(key: str, value=1):
-    def action(snapshot) -> ActionResult:
-        return ActionResult.ok([(key, value)])
+    def action(snapshot) -> list:
+        return [(key, value)]
 
     return action
 
@@ -66,8 +65,8 @@ def test_done_key_appended_exactly_once():
     pool = ReactorPool(store)
     pool.register(spec("implicit", Exists("go"), write_output("implicit_out")))
 
-    def explicit_action(snapshot) -> ActionResult:
-        return ActionResult.ok([("explicit_out", 2), ("explicit_done", True)])
+    def explicit_action(snapshot) -> list:
+        return [("explicit_out", 2), ("explicit_done", True)]
 
     pool.register(spec("explicit", Exists("go"), explicit_action))
     pool.run_until_quiescent(4)
@@ -78,8 +77,8 @@ def test_done_key_appended_exactly_once():
 def test_fire_batch_triggers_conjunction_downstream_once():
     store = ContextStore()
 
-    def action(snapshot) -> ActionResult:
-        return ActionResult.ok([("out_a", 1), ("out_b", 2)])
+    def action(snapshot) -> list:
+        return [("out_a", 1), ("out_b", 2)]
 
     fired = []
     pool = ReactorPool(store, on_fired=lambda server, writes: fired.append(server))
@@ -100,9 +99,9 @@ def test_same_step_sibling_sees_earlier_sibling_commits():
     pool = ReactorPool(store)
     pool.register(spec("first", Exists("seed"), write_output("first_out")))
 
-    def second_action(snapshot) -> ActionResult:
+    def second_action(snapshot) -> list:
         saw = "first_done" in snapshot
-        return ActionResult.ok([("saw_first", saw)])
+        return [("saw_first", saw)]
 
     pool.register(spec("second", Exists("seed"), second_action))
     pool.run_until_quiescent(4)
@@ -153,7 +152,7 @@ def test_failure_is_contained_and_reported():
         on_failed=lambda server, reason: events.append((server, reason)),
     )
 
-    def crash(snapshot) -> ActionResult:
+    def crash(snapshot) -> list:
         raise RuntimeError("tool blew up")
 
     pool.register(spec("broken", Exists("seed"), crash))
@@ -172,13 +171,17 @@ def test_failure_is_contained_and_reported():
     assert store.get("never") is None
 
 
-def test_action_result_fail_path():
+def test_batch_the_store_rejects_fails_the_reactor_and_commits_nothing():
     store = ContextStore()
     store.put("seed", True, "w")
-    pool = ReactorPool(store)
-    pool.register(spec("refuses", Exists("seed"), lambda snap: ActionResult.fail("no data")))
+    failed = []
+    pool = ReactorPool(store, on_failed=lambda server, reason: failed.append((server, reason)))
+    pool.register(spec("overflow", Exists("seed"), lambda snap: [("out", 1), ("cost", float("inf"))]))
+    pool.register(spec("downstream", Exists("overflow_done"), write_output("never")))
     pool.run_until_quiescent(4)
-    assert pool.failures() == {"refuses": "no data"}
+    assert failed == [("overflow", "TypeError: non-finite number at $")]
+    assert pool.states() == {"overflow": ReactorState.FAILED, "downstream": ReactorState.IDLE}
+    assert store.last_logical_time() == 1
 
 
 def test_callbacks_fire_in_order():

@@ -153,7 +153,7 @@ def test_wall_clock_measured_but_never_serialized(travel_scenario):
 
 
 def test_seed_context_write_order(travel_scenario):
-    blueprint = MockPlanner().plan(query_for_seed(travel_scenario, 0))
+    blueprint = MockPlanner().plan(query_for_seed(travel_scenario, 0), travel_scenario)
     store = ContextStore()
     keys = []
     store.add_commit_listener(lambda entry: keys.append(entry.key))
@@ -180,7 +180,7 @@ def test_seed_context_empty_blueprint():
 
 
 def test_seed_context_reseed_bumps_versions(travel_scenario):
-    blueprint = MockPlanner().plan(query_for_seed(travel_scenario, 0))
+    blueprint = MockPlanner().plan(query_for_seed(travel_scenario, 0), travel_scenario)
     store = ContextStore()
     seed_context(store, blueprint)
     seed_context(store, blueprint)
@@ -383,6 +383,22 @@ def test_traditional_failure_reason_reaches_trace_for_unknown_destination(travel
     assert "location" in failed
     assert "Atlantis" in failed["location"]
     assert trace.events[-1].payload["completed"] is False
+
+
+@pytest.mark.parametrize("mode", [MODE_TRADITIONAL, MODE_CA])
+def test_output_the_store_cannot_hold_becomes_stage_failed(travel_scenario, mode):
+    """A hotel price near the float limit makes the hotel cost infinite, which
+    has no JSON text: the hotel stage fails in both modes and the run goes on."""
+    tables = json.loads(json.dumps(travel_scenario.data_tables))
+    tables["destinations"]["Seattle"]["hotels"][0]["price_per_night"] = 1e308
+    broken = dataclasses.replace(travel_scenario, data_tables=tables)
+    trace = run(broken, mode, 0)
+    failed = {e.payload["stage"]: e.payload["reason"] for e in trace.events_of("stage_failed")}
+    assert "hotel" in failed
+    assert failed["hotel"].startswith("TypeError" if mode == MODE_CA else "ValueError")
+    assert "hotel" not in {e.payload["stage"] for e in trace.events_of("stage_done")}
+    assert trace.events[-1].payload["completed"] is False
+    assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace)
 
 
 @pytest.mark.parametrize("mode", [MODE_TRADITIONAL, MODE_CA])

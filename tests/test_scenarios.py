@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camcp.reactor import ServerSpec
-from camcp.runtime import Trace, TraceEvent, parse_trace, serialize_trace
+from camcp.runtime import Trace, TraceEvent, parse_trace, run, serialize_trace
 from camcp.scenarios import (
     MAX_TRAVEL_DAYS,
     MODE_CA,
@@ -136,6 +136,11 @@ def _wedding_value() -> dict:
             "cost_model.per_tool_latency_s",
             id="latency-overflow",
         ),
+        pytest.param(
+            lambda d: d.update(cost_model={"per_call_latency_s": 86400.5}),
+            "cost_model.per_call_latency_s",
+            id="latency-past-a-day",
+        ),
         pytest.param(lambda d: d.update(cost_model=3), "cost_model", id="cost-model-number"),
         (lambda d: d.update(max_steps=0), "max_steps"),
         pytest.param(lambda d: d.update(max_steps=True), "max_steps", id="max-steps-bool"),
@@ -220,6 +225,16 @@ def test_travel_accepts_constraints_within_bounds(edit):
     data = _travel_value()
     data["constraints"].update(edit)
     assert scenario_from_value(data).constraints == data["constraints"]
+
+
+def test_latency_of_one_simulated_day_is_accepted():
+    """The latency cap is inclusive, and a run at the cap has a finite latency."""
+    data = _travel_value()
+    data["cost_model"] = {"per_call_latency_s": 86400, "per_tool_latency_s": 86400.0}
+    scenario = scenario_from_value(data)
+    assert scenario.cost_model.per_call_latency_s == 86400.0
+    trace = parse_trace(serialize_trace(run(scenario, MODE_TRADITIONAL, 0)))
+    assert trace.simulated_latency_s == 5 * 86400 + 4 * 86400
 
 
 def test_travel_preferences_may_be_absent():

@@ -332,6 +332,33 @@ def test_put_many_is_one_atomic_batch():
     assert store.drain_notifications() == [(sub.subscription_id, 2)]
 
 
+@pytest.mark.parametrize(
+    "value", [float("inf"), {"x": object()}, 10**5000], ids=["inf", "object", "long-integer"]
+)
+def test_rejected_put_many_commits_none_of_its_batch(value):
+    """Every write of a batch is checked and encoded before the first one
+    commits, so one value the store cannot hold leaves the store as it was."""
+    store = ContextStore()
+    sub = store.subscribe(Exists("a"))
+    heard = []
+    store.add_commit_listener(heard.append)
+    with pytest.raises(TypeError):
+        store.put_many([("a", 1), ("b", value), ("c", 3)], "w")
+    assert store.last_logical_time() == 0
+    assert store.get("a") is None
+    assert heard == []
+    assert store.drain_notifications() == []
+    assert sub.last_state is False
+
+
+def test_copy_value_rejects_nesting_past_the_recursion_limit():
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    with pytest.raises(TypeError, match="nested too deeply"):
+        copy_value({"k": deep})
+
+
 # -- Rising-edge notifications -----------------------------------------------------
 
 
