@@ -7,7 +7,6 @@ import json
 import sys
 
 from .bench import compute_metrics, replay, run_bench
-from .planner import CostModel
 from .runtime import MalformedTraceError, run, write_trace
 from .scenarios import (
     _LATENCY_RANGE,
@@ -62,13 +61,8 @@ def _apply_overrides(scenario, window: int | None, latency: float | None):
     if latency is not None:
         if not 0 <= latency <= _MAX_LATENCY_S:  # also false for nan
             raise ScenarioValidationError("latency", _LATENCY_RANGE)
-        scenario = dataclasses.replace(
-            scenario,
-            cost_model=CostModel(
-                per_call_latency_s=latency,
-                per_tool_latency_s=scenario.cost_model.per_tool_latency_s,
-            ),
-        )
+        cost_model = dataclasses.replace(scenario.cost_model, per_call_latency_s=latency)
+        scenario = dataclasses.replace(scenario, cost_model=cost_model)
     return scenario
 
 
@@ -118,10 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_replay(args)
-    except (ScenarioParseError, ScenarioValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ScenarioParseError, ScenarioValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MalformedTraceError, OSError) as exc:

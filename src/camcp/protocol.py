@@ -6,11 +6,13 @@ written by :func:`camcp.store.canonical_dumps` (compact, every object's keys
 sorted by the C JSON encoder), so encoding is canonical and injective.
 Trace events use the same line encoding.
 
-One private function, ``_line``, writes that layout. :func:`encode` fills
-it with the canonical text of an envelope's payload; :func:`encode_stored`
-fills it with a payload text that the runtime assembled from the ``text``
-each store entry got at commit (``ContextEntry.text``), so the context-write
-and summary-request lines do not encode a stored value again.
+One function, :func:`encode_line`, writes that layout around a payload's
+canonical text, and every envelope line goes through it: :func:`encode`
+fills it from an :class:`Envelope`, and a run fills it with texts it
+already has (a store entry's ``ContextEntry.text``, or the one encoding of a
+value the loader checked), with no second copy or check. The checks live
+where lines are read: :func:`decode`, and :func:`make_envelope` for public
+callers.
 """
 from __future__ import annotations
 
@@ -98,35 +100,19 @@ class Envelope:
     payload: dict
 
 
-def _is_text(v) -> bool:
-    return isinstance(v, str)
-
-
-def _is_object(v) -> bool:
-    return isinstance(v, dict)
-
-
-def _is_list(v) -> bool:
-    return isinstance(v, list)
-
-
-def _any_value(v) -> bool:
-    return True
-
-
-# msg_type -> ordered {field: (predicate, description)}
+# msg_type -> ordered {field: (type, description)}
 _SCHEMAS = {
-    PLAN_REQUEST: {"query": (_is_object, "object")},
-    TOOL_DECLARATION: {"server_id": (_is_text, "text"), "tools": (_is_list, "list")},
-    CONTEXT_SEED: {"blueprint": (_is_object, "object")},
-    CONTEXT_WRITE: {"key": (_is_text, "text"), "value": (_any_value, "value")},
-    CONTEXT_READ: {"key": (_is_text, "text")},
-    COMPLETION_SIGNAL: {"completion_key": (_is_text, "text")},
-    SUMMARY_REQUEST: {"snapshot": (_is_object, "object")},
-    FINAL_RESPONSE: {"text": (_is_text, "text")},
+    PLAN_REQUEST: {"query": (dict, "object")},
+    TOOL_DECLARATION: {"server_id": (str, "text"), "tools": (list, "list")},
+    CONTEXT_SEED: {"blueprint": (dict, "object")},
+    CONTEXT_WRITE: {"key": (str, "text"), "value": (object, "value")},
+    CONTEXT_READ: {"key": (str, "text")},
+    COMPLETION_SIGNAL: {"completion_key": (str, "text")},
+    SUMMARY_REQUEST: {"snapshot": (dict, "object")},
+    FINAL_RESPONSE: {"text": (str, "text")},
 }
 
-_TOOL_FIELDS = {"name": _is_text, "description": _is_text, "param_schema": _is_object}
+_TOOL_FIELDS = {"name": str, "description": str, "param_schema": dict}
 
 
 def check_payload(msg_type: str, payload: dict) -> None:
@@ -135,10 +121,10 @@ def check_payload(msg_type: str, payload: dict) -> None:
     Raises :class:`SchemaViolationError` naming the offending field.
     """
     schema = _SCHEMAS[msg_type]
-    for name, (predicate, description) in schema.items():
+    for name, (kind, description) in schema.items():
         if name not in payload:
             raise SchemaViolationError(name, "missing")
-        if not predicate(payload[name]):
+        if not isinstance(payload[name], kind):
             raise SchemaViolationError(name, f"expected {description}")
     for name in payload:
         if name not in schema:
@@ -147,63 +133,49 @@ def check_payload(msg_type: str, payload: dict) -> None:
         for i, tool in enumerate(payload["tools"]):
             if not isinstance(tool, dict):
                 raise SchemaViolationError(f"tools[{i}]", "expected object")
-            for field, predicate in _TOOL_FIELDS.items():
+            for field, kind in _TOOL_FIELDS.items():
                 if field not in tool:
                     raise SchemaViolationError(f"tools[{i}].{field}", "missing")
-                if not predicate(tool[field]):
+                if not isinstance(tool[field], kind):
                     raise SchemaViolationError(f"tools[{i}].{field}", "ill-typed")
             for field in tool:
                 if field not in _TOOL_FIELDS:
                     raise SchemaViolationError(f"tools[{i}].{field}", "unexpected field")
 
 
-def _check_header(msg_type: str, seq: int, payload: dict) -> None:
+def make_envelope(msg_type: str, seq: int, payload: dict) -> Envelope:
+    """Construct a validated envelope around its own copy of *payload*.
+
+    This is the checked boundary for payloads from outside a run: decoded
+    lines and public callers. Each payload field is copied on its own, so a
+    field may nest as deep as a scenario file or a stored value may
+    (:data:`camcp.store.MAX_VALUE_DEPTH` levels) and every line a run writes
+    decodes."""
     if msg_type not in _SCHEMAS:
         raise UnknownMessageTypeError(msg_type)
     if isinstance(seq, bool) or not isinstance(seq, int) or seq < 1:
         raise SchemaViolationError("seq", "expected integer >= 1")
     if not isinstance(payload, dict):
         raise SchemaViolationError("payload", "expected object")
-
-
-def make_envelope(msg_type: str, seq: int, payload: dict) -> Envelope:
-    """Construct a validated envelope around its own copy of *payload*.
-
-    This is the constructor for payloads from outside the store: decoded
-    lines, public callers, and the plan, seed and final-response messages of
-    a run. Lines whose payload holds only store entries come from
-    :func:`encode_stored`."""
-    _check_header(msg_type, seq, payload)
-    try:
-        payload = copy_value(payload)
-    except TypeError as exc:
-        raise SchemaViolationError("payload", str(exc)) from exc
-    check_payload(msg_type, payload)
-    return Envelope(msg_type=msg_type, seq=seq, payload=payload)
-
-
-def encode_stored(msg_type: str, seq: int, payload: dict, payload_text: str) -> str:
-    """Encode a message whose payload holds only values the store already
-    holds, with the checks of :func:`make_envelope` but without its copy.
-
-    Precondition: every value in *payload* (and every map key below it) came
-    out of :func:`camcp.store.copy_value` and has not been changed since, as
-    the entries of a :class:`camcp.store.ContextStore` have. Such values are
-    plain and finite, so copying them again would only repeat the
-    validation. *payload_text* must be ``canonical_dumps(payload)``, which
-    the caller assembles from the texts it already has. The line is the one
-    ``encode(make_envelope(...))`` gives."""
-    _check_header(msg_type, seq, payload)
-    check_payload(msg_type, payload)
-    return _line(msg_type, seq, payload_text)
+    copied = {}
+    for name, value in payload.items():
+        try:
+            copied[name] = copy_value(value)
+        except TypeError as exc:
+            raise SchemaViolationError(name, str(exc)) from exc
+    check_payload(msg_type, copied)
+    return Envelope(msg_type=msg_type, seq=seq, payload=copied)
 
 
 def encode(envelope: Envelope) -> str:
     """Encode to the canonical single-line JSON form."""
-    return _line(envelope.msg_type, envelope.seq, canonical_dumps(envelope.payload))
+    return encode_line(envelope.msg_type, envelope.seq, canonical_dumps(envelope.payload))
 
 
-def _line(msg_type: str, seq: int, payload_text: str) -> str:
+def encode_line(msg_type: str, seq: int, payload_text: str) -> str:
+    """Write the envelope layout around *payload_text*, a payload's
+    canonical text. Nothing else is checked here; :func:`decode` checks the
+    lines it reads."""
     line = f'{{"msg_type":{canonical_dumps(msg_type)},"seq":{seq},"payload":{payload_text}}}'
     assert "\n" not in line
     return line

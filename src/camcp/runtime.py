@@ -12,6 +12,10 @@ canonical text that the store made at commit (``ContextEntry.text``), or, in
 traditional mode, from the one text made per stage output; the builder
 keeps each such line on its event and :func:`serialize_trace` joins them.
 Events without a prebuilt line, such as parsed ones, are encoded in full.
+Every protocol line a run writes goes through
+:func:`camcp.protocol.encode_line` as text, with no envelope, copy or check
+of its own: the loader and the store checked the values, and
+:func:`camcp.protocol.decode` checks a line where it is read.
 """
 from __future__ import annotations
 
@@ -331,20 +335,14 @@ class TraceBuilder:
             object.__setattr__(event, "line", _line(self._t, kind, payload_text))
         self._events.append(event)
 
-    def envelope_line(self, msg_type: str, payload: dict) -> str:
+    def envelope_line(self, msg_type: str, payload_text: str) -> str:
+        """The next protocol line, around a payload's canonical text."""
         self._seq += 1
-        return protocol.encode(protocol.make_envelope(msg_type, self._seq, payload))
-
-    def stored_envelope_line(self, msg_type: str, payload: dict, payload_text: str) -> str:
-        """:meth:`envelope_line` for a payload that holds only store entries,
-        which the store copied and encoded when it committed them;
-        *payload_text* is the payload's canonical text, assembled from the
-        entries' texts."""
-        self._seq += 1
-        return protocol.encode_stored(msg_type, self._seq, payload, payload_text)
+        return protocol.encode_line(msg_type, self._seq, payload_text)
 
     def run_start(self, query: Query) -> None:
         constraints = {k: v for k, v in query.params.items() if k != "scenario"}
+        request = {"query": {"raw_text": query.raw_text, "kind": query.kind, "params": query.params}}
         self._append(
             RUN_START,
             {
@@ -354,10 +352,7 @@ class TraceBuilder:
                 "kind": self.scenario.kind,
                 "stage_ids": self.scenario.stage_ids(),
                 "constraints": constraints,
-                "envelope": self.envelope_line(
-                    protocol.PLAN_REQUEST,
-                    {"query": {"raw_text": query.raw_text, "kind": query.kind, "params": query.params}},
-                ),
+                "envelope": self.envelope_line(protocol.PLAN_REQUEST, canonical_dumps(request)),
             },
         )
 
@@ -401,16 +396,10 @@ class TraceBuilder:
         def on_commit(entry) -> None:
             key = canonical_dumps(entry.key)
             if entry.key == completion_key:
-                line = self.stored_envelope_line(
-                    protocol.COMPLETION_SIGNAL,
-                    {"completion_key": entry.key},
-                    f'{{"completion_key":{key}}}',
-                )
+                line = self.envelope_line(protocol.COMPLETION_SIGNAL, f'{{"completion_key":{key}}}')
             else:
-                line = self.stored_envelope_line(
-                    protocol.CONTEXT_WRITE,
-                    {"key": entry.key, "value": entry.value},
-                    f'{{"key":{key},"value":{entry.text}}}',
+                line = self.envelope_line(
+                    protocol.CONTEXT_WRITE, f'{{"key":{key},"value":{entry.text}}}'
                 )
             self._append(
                 SCS_WRITE,
@@ -433,10 +422,12 @@ class TraceBuilder:
             + self._tool_execs * self.cost.per_tool_latency_s
         )
 
-    def run_end(self, completed: bool, envelope: str | None = None) -> None:
+    def run_end(self, completed: bool, summary: str | None = None) -> None:
+        """Close the trace; a *summary* goes out as the final response."""
         payload = {"completed": completed, "simulated_latency_s": self.simulated_latency_s()}
-        if envelope is not None:
-            payload["envelope"] = envelope
+        if summary is not None:
+            text = canonical_dumps({"text": summary})
+            payload["envelope"] = self.envelope_line(protocol.FINAL_RESPONSE, text)
         self._append(RUN_END, payload)
         self._closed = True
 
@@ -476,14 +467,14 @@ def query_for_seed(scenario: Scenario, seed: int) -> Query:
     return Query(raw_text=raw, kind="wedding", params=params)
 
 
-def seed_context(store: ContextStore, blueprint: PlanBlueprint, writer_id: str = SEED_WRITER) -> None:
+def seed_context(store: ContextStore, blueprint: PlanBlueprint) -> None:
     """Write the blueprint into the store: goals, one entry per constraint,
     the stage outline, and last the goals_seeded flag that arms root stages."""
-    store.put("goals", list(blueprint.goals), writer_id)
+    store.put("goals", list(blueprint.goals), SEED_WRITER)
     for name, value in blueprint.constraints.items():
-        store.put(f"constraints.{name}", value, writer_id)
-    store.put("stages", blueprint_to_value(blueprint)["stages"], writer_id)
-    store.put("goals_seeded", True, writer_id)
+        store.put(f"constraints.{name}", value, SEED_WRITER)
+    store.put("stages", blueprint_to_value(blueprint)["stages"], SEED_WRITER)
+    store.put("goals_seeded", True, SEED_WRITER)
 
 
 def run_context_aware(scenario: Scenario, seed: int) -> Trace:
@@ -499,7 +490,7 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
     builder.llm_call(
         "combined" if combined else "plan",
         envelope=builder.envelope_line(
-            protocol.CONTEXT_SEED, {"blueprint": blueprint_to_value(blueprint)}
+            protocol.CONTEXT_SEED, canonical_dumps({"blueprint": blueprint_to_value(blueprint)})
         ),
     )
 
@@ -542,15 +533,11 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
             snapshot_text = canonical_object({k: e.text for k, e in final.items()})
             builder.llm_call(
                 "summarize",
-                envelope=builder.stored_envelope_line(
-                    protocol.SUMMARY_REQUEST,
-                    {"snapshot": final.values_map()},
-                    f'{{"snapshot":{snapshot_text}}}',
+                envelope=builder.envelope_line(
+                    protocol.SUMMARY_REQUEST, f'{{"snapshot":{snapshot_text}}}'
                 ),
             )
-        builder.run_end(
-            True, envelope=builder.envelope_line(protocol.FINAL_RESPONSE, {"text": summary})
-        )
+        builder.run_end(True, summary)
     else:
         for stage in blueprint.stages:
             if stage.stage_id not in builder.stages_done | builder.stages_failed:
@@ -622,9 +609,7 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
     summary = planner.synthesize([(k, text) for k, _, text in window()])
     builder.llm_call("summarize")
     completed = len(builder.stages_done) == len(scenario.stages)
-    builder.run_end(
-        completed, envelope=builder.envelope_line(protocol.FINAL_RESPONSE, {"text": summary})
-    )
+    builder.run_end(completed, summary)
 
     trace = builder.build()
     trace.wall_clock_s = time.perf_counter() - started

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping
 
 from .planner import CostModel, Stage
 from .reactor import Action, ServerSpec
-from .store import ContextValue, Exists, Snapshot, copy_value
+from .store import ContextValue, Exists, Snapshot, UnstorableValueError, copy_value
 
 MODE_CA = "context_aware"
 MODE_TRADITIONAL = "traditional"
@@ -164,8 +164,9 @@ def resolve_scenario(spec: str) -> Scenario:
 def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
     try:
         data = copy_value(data)
-    except TypeError as exc:
-        raise ScenarioParseError(f"scenario holds non-JSON data: {exc}") from exc
+    except UnstorableValueError as exc:  # a NaN, say, or a value nested too deeply
+        field = exc.path.removeprefix("$.")
+        raise ScenarioValidationError(field, exc.problem + exc.detail) from exc
 
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _WIRING:
@@ -185,10 +186,10 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
     window_data = data.get("window", {})
     if not isinstance(window_data, dict):
         raise ScenarioValidationError("window", "must be an object")
-    enabled = window_data.get("enabled", False)
+    enabled = window_data.get("enabled", WindowConfig.enabled)
     if not isinstance(enabled, bool):
         raise ScenarioValidationError("window.enabled", "must be true or false")
-    budget_entries = window_data.get("budget_entries", 3)
+    budget_entries = window_data.get("budget_entries", WindowConfig.budget_entries)
     if not _is_int(budget_entries) or budget_entries < 1:
         raise ScenarioValidationError("window.budget_entries", "must be an integer >= 1")
     eviction = window_data.get("eviction", "fifo")
@@ -200,11 +201,11 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
     if not isinstance(cost_data, dict):
         raise ScenarioValidationError("cost_model", "must be an object")
     cost_model = CostModel(
-        per_call_latency_s=_latency(cost_data, "per_call_latency_s", 6.0),
-        per_tool_latency_s=_latency(cost_data, "per_tool_latency_s", 0.4),
+        per_call_latency_s=_latency(cost_data, "per_call_latency_s"),
+        per_tool_latency_s=_latency(cost_data, "per_tool_latency_s"),
     )
 
-    max_steps = data.get("max_steps", 16)
+    max_steps = data.get("max_steps", Scenario.max_steps)
     if not _is_int(max_steps) or max_steps < 1:
         raise ScenarioValidationError("max_steps", "must be an integer >= 1")
 
@@ -268,8 +269,8 @@ def _is_finite_amount(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and 0 <= value <= sys.float_info.max
 
 
-def _latency(cost_data: dict, name: str, default: float) -> float:
-    value = cost_data.get(name, default)
+def _latency(cost_data: dict, name: str) -> float:
+    value = cost_data.get(name, getattr(CostModel, name))
     if not _is_finite_amount(value) or value > _MAX_LATENCY_S:
         raise ScenarioValidationError(f"cost_model.{name}", _LATENCY_RANGE)
     return float(value)

@@ -7,14 +7,15 @@ transition of a watch condition evaluated over successive post-commit
 states. Commit listeners see every commit in order; the runtime records
 each one as a trace event.
 
-Every stored value is a validated plain copy (:func:`copy_value`), made
-once at commit; listeners and readers must not change it. Its canonical
-text, compact JSON with map keys sorted by the C encoder
-(:func:`canonical_dumps`), is also made once at commit and kept on the entry
-as ``ContextEntry.text``. Every line that embeds a stored value (the
-protocol's context-write and summary-request lines, the trace's
-``scs_write`` and ``stage_done`` lines, the final summary) is assembled from
-that text instead of encoding the value again.
+Every stored value is a validated plain copy (:func:`copy_value`, which
+also caps nesting at :data:`MAX_VALUE_DEPTH` levels), made once at commit;
+listeners and readers must not change it. Its canonical text, compact JSON
+with map keys sorted by the C encoder (:func:`canonical_dumps`), is also
+made once at commit and kept on the entry as ``ContextEntry.text``. Every
+line that embeds a stored value (the protocol's context-write and
+summary-request lines, the trace's ``scs_write`` and ``stage_done`` lines,
+the final summary) is assembled from that text, with neither a second
+encoding nor a second check.
 """
 from __future__ import annotations
 
@@ -37,38 +38,50 @@ class CasConflict(Exception):
         self.current_version = current_version
 
 
-class _Rejected(Exception):
-    """A value :func:`copy_value` cannot store. ``steps`` collects the path
-    from the offending element outwards while the recursion unwinds, so no
-    path text is built for values that are accepted."""
+# How many levels of lists and objects a value may nest. Every value boundary
+# copies through copy_value, so no deeper value gets in, and the cap sits far
+# enough below the interpreter's recursion limit that a run can always encode
+# what a boundary let in.
+MAX_VALUE_DEPTH = 64
+_TOO_DEEP = f" (more than {MAX_VALUE_DEPTH} levels)"
+
+
+class UnstorableValueError(TypeError):
+    """A value :func:`copy_value` cannot store. ``path`` names the offending
+    element (``$`` is the value itself, ``$.k[0]`` the first item of its
+    member ``k``). ``steps`` collects that path from the element outwards
+    while the recursion unwinds, so no path text is built for values that
+    are accepted."""
 
     def __init__(self, problem: str, detail: str = ""):
+        super().__init__(problem)
         self.problem = problem
         self.detail = detail
         self.steps: list[str] = []
+
+    @property
+    def path(self) -> str:
+        return "$" + "".join(reversed(self.steps))
+
+    def __str__(self) -> str:
+        return f"{self.problem} at {self.path}{self.detail}"
 
 
 _LEAVES = frozenset({type(None), bool, int, str})
 
 
-def copy_value(value: Any, _path: str = "$") -> ContextValue:
+def copy_value(value: Any) -> ContextValue:
     """Deep-copy *value* into plain JSON-shaped data, validating as it goes.
 
     Tuples are normalized to lists. Non-finite numbers, non-text map keys,
-    foreign types and nesting too deep for the interpreter's recursion limit
-    are rejected with ``TypeError``, so every stored value can round-trip
-    through the canonical line encoding.
+    foreign types and nesting of more than :data:`MAX_VALUE_DEPTH` levels
+    are rejected with :class:`UnstorableValueError`, a ``TypeError``, so
+    every stored value can round-trip through the canonical line encoding.
     """
-    try:
-        return _copy(value)
-    except _Rejected as exc:
-        path = _path + "".join(reversed(exc.steps))
-        raise TypeError(f"{exc.problem} at {path}{exc.detail}") from None
-    except RecursionError:
-        raise TypeError(f"value at {_path} is nested too deeply") from None
+    return _copy(value, 0)
 
 
-def _copy(value: Any) -> ContextValue:
+def _copy(value: Any, depth: int) -> ContextValue:
     cls = type(value)
     if cls in _LEAVES:
         return value
@@ -78,29 +91,33 @@ def _copy(value: Any) -> ContextValue:
             return value
         if isinstance(value, float):
             if not math.isfinite(value):
-                raise _Rejected("non-finite number")
+                raise UnstorableValueError("non-finite number")
             return value
     if cls is list or isinstance(value, (list, tuple)):
+        if depth == MAX_VALUE_DEPTH:
+            raise UnstorableValueError("nested too deeply", _TOO_DEEP)
         items: list[ContextValue] = []
         for i, item in enumerate(value):
             try:
-                items.append(_copy(item))
-            except _Rejected as exc:
+                items.append(_copy(item, depth + 1))
+            except UnstorableValueError as exc:
                 exc.steps.append(f"[{i}]")
                 raise
         return items
     if cls is dict or isinstance(value, Mapping):
+        if depth == MAX_VALUE_DEPTH:
+            raise UnstorableValueError("nested too deeply", _TOO_DEEP)
         out: dict[str, ContextValue] = {}
         for k, v in value.items():
             if not isinstance(k, str):
-                raise _Rejected("non-text key", f": {k!r}")
+                raise UnstorableValueError("non-text key", f": {k!r}")
             try:
-                out[k] = _copy(v)
-            except _Rejected as exc:
+                out[k] = _copy(v, depth + 1)
+            except UnstorableValueError as exc:
                 exc.steps.append(f".{k}")
                 raise
         return out
-    raise _Rejected("unsupported value type", f": {cls.__name__}")
+    raise UnstorableValueError("unsupported value type", f": {cls.__name__}")
 
 
 def values_equal(a: ContextValue, b: ContextValue) -> bool:
@@ -271,9 +288,6 @@ class Snapshot(Mapping):
         entry = self._entries.get(key)
         return default if entry is None else entry.value
 
-    def values_map(self) -> dict[str, ContextValue]:
-        return {k: e.value for k, e in self._entries.items()}
-
     def __repr__(self) -> str:
         return f"Snapshot(t={self.logical_time}, keys={sorted(self._entries)})"
 
@@ -387,10 +401,12 @@ class ContextStore:
             raise TypeError(f"key must be non-empty text, got {key!r}")
         if not isinstance(writer_id, str) or not writer_id:
             raise TypeError(f"writer_id must be non-empty text, got {writer_id!r}")
-        value = copy_value(value)
         try:
+            value = copy_value(value)
             text = canonical_dumps(value)
-        except (ValueError, RecursionError) as exc:  # a huge integer, or nesting too deep
+        except UnstorableValueError as exc:  # the store's error class is plain TypeError
+            raise TypeError(str(exc)) from None
+        except ValueError as exc:  # an integer past the interpreter's digit limit
             raise TypeError(f"value has no canonical text: {exc}") from None
         return key, value, writer_id, text
 

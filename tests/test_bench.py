@@ -1,5 +1,6 @@
 """Metric extraction, paired statistics, benchmark sweeps, and the CLI."""
 import csv
+import functools
 import importlib.util
 import json
 import subprocess
@@ -22,6 +23,7 @@ from camcp.bench import (
     replay,
     run_bench,
 )
+from camcp import cli
 from camcp.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, main
 from camcp.runtime import (
     LLM_CALL,
@@ -29,18 +31,12 @@ from camcp.runtime import (
     Trace,
     TraceEvent,
     parse_trace,
+    read_trace,
     run,
     serialize_trace,
     write_trace,
 )
-from camcp.scenarios import (
-    MODE_CA,
-    MODE_TRADITIONAL,
-    MODES,
-    ScenarioParseError,
-    ScenarioValidationError,
-    scenario_from_value,
-)
+from camcp.scenarios import MODE_CA, MODE_TRADITIONAL
 
 from oracles import paired_recompute
 from strategies import generated_wedding
@@ -615,45 +611,81 @@ def _mutated_value(value: dict, path: tuple, new) -> dict:
     return data
 
 
-@pytest.mark.parametrize("name", ["travel", "wedding_p5"])
-def test_every_field_mutation_of_a_builtin_scenario_is_rejected_or_replays(name):
-    """Each field of a shipped scenario, deleted or set to a value of each
-    JSON type: the loader raises its documented errors, or both modes run to
-    a trace whose replayed metrics equal the live ones."""
+def _mutants(name: str):
+    """Every single-field mutant of a shipped scenario: each field deleted or
+    set to each of ``_SCENARIO_MUTANTS``."""
     base = _builtin_value(name)
     for path in _paths(base):
         for new in [_DELETE] + _SCENARIO_MUTANTS:
-            try:
-                scenario = scenario_from_value(_mutated_value(base, path, new))
-            except (ScenarioParseError, ScenarioValidationError):
-                continue
-            for mode in MODES:
-                trace = run(scenario, mode, 0)
-                replayed = compute_metrics(parse_trace(serialize_trace(trace)))
-                assert replayed == compute_metrics(trace, scenario), (path, new, mode)
+            yield _mutated_value(base, path, new)
 
 
 @pytest.mark.parametrize("name", ["travel", "wedding_p5"])
-@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_run_of_a_mutated_builtin_scenario_exits_0_or_2(tmp_path, capsys, name, data):
-    """Change or delete one field of a shipped scenario: ``camcp run`` prints
-    the metrics and exits 0, or prints one error line and exits 2."""
-    base = _builtin_value(name)
-    path = data.draw(st.sampled_from(list(_paths(base))), label="field")
-    new = data.draw(st.sampled_from([_DELETE] + _SCENARIO_MUTANTS), label="value")
-    mode = data.draw(st.sampled_from(["ca", "traditional"]), label="mode")
-    seed = data.draw(st.integers(min_value=0, max_value=3), label="seed")
-    scenario_path = tmp_path / f"{name}.json"
-    scenario_path.write_text(json.dumps(_mutated_value(base, path, new)))
-    capsys.readouterr()
-    code = main(["run", "--scenario", str(scenario_path), "--mode", mode, "--seed", str(seed)])
-    out, err = capsys.readouterr()
-    if code == EXIT_OK:
-        assert json.loads(out)["mode"] == (MODE_CA if mode == "ca" else MODE_TRADITIONAL)
-    else:
-        assert code == EXIT_USAGE
-        assert err.startswith("error: scenario field ") and err.count("\n") == 1
+def test_every_field_mutation_of_a_builtin_scenario_is_rejected_or_replays(
+    tmp_path, capsys, monkeypatch, name
+):
+    """Each field of a shipped scenario, deleted or set to a value of each
+    JSON type, through ``camcp run`` in both modes at seeds 0 and 1: the run
+    prints its metrics and exits 0, and its seed-0 trace replays to the same
+    metrics; or the loader rejects the file with one error line naming a
+    scenario field and exits 2. The loader reads the file before it looks at
+    the mode or the seed, so a file it rejects once is not run again."""
+    # One parser for the whole sweep; each call still parses its own arguments.
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    scenario_path = tmp_path / "scenario.json"
+    trace_path = tmp_path / "trace.jsonl"
+    for value in _mutants(name):
+        scenario_path.write_text(json.dumps(value))
+        for mode, seed in (("ca", "0"), ("traditional", "0"), ("ca", "1"), ("traditional", "1")):
+            args = ["run", "--scenario", str(scenario_path), "--mode", mode, "--seed", seed]
+            code = main(args + (["--trace", str(trace_path)] if seed == "0" else []))
+            out, err = capsys.readouterr()
+            if code != EXIT_OK:
+                assert code == EXIT_USAGE, (value, mode, seed, err)
+                assert out == ""
+                assert err.startswith("error: scenario field ") and err.count("\n") == 1
+                break
+            metrics = json.loads(out)
+            assert err == ""
+            assert metrics["mode"] == (MODE_CA if mode == "ca" else MODE_TRADITIONAL)
+            if seed == "0":
+                assert asdict(compute_metrics(read_trace(trace_path))) == metrics, (value, mode)
+
+
+def test_run_and_replay_exit_cleanly_at_every_nesting_depth(golden_dir, tmp_path, capsys, monkeypatch):
+    """A travel constraint nested 1 to 1100 levels deep: ``camcp run`` in
+    both modes prints its metrics and exits 0, or prints one error line and
+    exits 2; ``camcp replay`` of a travel trace whose ``run_start``
+    constraints carry the same value exits 0, or 1 with one error line.
+    Depths up to the loader's cap run, deeper ones up to the interpreter's
+    recursion limit meet the cap, and deeper still fail to decode."""
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    scenario_text = json.dumps(_builtin_value("travel"))
+    trace_lines = (golden_dir / "trace_travel_ca.jsonl").read_text().splitlines()
+    scenario_path = tmp_path / "deep.json"
+    trace_path = tmp_path / "deep.jsonl"
+    outcomes = set()
+    for depth in range(1, 1101):
+        deep = "[" * depth + "]" * depth
+        scenario_path.write_text(scenario_text.replace('"constraints": {', f'"constraints": {{"notes": {deep}, ', 1))
+        for mode in ("ca", "traditional"):
+            code = main(["run", "--scenario", str(scenario_path), "--mode", mode])
+            out, err = capsys.readouterr()
+            outcomes.add(("run", code))
+            if code != EXIT_OK:
+                assert code == EXIT_USAGE, (depth, mode, err)
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                break
+            assert err == "" and json.loads(out)["completeness"] == 1.0
+        start = trace_lines[0].replace('"constraints":{', f'"constraints":{{"notes":{deep},', 1)
+        trace_path.write_text("\n".join([start] + trace_lines[1:]) + "\n")
+        code = main(["replay", "--trace", str(trace_path)])
+        out, err = capsys.readouterr()
+        outcomes.add(("replay", code))
+        if code != EXIT_OK:
+            assert code == EXIT_RUN_FAILURE, (depth, err)
+            assert out == "" and err.startswith("error: trace line 1: ") and err.count("\n") == 1
+    assert outcomes == {("run", EXIT_OK), ("run", EXIT_USAGE), ("replay", EXIT_OK), ("replay", EXIT_RUN_FAILURE)}
 
 
 def test_cli_replay_missing_file_fails(tmp_path, capsys):

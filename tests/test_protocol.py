@@ -14,11 +14,11 @@ from camcp.protocol import (
     UnknownMessageTypeError,
     decode,
     encode,
-    encode_stored,
+    encode_line,
     make_envelope,
     validate_sequence,
 )
-from camcp.store import canonical_dumps, canonicalize_value, copy_value
+from camcp.store import MAX_VALUE_DEPTH, canonical_dumps, canonicalize_value
 from strategies import json_values
 
 SAMPLE_PAYLOADS = {
@@ -138,7 +138,7 @@ def test_decode_errors():
     assert info.value.field == "junk"
     with pytest.raises(SchemaViolationError) as info:
         decode('{"msg_type":"context_write","seq":1,"payload":{"key":"k","value":NaN}}')
-    assert info.value.field == "payload"
+    assert info.value.field == "value"
 
 
 def test_envelope_holds_its_own_copy_of_the_payload():
@@ -168,11 +168,32 @@ def test_envelope_holds_its_own_copy_of_the_payload():
     ],
 )
 def test_encode_stored_rejects_what_make_envelope_rejects(msg_type, seq, payload, error, field):
-    for build in (make_envelope, lambda *message: encode_stored(*message, "{}")):
-        with pytest.raises(error) as info:
-            build(msg_type, seq, payload)
-        if field is not None:
-            assert info.value.field == field
+    with pytest.raises(error) as info:
+        make_envelope(msg_type, seq, payload)
+    if field is not None:
+        assert info.value.field == field
+
+
+def _nested(depth: int):
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _decode_written(msg_type, seq, payload):
+    return decode(encode_line(msg_type, seq, canonical_dumps(payload)))
+
+
+@pytest.mark.parametrize("build", [make_envelope, _decode_written], ids=["made", "decoded"])
+def test_each_payload_field_may_nest_up_to_the_value_depth_cap(build):
+    """A field as deep as a stored value may be passes; one level more is a
+    schema violation naming the field, whether built or decoded."""
+    deepest = {"key": "k", "value": _nested(MAX_VALUE_DEPTH)}
+    assert build("context_write", 1, deepest).payload == deepest
+    with pytest.raises(SchemaViolationError, match="nested too deeply") as info:
+        build("context_write", 1, {"key": "k", "value": _nested(MAX_VALUE_DEPTH + 1)})
+    assert info.value.field == "value"
 
 
 # -- Sequencing --------------------------------------------------------------------------
@@ -284,10 +305,10 @@ def test_encoding_is_injective(batch):
     lambda t: st.tuples(st.just(t), st.integers(1, 10**6), payload_strategies[t])
 ))
 @settings(max_examples=300)
-def test_encode_stored_equals_encoding_a_made_envelope(message):
-    """On a payload the store has already copied and encoded, skipping the
-    second copy and encoding gives the same line."""
+def test_encode_line_equals_encoding_a_made_envelope(message):
+    """Writing a valid payload's canonical text, as a run does, gives the
+    line that building and encoding its envelope gives."""
     msg_type, seq, payload = message
-    stored = copy_value(payload)
-    line = encode_stored(msg_type, seq, stored, canonical_dumps(stored))
-    assert line == encode(make_envelope(msg_type, seq, stored))
+    assert encode_line(msg_type, seq, canonical_dumps(payload)) == encode(
+        make_envelope(msg_type, seq, payload)
+    )

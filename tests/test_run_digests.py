@@ -3,8 +3,9 @@
 The golden traces pin one context-aware run per shipped scenario. These
 digests pin the rest: traditional runs, windowed runs and many seeds. Each
 line of ``golden/run_digests.txt`` is the sha256 over the serialized trace
-and the live metrics of every run in one (family, mode, window). Regenerate
-the file only for a deliberate change of trace bytes:
+and the live metrics of every run in one (family, mode, window). The same
+runs have every protocol line they write decoded here. Regenerate the file
+only for a deliberate change of trace bytes:
 
     PYTHONPATH=src python tests/test_run_digests.py > tests/golden/run_digests.txt
 """
@@ -17,6 +18,7 @@ import json
 from strategies import generated_wedding
 
 from camcp.bench import compute_metrics
+from camcp.protocol import decode, encode, validate_sequence
 from camcp.runtime import run, serialize_trace
 from camcp.scenarios import MODES, WindowConfig, load_builtin
 
@@ -34,28 +36,49 @@ def families():
     ]
 
 
-def run_digests() -> list[str]:
-    lines = []
+def family_runs():
+    """(family, mode, window, [(scenario, trace), ...]) for every run of
+    every pinned family, in the digest file's order."""
     for family, runs in families():
         for mode in MODES:
             for window in WINDOWS:
-                digest = hashlib.sha256()
+                traces = []
                 for scenario, seed in runs:
                     if window is not None:
                         scenario = dataclasses.replace(
                             scenario, window=WindowConfig(enabled=True, budget_entries=window)
                         )
-                    trace = run(scenario, mode, seed)
-                    metrics = compute_metrics(trace, scenario)
-                    digest.update(serialize_trace(trace).encode())
-                    digest.update(json.dumps(dataclasses.asdict(metrics), sort_keys=True).encode())
-                lines.append(f"{family} {mode} {window or 'none'} {digest.hexdigest()}")
+                    traces.append((scenario, run(scenario, mode, seed)))
+                yield family, mode, window, traces
+
+
+def run_digests() -> list[str]:
+    lines = []
+    for family, mode, window, traces in family_runs():
+        digest = hashlib.sha256()
+        for scenario, trace in traces:
+            metrics = compute_metrics(trace, scenario)
+            digest.update(serialize_trace(trace).encode())
+            digest.update(json.dumps(dataclasses.asdict(metrics), sort_keys=True).encode())
+        lines.append(f"{family} {mode} {window or 'none'} {digest.hexdigest()}")
     return lines
 
 
 def test_run_digests_match_the_pinned_file(golden_dir):
     pinned = (golden_dir / "run_digests.txt").read_text().splitlines()
     assert run_digests() == pinned
+
+
+def test_every_protocol_line_of_every_pinned_run_decodes():
+    """Runs write their protocol lines without checking them, so this is
+    the check: every envelope decodes, re-encodes to the same line, and the
+    run's messages form a valid sequence."""
+    for family, mode, window, traces in family_runs():
+        for _, trace in traces:
+            lines = [e.payload["envelope"] for e in trace.events if "envelope" in e.payload]
+            messages = [decode(line) for line in lines]
+            assert [encode(m) for m in messages] == lines, (family, mode, window)
+            validate_sequence(messages)
 
 
 if __name__ == "__main__":

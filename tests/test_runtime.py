@@ -279,21 +279,24 @@ def test_embedded_messages_validate(name, mode, travel_scenario, wedding_scenari
     assert [encode(decode(line)) for line in lines] == lines
 
 
-def test_ca_run_copies_only_the_payloads_from_outside_the_store(monkeypatch, wedding_scenario):
-    """Context writes, the completion signal and the summary request embed
-    store entries, which the store copied at commit; only the plan request,
-    context seed and final response are copied again."""
+def test_ca_run_copies_only_the_payloads_from_outside_the_store(
+    monkeypatch, travel_scenario, wedding_scenario
+):
+    """No run, in either mode, copies a protocol payload: the loader and the
+    store copied every value a line embeds, and lines are checked where they
+    are decoded."""
     calls = []
     copy = protocol.copy_value
 
-    def counting_copy(value, *args):
+    def counting_copy(value):
         calls.append(value)
-        return copy(value, *args)
+        return copy(value)
 
     monkeypatch.setattr(protocol, "copy_value", counting_copy)
-    trace = run_context_aware(wedding_scenario, 0)
-    assert len(trace.events_of("scs_write")) > 3
-    assert len(calls) == 3
+    for name, mode in ALL:
+        trace = run(scenario_by_name(name, travel_scenario, wedding_scenario), mode, 0)
+        assert sum("envelope" in e.payload for e in trace.events) >= 2
+    assert calls == []
 
 
 def test_travel_ca_message_vocabulary(travel_scenario):

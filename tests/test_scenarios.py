@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camcp.reactor import ServerSpec
+from camcp.store import MAX_VALUE_DEPTH
 from camcp.runtime import Trace, TraceEvent, parse_trace, run, serialize_trace
 from camcp.scenarios import (
     MAX_TRAVEL_DAYS,
@@ -209,6 +210,20 @@ def test_travel_validation_names_offending_field(mutate, field):
     with pytest.raises(ScenarioValidationError) as info:
         scenario_from_value(data)
     assert info.value.field == field
+
+
+def test_loader_names_the_field_nested_past_the_value_depth_cap():
+    """Two levels are the document and its constraints, so a constraint may
+    nest MAX_VALUE_DEPTH - 2 levels; one more is rejected by field path."""
+    data = _travel_value()
+    data["constraints"]["notes"] = [[0]] * 2
+    for _ in range(MAX_VALUE_DEPTH - 4):
+        data["constraints"]["notes"] = [data["constraints"]["notes"]]
+    assert scenario_from_value(data).constraints["notes"] == data["constraints"]["notes"]
+    data["constraints"]["notes"] = [data["constraints"]["notes"]]
+    with pytest.raises(ScenarioValidationError, match="nested too deeply") as info:
+        scenario_from_value(data)
+    assert info.value.field == "constraints.notes" + "[0]" * (MAX_VALUE_DEPTH - 2)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camcp.store import (
+    MAX_VALUE_DEPTH,
     And,
     CasConflict,
     ContextStore,
@@ -357,6 +358,29 @@ def test_copy_value_rejects_nesting_past_the_recursion_limit():
         deep = [deep]
     with pytest.raises(TypeError, match="nested too deeply"):
         copy_value({"k": deep})
+
+
+def _nested(depth: int, leaf=0):
+    value = leaf
+    for i in range(depth):
+        value = [value] if i % 2 else {"k": value}
+    return value
+
+
+def test_copy_value_caps_nesting_at_max_value_depth():
+    """A value of exactly MAX_VALUE_DEPTH levels of lists and objects is
+    copied; one more level is rejected, naming the element past the cap.
+    The store reports that as its plain TypeError and commits nothing."""
+    assert copy_value(_nested(MAX_VALUE_DEPTH)) == _nested(MAX_VALUE_DEPTH)
+    with pytest.raises(TypeError, match=r"^nested too deeply at \$\.k\[0\]\.k") as info:
+        copy_value(_nested(MAX_VALUE_DEPTH + 1))
+    assert info.value.path.count(".k") + info.value.path.count("[0]") == MAX_VALUE_DEPTH
+    store = ContextStore()
+    store.put("ok", _nested(MAX_VALUE_DEPTH), "w")
+    with pytest.raises(TypeError, match="nested too deeply") as info:
+        store.put("deep", _nested(MAX_VALUE_DEPTH + 1), "w")
+    assert type(info.value) is TypeError
+    assert store.get("deep") is None and store.last_logical_time() == 1
 
 
 # -- Rising-edge notifications -----------------------------------------------------
