@@ -652,7 +652,9 @@ def test_every_field_mutation_of_a_builtin_scenario_is_rejected_or_replays(
                 assert asdict(compute_metrics(read_trace(trace_path))) == metrics, (value, mode)
 
 
-def test_run_and_replay_exit_cleanly_at_every_nesting_depth(golden_dir, tmp_path, capsys, monkeypatch):
+def test_run_and_replay_exit_cleanly_at_every_nesting_depth(
+    golden_dir, tmp_path, capsys, monkeypatch
+):
     """A travel constraint nested 1 to 1100 levels deep: ``camcp run`` in
     both modes prints its metrics and exits 0, or prints one error line and
     exits 2; ``camcp replay`` of a travel trace whose ``run_start``
@@ -667,7 +669,8 @@ def test_run_and_replay_exit_cleanly_at_every_nesting_depth(golden_dir, tmp_path
     outcomes = set()
     for depth in range(1, 1101):
         deep = "[" * depth + "]" * depth
-        scenario_path.write_text(scenario_text.replace('"constraints": {', f'"constraints": {{"notes": {deep}, ', 1))
+        notes = f'"constraints": {{"notes": {deep}, '
+        scenario_path.write_text(scenario_text.replace('"constraints": {', notes, 1))
         for mode in ("ca", "traditional"):
             code = main(["run", "--scenario", str(scenario_path), "--mode", mode])
             out, err = capsys.readouterr()
@@ -685,7 +688,9 @@ def test_run_and_replay_exit_cleanly_at_every_nesting_depth(golden_dir, tmp_path
         if code != EXIT_OK:
             assert code == EXIT_RUN_FAILURE, (depth, err)
             assert out == "" and err.startswith("error: trace line 1: ") and err.count("\n") == 1
-    assert outcomes == {("run", EXIT_OK), ("run", EXIT_USAGE), ("replay", EXIT_OK), ("replay", EXIT_RUN_FAILURE)}
+    assert outcomes == {
+        ("run", EXIT_OK), ("run", EXIT_USAGE), ("replay", EXIT_OK), ("replay", EXIT_RUN_FAILURE)
+    }
 
 
 def test_cli_replay_missing_file_fails(tmp_path, capsys):
