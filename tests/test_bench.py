@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from camcp import cli
 from camcp.bench import (
     CSV_COLUMNS,
     InsufficientDataError,
@@ -23,7 +24,6 @@ from camcp.bench import (
     replay,
     run_bench,
 )
-from camcp import cli
 from camcp.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, main
 from camcp.runtime import (
     LLM_CALL,
