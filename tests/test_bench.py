@@ -36,7 +36,14 @@ from camcp.runtime import (
     serialize_trace,
     write_trace,
 )
-from camcp.scenarios import MODE_CA, MODE_TRADITIONAL
+from camcp.scenarios import (
+    MODE_CA,
+    MODE_TRADITIONAL,
+    MODES,
+    ScenarioParseError,
+    ScenarioValidationError,
+    scenario_from_value,
+)
 
 from oracles import paired_recompute
 from strategies import generated_wedding
@@ -621,9 +628,23 @@ def _mutants(name: str):
 
 
 @pytest.mark.parametrize("name", ["travel", "wedding_p5"])
-def test_every_field_mutation_of_a_builtin_scenario_is_rejected_or_replays(
-    tmp_path, capsys, monkeypatch, name
-):
+def test_every_field_mutation_of_a_builtin_scenario_is_rejected_or_replays(name):
+    """Each field of a shipped scenario, deleted or set to a value of each
+    JSON type: the loader raises its documented errors, or both modes run to
+    a trace whose replayed metrics equal the live ones."""
+    for value in _mutants(name):
+        try:
+            scenario = scenario_from_value(value)
+        except (ScenarioParseError, ScenarioValidationError):
+            continue
+        for mode in MODES:
+            trace = run(scenario, mode, 0)
+            replayed = compute_metrics(parse_trace(serialize_trace(trace)))
+            assert replayed == compute_metrics(trace, scenario), (value, mode)
+
+
+@pytest.mark.parametrize("name", ["travel", "wedding_p5"])
+def test_run_of_a_mutated_builtin_scenario_exits_0_or_2(tmp_path, capsys, monkeypatch, name):
     """Each field of a shipped scenario, deleted or set to a value of each
     JSON type, through ``camcp run`` in both modes at seeds 0 and 1: the run
     prints its metrics and exits 0, and its seed-0 trace replays to the same
