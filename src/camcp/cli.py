@@ -9,8 +9,6 @@ import sys
 from .bench import compute_metrics, replay, run_bench
 from .runtime import MalformedTraceError, run, write_trace
 from .scenarios import (
-    _LATENCY_RANGE,
-    _MAX_LATENCY_S,
     MODE_CA,
     MODE_TRADITIONAL,
     ScenarioParseError,
@@ -44,26 +42,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "--window", type=int, help="enable the traditional-mode window with this entry budget"
     )
-    bench_p.add_argument("--latency", type=float, help="override per-call simulated latency (s)")
 
     replay_p = sub.add_parser("replay", help="recompute metrics from a serialized trace")
     replay_p.add_argument("--trace", required=True)
     return parser
-
-
-def _apply_overrides(scenario, window: int | None, latency: float | None):
-    if window is not None:
-        if window < 1:
-            raise ScenarioValidationError("window", "budget must be >= 1")
-        scenario = dataclasses.replace(
-            scenario, window=WindowConfig(enabled=True, budget_entries=window)
-        )
-    if latency is not None:
-        if not 0 <= latency <= _MAX_LATENCY_S:  # also false for nan
-            raise ScenarioValidationError("latency", _LATENCY_RANGE)
-        cost_model = dataclasses.replace(scenario.cost_model, per_call_latency_s=latency)
-        scenario = dataclasses.replace(scenario, cost_model=cost_model)
-    return scenario
 
 
 def _print_metrics(metrics) -> None:
@@ -81,7 +63,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    scenario = _apply_overrides(resolve_scenario(args.scenario), args.window, args.latency)
+    scenario = resolve_scenario(args.scenario)
+    if args.window is not None:
+        if args.window < 1:
+            raise ScenarioValidationError("window", "budget must be >= 1")
+        window = WindowConfig(enabled=True, budget_entries=args.window)
+        scenario = dataclasses.replace(scenario, window=window)
     summary_path = _summary_path(args.out)
     report = run_bench(scenario, args.n, out_csv=args.out, out_summary=summary_path)
     print(json.dumps(report.summary, sort_keys=True))

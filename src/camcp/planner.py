@@ -2,8 +2,9 @@
 
 The planner is a deterministic template mock so runs are cheap and
 reproducible; the runtime records each of its calls as an ``llm_call``
-trace event, which is what the benchmark counts. It holds no stage wiring:
-a plan restates the stages and completion key of the scenario it is given.
+trace event, which is what the benchmark counts. It holds no per-kind rule:
+a plan restates the stages and completion key of the scenario it is given,
+and takes the query's constraints as the loader checked them.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .store import (
     WatchCondition,
     canonical_dumps,
     condition_to_value,
-    copy_value,
 )
 
 if TYPE_CHECKING:
@@ -45,6 +45,11 @@ class Query:
     raw_text: str
     kind: str
     params: dict
+
+    def constraints(self) -> dict:
+        """The params without ``scenario``, which routes the query and
+        constrains nothing."""
+        return {k: v for k, v in self.params.items() if k != "scenario"}
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,6 @@ class PlanBlueprint:
 class CostModel:
     per_call_latency_s: float = 6.0
     per_tool_latency_s: float = 0.4
-
-
-_REQUIRED_PARAMS = {
-    "travel": ("destination", "days", "budget"),
-    "wedding": ("scenario",),
-}
 
 
 def completion_condition(blueprint: PlanBlueprint) -> WatchCondition:
@@ -139,18 +138,13 @@ class MockPlanner:
 
     def plan(self, query: Query, scenario: Scenario) -> PlanBlueprint:
         """Turn a query into a blueprint: the goals, stage wiring and
-        completion key the scenario declares, and the query's constraints."""
+        completion key the scenario declares, and the query's constraints,
+        uncopied: the store copies each one when it is seeded."""
         if query.kind != scenario.kind:
             raise UnsupportedKindError(query.kind)
-        missing = [p for p in _REQUIRED_PARAMS.get(query.kind, ()) if p not in query.params]
-        if missing:
-            raise ValueError(f"query params missing {missing[0]!r} for kind {query.kind!r}")
-        constraints = {
-            k: copy_value(v) for k, v in query.params.items() if k != "scenario"
-        }
         return PlanBlueprint(
             goals=tuple(s.goal for s in scenario.stages),
-            constraints=constraints,
+            constraints=query.constraints(),
             stages=scenario.stages,
             completion_key=scenario.completion_key,
         )

@@ -190,7 +190,7 @@ def decode(line: str) -> Envelope:
     """
     try:
         data = json.loads(line)
-    except (json.JSONDecodeError, TypeError, RecursionError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # ValueError: also too many digits
         raise MalformedSyntaxError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedSyntaxError("envelope must be a JSON object")

@@ -76,8 +76,8 @@ EVENT_KINDS = (
 
 # Payload fields that compute_metrics reads, by event kind, with the JSON
 # type each must have. None of them may be a boolean, which Python counts as
-# an integer, and a number must be finite: a literal such as 1e400 decodes to
-# a float infinity.
+# an integer, and a float must be finite: a literal such as 1e400 decodes to
+# a float infinity. A field that may be null may also be absent.
 _NUMBER = (int, float)
 _PAYLOAD_FIELDS = {
     RUN_START: {
@@ -89,6 +89,16 @@ _PAYLOAD_FIELDS = {
     },
     STAGE_DONE: {"stage": (str, "text"), "outputs": (dict, "an object")},
     RUN_END: {"simulated_latency_s": (_NUMBER, "a number")},
+}
+
+# The run_start constraints that the scoring compares against, by scenario
+# kind; its keys are the kinds a trace may name.
+_CONSTRAINT_FIELDS = {
+    "travel": {"budget": (_NUMBER, "a number")},
+    "wedding": {
+        "vehicle_capacity": (int, "an integer"),
+        "deadline_min": ((int, type(None)), "null or an integer"),
+    },
 }
 
 # Fields of a stage_done ``outputs.schedule`` that the wedding scoring reads:
@@ -192,20 +202,19 @@ def parse_trace(text: str) -> Trace:
         kind, payload = record["kind"], record["payload"]
         if not isinstance(payload, dict):
             raise MalformedTraceError(line_no, "payload must be an object")
-        for name, (types, description) in _PAYLOAD_FIELDS.get(kind, {}).items():
-            if name not in payload:
-                raise MalformedTraceError(line_no, f"{kind} payload missing {name!r}")
-            if not isinstance(payload[name], types) or isinstance(payload[name], bool):
-                raise MalformedTraceError(line_no, f"{kind} payload {name!r} must be {description}")
-            if types is _NUMBER and not math.isfinite(payload[name]):
-                raise MalformedTraceError(line_no, f"{kind} payload {name!r} must be finite")
+        fields = _PAYLOAD_FIELDS.get(kind)
+        if fields:
+            _check_fields(line_no, f"{kind} payload", "", payload, fields)
         if kind == RUN_START:
             if not all(isinstance(s, str) for s in payload["stage_ids"]):
                 raise MalformedTraceError(line_no, "run_start payload 'stage_ids' must hold only text")
-            if payload["kind"] == "wedding":
-                _check_wedding_constraints(line_no, payload["constraints"])
-            elif payload["kind"] == "travel":
-                _check_travel_constraints(line_no, payload["constraints"])
+            fields = _CONSTRAINT_FIELDS.get(payload["kind"])
+            if fields is None:
+                known = " or ".join(map(repr, _CONSTRAINT_FIELDS))
+                raise MalformedTraceError(line_no, f"run_start payload 'kind' must be {known}")
+            _check_fields(
+                line_no, "run_start payload", "constraints.", payload["constraints"], fields
+            )
         if kind == STAGE_DONE and payload["outputs"].get("schedule") is not None:
             _check_schedule(line_no, payload["outputs"]["schedule"])
         events.append(TraceEvent(record["t"], kind, payload))
@@ -226,25 +235,17 @@ def parse_trace(text: str) -> Trace:
     )
 
 
-def _check_wedding_constraints(line_no: int, constraints: dict) -> None:
-    """Check the wedding limits that the scoring compares against."""
-    if type(constraints.get("vehicle_capacity")) is not int:
-        raise MalformedTraceError(
-            line_no, "run_start payload 'constraints.vehicle_capacity' must be an integer"
-        )
-    if type(constraints.get("deadline_min")) not in (int, type(None)):
-        raise MalformedTraceError(
-            line_no, "run_start payload 'constraints.deadline_min' must be null or an integer"
-        )
-
-
-def _check_travel_constraints(line_no: int, constraints: dict) -> None:
-    """Check the travel budget that the scoring compares against."""
-    budget = constraints.get("budget")
-    if type(budget) not in _NUMBER:
-        raise MalformedTraceError(line_no, "run_start payload 'constraints.budget' must be a number")
-    if not math.isfinite(budget):
-        raise MalformedTraceError(line_no, "run_start payload 'constraints.budget' must be finite")
+def _check_fields(line_no: int, where: str, prefix: str, obj: dict, fields: dict) -> None:
+    """Check each of *fields* in *obj*; an error names it as *prefix* + name."""
+    for name, (types, description) in fields.items():
+        value = obj.get(name)
+        if name not in obj and not isinstance(None, types):
+            raise MalformedTraceError(line_no, f"{where} missing {prefix + name!r}")
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise MalformedTraceError(line_no, f"{where} {prefix + name!r} must be {description}")
+        # Only a float can be infinite; an integer of any length is finite.
+        if type(value) is float and not math.isfinite(value):
+            raise MalformedTraceError(line_no, f"{where} {prefix + name!r} must be finite")
 
 
 def _check_schedule(line_no: int, schedule) -> None:
@@ -341,7 +342,6 @@ class TraceBuilder:
         return protocol.encode_line(msg_type, self._seq, payload_text)
 
     def run_start(self, query: Query) -> None:
-        constraints = {k: v for k, v in query.params.items() if k != "scenario"}
         request = {"query": {"raw_text": query.raw_text, "kind": query.kind, "params": query.params}}
         self._append(
             RUN_START,
@@ -351,7 +351,7 @@ class TraceBuilder:
                 "scenario": self.scenario.name,
                 "kind": self.scenario.kind,
                 "stage_ids": self.scenario.stage_ids(),
-                "constraints": constraints,
+                "constraints": query.constraints(),
                 "envelope": self.envelope_line(protocol.PLAN_REQUEST, canonical_dumps(request)),
             },
         )
@@ -561,9 +561,7 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
     planner = MockPlanner()
     tools = {t.stage_id: t for t in build_servers(scenario, MODE_TRADITIONAL)}
     # (key, value, rendered text) in the order the orchestrator learned them.
-    history: list[tuple[str, ContextValue, str]] = [
-        (k, v, rendered(v)) for k, v in query.params.items() if k != "scenario"
-    ]
+    history = [(k, v, rendered(v)) for k, v in query.constraints().items()]
 
     def window() -> list[tuple[str, ContextValue, str]]:
         if scenario.window.enabled:

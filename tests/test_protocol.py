@@ -125,6 +125,8 @@ def test_decode_errors():
         decode("[1,2]")
     with pytest.raises(MalformedSyntaxError):  # nested past the recursion limit
         decode('{"msg_type":"final_response","seq":1,"payload":' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(MalformedSyntaxError):  # past the interpreter's 4300-digit limit
+        decode('{"msg_type":"context_write","seq":1,"payload":{"key":"k","value":' + "7" * 5001 + "}}")
     with pytest.raises(UnknownMessageTypeError):
         decode('{"msg_type":"bogus","seq":1,"payload":{}}')
     with pytest.raises(SchemaViolationError) as info:

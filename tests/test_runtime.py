@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camcp import protocol
+from camcp import runtime, scenarios, store
 from camcp.bench import compute_metrics
 from camcp.planner import MockPlanner, PlanBlueprint
 from camcp.protocol import decode, encode, validate_sequence
@@ -282,21 +282,27 @@ def test_embedded_messages_validate(name, mode, travel_scenario, wedding_scenari
 def test_ca_run_copies_only_the_payloads_from_outside_the_store(
     monkeypatch, travel_scenario, wedding_scenario
 ):
-    """No run, in either mode, copies a protocol payload: the loader and the
+    """A run deep-copies a value only where the store commits it: one
+    top-level copy per commit in context-aware mode and none in traditional
+    mode. No protocol payload or plan is copied again: the loader and the
     store copied every value a line embeds, and lines are checked where they
-    are decoded."""
+    are decoded. Counting ``store._copy`` sees every module's ``copy_value``."""
+    copy = store._copy
     calls = []
-    copy = protocol.copy_value
 
-    def counting_copy(value):
-        calls.append(value)
-        return copy(value)
+    def counting_copy(value, depth):
+        if depth == 0:
+            calls.append(value)
+        return copy(value, depth)
 
-    monkeypatch.setattr(protocol, "copy_value", counting_copy)
-    for name, mode in ALL:
-        trace = run(scenario_by_name(name, travel_scenario, wedding_scenario), mode, 0)
-        assert sum("envelope" in e.payload for e in trace.events) >= 2
-    assert calls == []
+    monkeypatch.setattr(store, "_copy", counting_copy)
+    for seed in (0, 3):
+        for name, mode in ALL:
+            calls.clear()
+            trace = run(scenario_by_name(name, travel_scenario, wedding_scenario), mode, seed)
+            assert sum("envelope" in e.payload for e in trace.events) >= 2
+            commits = len(trace.events_of(runtime.SCS_WRITE))
+            assert len(calls) == (commits if mode == MODE_CA else 0), (name, mode, seed)
 
 
 def test_travel_ca_message_vocabulary(travel_scenario):
@@ -700,7 +706,7 @@ def test_every_line_of_a_run_equals_encoding_its_event(
         ),
         pytest.param(
             _edit_wedding_constraints(lambda c: c.pop("vehicle_capacity")), 1,
-            re.escape("run_start payload 'constraints.vehicle_capacity' must be an integer"),
+            re.escape("run_start payload missing 'constraints.vehicle_capacity'"),
             id="run-start-capacity-missing",
         ),
         pytest.param(
@@ -760,6 +766,10 @@ def test_every_line_of_a_run_equals_encoding_its_event(
             re.escape("run_start payload 'constraints.budget' must be finite"),
             id="run-start-budget-minus-overflow",
         ),
+        pytest.param(
+            _edit_payload("run_start", "kind", "cooking"), 1,
+            "run_start payload 'kind' must be 'travel' or 'wedding'", id="run-start-kind-unknown",
+        ),
     ],
 )
 def test_parse_trace_rejects_corruption(
@@ -773,6 +783,12 @@ def test_parse_trace_rejects_corruption(
         parse_trace(text)
     if line_no is not None:
         assert info.value.line_no == line_no
+
+
+def test_trace_kinds_are_the_loaders_kinds():
+    """parse_trace checks the scored constraints of each kind the loader
+    accepts, and rejects any other kind."""
+    assert set(runtime._CONSTRAINT_FIELDS) == set(scenarios._WIRING)
 
 
 def test_parse_trace_requires_metric_fields(travel_scenario):
