@@ -4,7 +4,9 @@ Context-aware runs plan once, seed the shared store, let reactors
 self-coordinate to quiescence, then summarize. Traditional runs drive every
 stage from the center through a private history that can lose context under
 a window budget. Either way the trace is a pure function of (scenario,
-mode, seed): replaying a serialized trace reproduces the same metrics.
+mode, seed): replaying a serialized trace reproduces the same metrics. What
+differs by scenario kind (the query a seed asks, the call policy, the
+constraints a trace must carry) is read from the kind's ``scenarios.KINDS`` row.
 
 Each value a run produces is encoded once. A store commit's ``scs_write``
 line, a ``stage_done`` line and the final summary are assembled from the
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import time
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ from .planner import (
 from .reactor import BudgetExceededError, ReactorPool
 from .scenarios import (
     CA_COMBINED_SINGLE,
-    CALL_POLICIES,
+    KINDS,
     MODE_CA,
     MODE_TRADITIONAL,
     TRADITIONAL_PER_STAGE,
@@ -64,21 +65,14 @@ STAGE_DONE = "stage_done"
 STAGE_FAILED = "stage_failed"
 
 EVENT_KINDS = (
-    RUN_START,
-    RUN_END,
-    LLM_CALL,
-    TOOL_EXEC,
-    SCS_WRITE,
-    TRIGGER_FIRE,
-    STAGE_DONE,
-    STAGE_FAILED,
+    RUN_START, RUN_END, LLM_CALL, TOOL_EXEC, SCS_WRITE, TRIGGER_FIRE, STAGE_DONE, STAGE_FAILED
 )
 
 # Payload fields that compute_metrics reads, by event kind, with the JSON
 # type each must have. None of them may be a boolean, which Python counts as
 # an integer, and a float must be finite: a literal such as 1e400 decodes to
-# a float infinity. A field that may be null may also be absent.
-_NUMBER = (int, float)
+# a float infinity. A field that may be null may also be absent. Each kind's
+# row in ``scenarios.KINDS`` lists the run_start constraints it scores.
 _PAYLOAD_FIELDS = {
     RUN_START: {
         "mode": (str, "text"),
@@ -88,17 +82,7 @@ _PAYLOAD_FIELDS = {
         "constraints": (dict, "an object"),
     },
     STAGE_DONE: {"stage": (str, "text"), "outputs": (dict, "an object")},
-    RUN_END: {"simulated_latency_s": (_NUMBER, "a number")},
-}
-
-# The run_start constraints that the scoring compares against, by scenario
-# kind; its keys are the kinds a trace may name.
-_CONSTRAINT_FIELDS = {
-    "travel": {"budget": (_NUMBER, "a number")},
-    "wedding": {
-        "vehicle_capacity": (int, "an integer"),
-        "deadline_min": ((int, type(None)), "null or an integer"),
-    },
+    RUN_END: {"simulated_latency_s": ((int, float), "a number")},
 }
 
 # Fields of a stage_done ``outputs.schedule`` that the wedding scoring reads:
@@ -143,9 +127,6 @@ class Trace:
 
     def events_of(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
-
-    def llm_call_count(self) -> int:
-        return len(self.events_of(LLM_CALL))
 
     def protocol_messages(self) -> list[protocol.Envelope]:
         messages = []
@@ -208,12 +189,12 @@ def parse_trace(text: str) -> Trace:
         if kind == RUN_START:
             if not all(isinstance(s, str) for s in payload["stage_ids"]):
                 raise MalformedTraceError(line_no, "run_start payload 'stage_ids' must hold only text")
-            fields = _CONSTRAINT_FIELDS.get(payload["kind"])
-            if fields is None:
-                known = " or ".join(map(repr, _CONSTRAINT_FIELDS))
+            row = KINDS.get(payload["kind"])
+            if row is None:
+                known = " or ".join(map(repr, KINDS))
                 raise MalformedTraceError(line_no, f"run_start payload 'kind' must be {known}")
             _check_fields(
-                line_no, "run_start payload", "constraints.", payload["constraints"], fields
+                line_no, "run_start payload", "constraints.", payload["constraints"], row.scored
             )
         if kind == STAGE_DONE and payload["outputs"].get("schedule") is not None:
             _check_schedule(line_no, payload["outputs"]["schedule"])
@@ -320,8 +301,6 @@ class TraceBuilder:
         self._events: list[TraceEvent] = []
         self._t = 0
         self._seq = 0
-        self._llm_calls = 0
-        self._tool_execs = 0
         self._closed = False
 
     def _append(self, kind: str, payload: dict, payload_text: str | None = None) -> None:
@@ -357,14 +336,12 @@ class TraceBuilder:
         )
 
     def llm_call(self, role: str, envelope: str | None = None) -> None:
-        self._llm_calls += 1
         payload = {"role": role, "latency_s": self.cost.per_call_latency_s}
         if envelope is not None:
             payload["envelope"] = envelope
         self._append(LLM_CALL, payload)
 
     def tool_exec(self, server_id: str, stage_id: str, extra: dict | None = None) -> None:
-        self._tool_execs += 1
         payload = {"server": server_id, "stage": stage_id, "latency_s": self.cost.per_tool_latency_s}
         if extra:
             payload.update(extra)
@@ -417,9 +394,10 @@ class TraceBuilder:
         return on_commit
 
     def simulated_latency_s(self) -> float:
+        kinds = [e.kind for e in self._events]
         return (
-            self._llm_calls * self.cost.per_call_latency_s
-            + self._tool_execs * self.cost.per_tool_latency_s
+            kinds.count(LLM_CALL) * self.cost.per_call_latency_s
+            + kinds.count(TOOL_EXEC) * self.cost.per_tool_latency_s
         )
 
     def run_end(self, completed: bool, summary: str | None = None) -> None:
@@ -443,28 +421,11 @@ class TraceBuilder:
 
 
 def query_for_seed(scenario: Scenario, seed: int) -> Query:
-    """Deterministic query for a seed. Seed 0 is the scenario's base query;
-    other seeds vary the travel destination, length, and budget within the
-    shipped data tables. Wedding queries are structurally fixed."""
+    """Deterministic query for a seed, as the scenario's kind asks it. Seed 0
+    is the scenario's base query."""
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if scenario.kind == "travel":
-        params = dict(scenario.constraints)
-        if seed != 0:
-            rng = random.Random(seed)
-            destinations = list(scenario.data_tables["destinations"])
-            params["destination"] = destinations[rng.randrange(len(destinations))]
-            params["days"] = rng.choice([2, 3, 4])
-            params["budget"] = rng.choice([1200, 1500, 1800])
-        preferences = params.get("preferences") or []
-        raw = (
-            f"Plan a {params['days']}-day trip to {params['destination']} "
-            f"with a ${params['budget']} budget; preferences: {', '.join(preferences)}."
-        )
-        return Query(raw_text=raw, kind="travel", params=params)
-    params = {"scenario": scenario.name, **scenario.constraints}
-    raw = "Coordinate wedding-day guest arrivals, errands, and the shared vehicle."
-    return Query(raw_text=raw, kind="wedding", params=params)
+    return KINDS[scenario.kind].query(scenario, seed)
 
 
 def seed_context(store: ContextStore, blueprint: PlanBlueprint) -> None:
@@ -485,7 +446,7 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
     builder.run_start(query)
 
     planner = MockPlanner()
-    combined = CALL_POLICIES[scenario.kind]["ca_calls"] == CA_COMBINED_SINGLE
+    combined = KINDS[scenario.kind].ca_calls == CA_COMBINED_SINGLE
     blueprint = planner.plan(query, scenario)
     builder.llm_call(
         "combined" if combined else "plan",
@@ -568,7 +529,7 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
             return history[-scenario.window.budget_entries :]
         return list(history)
 
-    per_stage = CALL_POLICIES[scenario.kind]["traditional_calls"] == TRADITIONAL_PER_STAGE
+    per_stage = KINDS[scenario.kind].traditional_calls == TRADITIONAL_PER_STAGE
     if not per_stage:
         # One upfront orchestration decides everything; tools then run open-loop.
         planner.plan(query, scenario)

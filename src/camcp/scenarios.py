@@ -2,13 +2,16 @@
 computations shared by both execution modes, vehicle-trip batching, and
 goal/constraint scoring.
 
-A scenario file is a single JSON document, checked against its kind's fixed
-wiring in the ``_WIRING`` table: the stages with their triggers, done flags and
-goals, and the completion key. The planner reads that wiring from the loaded
-scenario. The same tool computations are exposed two ways, through one maker
-per kind and mode: as stateful reactors over the shared store (context-aware
-mode) and as stateless functions over an assembled context window
-(traditional mode).
+Everything a scenario kind fixes has one home, its row in ``KINDS``: the
+stages with their triggers, done flags and goals, the completion key, the
+call policy, the loader's check of the data tables and constraints, the
+query a seed asks, the ``run_start`` constraints its scoring reads (which
+:func:`~camcp.runtime.parse_trace` checks), the constraint checks, and the
+makers of each stage's server. A scenario file is a single JSON document,
+checked against its kind's row; the planner reads the wiring from the loaded
+scenario. The same tool computations are exposed two ways: as stateful
+reactors over the shared store (context-aware mode) and as stateless
+functions over an assembled context window (traditional mode).
 
 Wedding requests and schedules are the plain values that the store holds and
 the trace carries. No function here changes a request value it is handed: the
@@ -17,13 +20,16 @@ store, or an earlier stage output, owns it.
 from __future__ import annotations
 
 import json
+import math
+import random
 import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .planner import CostModel, Stage
+from .planner import CostModel, Query, Stage
 from .reactor import Action, ServerSpec
 from .store import ContextValue, Exists, Snapshot, UnstorableValueError, copy_value
 
@@ -36,45 +42,9 @@ TRADITIONAL_SINGLE = "single_orchestration_plus_synthesis"
 CA_PLAN_AND_SUMMARIZE = "plan_and_summarize"
 CA_COMBINED_SINGLE = "combined_single"
 
-# Each kind's fixed call shape: how many planner invocations each mode
-# performs. A scenario file may restate it under "call_policy", not change it.
-CALL_POLICIES = {
-    "travel": {"traditional_calls": TRADITIONAL_PER_STAGE, "ca_calls": CA_PLAN_AND_SUMMARIZE},
-    "wedding": {"traditional_calls": TRADITIONAL_SINGLE, "ca_calls": CA_COMBINED_SINGLE},
-}
-
 REQUEST_KEY_PREFIX = "transport_request."
 # The flag the wedding trackers raise once all of them have posted requests.
 _REQUESTS_POSTED = "requests_posted"
-
-# Each kind's fixed wiring: its stages in run order, and the flag that marks a
-# run complete. A scenario file restates each stage's (stage_id, server_id)
-# and adds the context keys the stage requires.
-_WIRING = {
-    "travel": (
-        (
-            Stage("location", "location_server", Exists("goals_seeded"), "location_done",
-                  "shortlist places to visit"),
-            Stage("weather", "weather_server", Exists("location_done"), "weather_done",
-                  "forecast the weather"),
-            Stage("hotel", "hotel_server", Exists("location_done"), "hotel_done", "book a hotel"),
-            Stage("dining", "dining_server", Exists("hotel_done"), "dining_done",
-                  "plan the dining"),
-        ),
-        "itinerary_complete",
-    ),
-    "wedding": (
-        (
-            Stage("arrivals", "arrival_tracker", Exists("goals_seeded"), "arrivals_done",
-                  "track guest arrivals"),
-            Stage("errands", "errand_tracker", Exists("goals_seeded"), "errands_done",
-                  "track errand pickups"),
-            Stage("schedule", "transport", Exists(_REQUESTS_POSTED), "schedule_done",
-                  "produce the shared-vehicle schedule"),
-        ),
-        "logistics_complete",
-    ),
-}
 
 # Longest travel plan a scenario may ask for; the tools build one row per day.
 MAX_TRAVEL_DAYS = 30
@@ -82,7 +52,9 @@ MAX_TRAVEL_DAYS = 30
 # Longest simulated latency of one model or tool call: one simulated day, so a
 # run's total stays finite.
 _MAX_LATENCY_S = 86400
-_LATENCY_RANGE = f"must be a finite number >= 0 and <= {_MAX_LATENCY_S} (one simulated day)"
+# Latest wedding ready time or deadline, and longest trip: one simulated year
+# in minutes, so a makespan and a sweep's mean of them stay floats.
+_MAX_MINUTES = 525600
 
 
 class ScenarioParseError(Exception):
@@ -119,6 +91,26 @@ class Scenario:
 
     def stage_ids(self) -> list[str]:
         return [s.stage_id for s in self.stages]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One row of ``KINDS``. ``check(data_tables, constraints)`` raises
+    ScenarioValidationError; ``query(scenario, seed)`` is the query a seed
+    asks; ``scored`` maps each ``run_start`` constraint that
+    ``score(constraints, outputs)`` reads, one bool per check, to (its JSON
+    types, their description), and None among the types makes it optional."""
+
+    stages: tuple[Stage, ...]
+    completion_key: str
+    traditional_calls: str
+    ca_calls: str
+    check: Callable[[dict, dict], None]
+    query: Callable[[Scenario, int], Query]
+    scored: dict
+    score: Callable[[Mapping, Mapping], list[bool]]
+    make_action: Callable[[Scenario, Stage], Action]
+    make_tool: Callable[[Scenario, Stage], Callable]
 
 
 # -- Loading and validation ---------------------------------------------------
@@ -169,8 +161,9 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         raise ScenarioValidationError(field, exc.problem + exc.detail) from exc
 
     kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _WIRING:
-        raise ScenarioValidationError("kind", f"must be travel or wedding, got {kind!r}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ScenarioValidationError("kind", f"must be {' or '.join(KINDS)}, got {kind!r}")
+    row = KINDS[kind]
 
     name = data.get("name", default_name or kind)
     if not isinstance(name, str) or not name:
@@ -179,7 +172,8 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
     policy_data = data.get("call_policy", {})
     if not isinstance(policy_data, dict):
         raise ScenarioValidationError("call_policy", "must be an object")
-    for fname, policy in CALL_POLICIES[kind].items():
+    for fname in ("traditional_calls", "ca_calls"):
+        policy = getattr(row, fname)
         if policy_data.get(fname, policy) != policy:
             raise ScenarioValidationError(f"call_policy.{fname}", f"{kind} scenarios use {policy!r}")
 
@@ -190,8 +184,7 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
     if not isinstance(enabled, bool):
         raise ScenarioValidationError("window.enabled", "must be true or false")
     budget_entries = window_data.get("budget_entries", WindowConfig.budget_entries)
-    if not _is_int(budget_entries) or budget_entries < 1:
-        raise ScenarioValidationError("window.budget_entries", "must be an integer >= 1")
+    _checked("window.budget_entries", budget_entries, 1)
     eviction = window_data.get("eviction", "fifo")
     if eviction != "fifo":
         raise ScenarioValidationError("window.eviction", f"unsupported policy {eviction!r}")
@@ -200,14 +193,15 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
     cost_data = data.get("cost_model", {})
     if not isinstance(cost_data, dict):
         raise ScenarioValidationError("cost_model", "must be an object")
-    cost_model = CostModel(
-        per_call_latency_s=_latency(cost_data, "per_call_latency_s"),
-        per_tool_latency_s=_latency(cost_data, "per_tool_latency_s"),
-    )
+    cost_model = CostModel(**{
+        fname: float(_checked(
+            f"cost_model.{fname}", cost_data.get(fname, getattr(CostModel, fname)),
+            0, _MAX_LATENCY_S, number=True,
+        ))
+        for fname in ("per_call_latency_s", "per_tool_latency_s")
+    })
 
-    max_steps = data.get("max_steps", Scenario.max_steps)
-    if not _is_int(max_steps) or max_steps < 1:
-        raise ScenarioValidationError("max_steps", "must be an integer >= 1")
+    max_steps = _checked("max_steps", data.get("max_steps", Scenario.max_steps), 1)
 
     constraints = data.get("constraints")
     if not isinstance(constraints, dict):
@@ -227,30 +221,23 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         if not isinstance(required, list) or not all(isinstance(r, str) for r in required):
             raise ScenarioValidationError(f"stages[{i}].required", "must be a list of key names")
         required_keys.append(tuple(required))
-    outline, completion_key = _WIRING[kind]
     declared = [(s["stage_id"], s["server_id"]) for s in stages_data]
-    if declared != [(s.stage_id, s.server_id) for s in outline]:
+    if declared != [(s.stage_id, s.server_id) for s in row.stages]:
         raise ScenarioValidationError(
-            "stages", f"{kind} scenarios must declare stages {[s.stage_id for s in outline]}"
+            "stages", f"{kind} scenarios must declare stages {[s.stage_id for s in row.stages]}"
         )
-    stages = tuple(
-        replace(stage, required=required)
-        for stage, required in zip(outline, required_keys)
-    )
+    stages = tuple(replace(s, required=r) for s, r in zip(row.stages, required_keys))
 
     tables = data.get("data_tables")
     if not isinstance(tables, dict):
         raise ScenarioValidationError("data_tables", "must be an object")
-    if kind == "travel":
-        _validate_travel(tables, constraints)
-    else:
-        _validate_wedding(tables, constraints)
+    row.check(tables, constraints)
 
     return Scenario(
         name=name,
         kind=kind,
         stages=stages,
-        completion_key=completion_key,
+        completion_key=row.completion_key,
         data_tables=tables,
         window=window,
         constraints=constraints,
@@ -259,21 +246,18 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_amount(value) -> bool:
-    """A non-bool number from 0 to the largest float; the upper bound also
-    rejects an integer too large to become a float."""
-    return (_is_int(value) or isinstance(value, float)) and 0 <= value <= sys.float_info.max
-
-
-def _latency(cost_data: dict, name: str) -> float:
-    value = cost_data.get(name, getattr(CostModel, name))
-    if not _is_finite_amount(value) or value > _MAX_LATENCY_S:
-        raise ScenarioValidationError(f"cost_model.{name}", _LATENCY_RANGE)
-    return float(value)
+def _checked(field_name: str, value, low, high=None, number=False):
+    """*value* if it is an integer, or with *number* an int or float, from
+    *low* to *high*; else a ScenarioValidationError naming *field_name*. A
+    bool is neither. With no *high*, an integer is unbounded and a number is
+    capped at the largest float, which rules out an int too big for one."""
+    top = high if high is not None else sys.float_info.max if number else math.inf
+    if isinstance(value, (int, float) if number else int) and not isinstance(value, bool):
+        if low <= value <= top:
+            return value
+    what = "a number" if number else "an integer"
+    limit = f"from {low} to {high}" if high is not None else f">= {low}"
+    raise ScenarioValidationError(field_name, f"must be {what} {limit}")
 
 
 def _validate_travel(tables: dict, constraints: dict) -> None:
@@ -287,23 +271,11 @@ def _validate_travel(tables: dict, constraints: dict) -> None:
                 raise ScenarioValidationError(
                     f"data_tables.destinations.{place}.{section}", "must be a non-empty list"
                 )
-    for fname in ("destination", "days", "budget"):
-        if fname not in constraints:
-            raise ScenarioValidationError(f"constraints.{fname}", "required for travel")
-    destination = constraints["destination"]
-    if not isinstance(destination, str):
-        raise ScenarioValidationError("constraints.destination", "must be text")
-    if destination not in destinations:
-        raise ScenarioValidationError(
-            "constraints.destination", f"{destination!r} not in data tables"
-        )
-    days = constraints["days"]
-    if not _is_int(days) or not 1 <= days <= MAX_TRAVEL_DAYS:
-        raise ScenarioValidationError(
-            "constraints.days", f"must be an integer from 1 to {MAX_TRAVEL_DAYS}"
-        )
-    if not _is_finite_amount(constraints["budget"]):
-        raise ScenarioValidationError("constraints.budget", "must be a finite number >= 0")
+    destination = constraints.get("destination")
+    if not isinstance(destination, str) or destination not in destinations:
+        raise ScenarioValidationError("constraints.destination", "must name a data-table destination")
+    _checked("constraints.days", constraints.get("days"), 1, MAX_TRAVEL_DAYS)
+    _checked("constraints.budget", constraints.get("budget"), 0, number=True)
     preferences = constraints.get("preferences", [])
     if not isinstance(preferences, list) or not all(isinstance(p, str) for p in preferences):
         raise ScenarioValidationError("constraints.preferences", "must be a list of text")
@@ -317,25 +289,48 @@ def _validate_wedding(tables: dict, constraints: dict) -> None:
         for i, row in enumerate(rows):
             if not isinstance(row, dict) or not isinstance(row.get("id"), str):
                 raise ScenarioValidationError(f"data_tables.{section}[{i}].id", "must be text")
-            if "ready_time_min" in row and not _is_int(row["ready_time_min"]):
-                raise ScenarioValidationError(
-                    f"data_tables.{section}[{i}].ready_time_min", "must be an integer"
-                )
+            if "ready_time_min" in row:
+                field_name = f"data_tables.{section}[{i}].ready_time_min"
+                _checked(field_name, row["ready_time_min"], 0, _MAX_MINUTES)
     ids = [r["id"] for r in tables["guests"]] + [r["id"] for r in tables["errands"]]
     if len(ids) != len(set(ids)):
         raise ScenarioValidationError("data_tables", "guest/errand ids must be unique")
     vehicle = tables.get("vehicle")
     if not isinstance(vehicle, dict):
         raise ScenarioValidationError("data_tables.vehicle", "must be an object")
-    for name in ("capacity", "trip_duration_min"):
-        if not _is_int(vehicle.get(name)) or vehicle[name] < 1:
-            raise ScenarioValidationError(f"data_tables.vehicle.{name}", "must be an integer >= 1")
-    if "vehicle_capacity" not in constraints:
-        raise ScenarioValidationError("constraints.vehicle_capacity", "required for wedding")
-    if not _is_int(constraints["vehicle_capacity"]) or constraints["vehicle_capacity"] < 1:
-        raise ScenarioValidationError("constraints.vehicle_capacity", "must be an integer >= 1")
-    if "deadline_min" in constraints and not _is_int(constraints["deadline_min"]):
-        raise ScenarioValidationError("constraints.deadline_min", "must be an integer")
+    _checked("data_tables.vehicle.capacity", vehicle.get("capacity"), 1)
+    _checked("data_tables.vehicle.trip_duration_min", vehicle.get("trip_duration_min"), 1, _MAX_MINUTES)
+    _checked("constraints.vehicle_capacity", constraints.get("vehicle_capacity"), 1)
+    if "deadline_min" in constraints:
+        _checked("constraints.deadline_min", constraints["deadline_min"], 0, _MAX_MINUTES)
+
+
+# -- Queries -------------------------------------------------------------------
+
+
+def _travel_query(scenario: Scenario, seed: int) -> Query:
+    """Seed 0 asks for the scenario's own trip; other seeds vary the
+    destination, length and budget within the shipped data tables."""
+    params = dict(scenario.constraints)
+    if seed != 0:
+        rng = random.Random(seed)
+        destinations = list(scenario.data_tables["destinations"])
+        params["destination"] = destinations[rng.randrange(len(destinations))]
+        params["days"] = rng.choice([2, 3, 4])
+        params["budget"] = rng.choice([1200, 1500, 1800])
+    preferences = params.get("preferences") or []
+    raw = (
+        f"Plan a {params['days']}-day trip to {params['destination']} "
+        f"with a ${params['budget']} budget; preferences: {', '.join(preferences)}."
+    )
+    return Query(raw_text=raw, kind=scenario.kind, params=params)
+
+
+def _wedding_query(scenario: Scenario, seed: int) -> Query:
+    """The same query for every seed."""
+    params = {"scenario": scenario.name, **scenario.constraints}
+    raw = "Coordinate wedding-day guest arrivals, errands, and the shared vehicle."
+    return Query(raw_text=raw, kind=scenario.kind, params=params)
 
 
 # -- Travel tool computations --------------------------------------------------
@@ -400,13 +395,20 @@ def plan_dining(tables: dict, destination, days, preferences) -> dict:
     }
 
 
-def itinerary_cost(outputs: Mapping[str, ContextValue]) -> float:
-    """Total cost across stage outputs (entries without a cost are free)."""
-    total = 0
-    for value in outputs.values():
-        if isinstance(value, dict) and isinstance(value.get("cost"), (int, float)):
-            total += value["cost"]
-    return total
+def itinerary_cost(outputs: Mapping[str, ContextValue]):
+    """Total cost across stage outputs (entries without a cost are free);
+    exact, as a Fraction, where a float sum would overflow."""
+    costs = [
+        value["cost"]
+        for value in outputs.values()
+        if isinstance(value, dict) and isinstance(value.get("cost"), (int, float))
+    ]
+    try:
+        return sum(costs)
+    except OverflowError:  # a float plus an integer too large to become one
+        floats = [c for c in costs if isinstance(c, float)]
+        # An infinity, which only a parsed trace can hold, outweighs any integer.
+        return sum(map(Fraction, costs)) if all(map(math.isfinite, floats)) else sum(floats)
 
 
 # -- Wedding requests and batching ---------------------------------------------
@@ -487,36 +489,30 @@ def evaluate_satisfaction(
     satisfied fraction. The wedding checks read the ``schedule`` output as
     the plain value whose shape :func:`~camcp.runtime.parse_trace` checks.
     """
-    if not stage_ids:
-        goal = 1.0
-    else:
-        goal = sum(1 for sid in stage_ids if outputs.get(sid) is not None) / len(stage_ids)
+    goal = sum(outputs.get(sid) is not None for sid in stage_ids) / len(stage_ids) if stage_ids else 1.0
 
-    checks: list[bool] = []
-    if kind == "travel":
-        budget = constraints.get("budget")
-        if isinstance(budget, (int, float)):
-            checks.append(itinerary_cost(outputs) <= budget)
-    elif kind == "wedding":
-        schedule_value = outputs.get("schedule")
-        capacity = constraints.get("vehicle_capacity")
-        deadline = constraints.get("deadline_min")
-        if schedule_value is None:
-            checks.extend([False, False] + ([False] if deadline is not None else []))
-        else:
-            trips = schedule_value["trips"]
-            checks.append(all(len(t["requests"]) <= capacity for t in trips))
-            checks.append(
-                all(
-                    r["ready_time_min"] <= t["start_min"]
-                    for t in trips
-                    for r in t["requests"]
-                )
-            )
-            if deadline is not None:
-                checks.append(schedule_value["makespan_min"] <= deadline)
-    constraint = 1.0 if all(checks) else sum(checks) / len(checks) if checks else 1.0
+    checks = KINDS[kind].score(constraints, outputs)
+    constraint = 1.0 if all(checks) else sum(checks) / len(checks)
     return goal, constraint
+
+
+def _travel_checks(constraints: Mapping, outputs: Mapping[str, ContextValue]) -> list[bool]:
+    return [itinerary_cost(outputs) <= constraints["budget"]]
+
+
+def _wedding_checks(constraints: Mapping, outputs: Mapping[str, ContextValue]) -> list[bool]:
+    schedule = outputs.get("schedule")
+    deadline = constraints.get("deadline_min")
+    if schedule is None:
+        return [False, False] + ([False] if deadline is not None else [])
+    trips = schedule["trips"]
+    checks = [
+        all(len(t["requests"]) <= constraints["vehicle_capacity"] for t in trips),
+        all(r["ready_time_min"] <= t["start_min"] for t in trips for r in t["requests"]),
+    ]
+    if deadline is not None:
+        checks.append(schedule["makespan_min"] <= deadline)
+    return checks
 
 
 # -- Server builders -------------------------------------------------------------
@@ -641,24 +637,67 @@ def _wedding_tool(scenario: Scenario, stage: Stage):
     return run
 
 
-# Per kind: the maker of a stage's context-aware action and of its
-# traditional tool, each called with (scenario, stage).
-_MAKERS = {"travel": (_travel_action, _travel_tool), "wedding": (_wedding_action, _wedding_tool)}
-
-
 def build_servers(scenario: Scenario, mode: str):
     """Materialize the scenario's tool servers for one execution mode:
     ServerSpec reactors for ``context_aware``, StatelessTool functions for
     ``traditional``."""
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
-    make_action, make_tool = _MAKERS[scenario.kind]
+    row = KINDS[scenario.kind]
     if mode == MODE_CA:
         return [
-            ServerSpec(s.server_id, s.trigger, make_action(scenario, s), s.done_key)
+            ServerSpec(s.server_id, s.trigger, row.make_action(scenario, s), s.done_key)
             for s in scenario.stages
         ]
     return [
-        StatelessTool(s.stage_id, s.server_id, s.required, make_tool(scenario, s))
+        StatelessTool(s.stage_id, s.server_id, s.required, row.make_tool(scenario, s))
         for s in scenario.stages
     ]
+
+
+# -- Scenario kinds ----------------------------------------------------------------
+
+KINDS = {
+    "travel": Kind(
+        stages=(
+            Stage("location", "location_server", Exists("goals_seeded"), "location_done",
+                  "shortlist places to visit"),
+            Stage("weather", "weather_server", Exists("location_done"), "weather_done",
+                  "forecast the weather"),
+            Stage("hotel", "hotel_server", Exists("location_done"), "hotel_done", "book a hotel"),
+            Stage("dining", "dining_server", Exists("hotel_done"), "dining_done",
+                  "plan the dining"),
+        ),
+        completion_key="itinerary_complete",
+        traditional_calls=TRADITIONAL_PER_STAGE,
+        ca_calls=CA_PLAN_AND_SUMMARIZE,
+        check=_validate_travel,
+        query=_travel_query,
+        scored={"budget": ((int, float), "a number")},
+        score=_travel_checks,
+        make_action=_travel_action,
+        make_tool=_travel_tool,
+    ),
+    "wedding": Kind(
+        stages=(
+            Stage("arrivals", "arrival_tracker", Exists("goals_seeded"), "arrivals_done",
+                  "track guest arrivals"),
+            Stage("errands", "errand_tracker", Exists("goals_seeded"), "errands_done",
+                  "track errand pickups"),
+            Stage("schedule", "transport", Exists(_REQUESTS_POSTED), "schedule_done",
+                  "produce the shared-vehicle schedule"),
+        ),
+        completion_key="logistics_complete",
+        traditional_calls=TRADITIONAL_SINGLE,
+        ca_calls=CA_COMBINED_SINGLE,
+        check=_validate_wedding,
+        query=_wedding_query,
+        scored={
+            "vehicle_capacity": (int, "an integer"),
+            "deadline_min": ((int, type(None)), "null or an integer"),
+        },
+        score=_wedding_checks,
+        make_action=_wedding_action,
+        make_tool=_wedding_tool,
+    ),
+}

@@ -48,7 +48,7 @@ def report(number: int, passed: bool, detail: str) -> None:
 def test_criterion_01_travel_call_counts(travel_scenario):
     started = time.monotonic()
     counts = {
-        mode: [run(travel_scenario, mode, seed).llm_call_count() for seed in SEEDS]
+        mode: [compute_metrics(run(travel_scenario, mode, seed)).llm_calls for seed in SEEDS]
         for mode in (MODE_TRADITIONAL, MODE_CA)
     }
     elapsed = time.monotonic() - started
@@ -69,7 +69,7 @@ def test_criterion_01_travel_call_counts(travel_scenario):
 def test_criterion_02_wedding_call_counts(wedding_scenario):
     started = time.monotonic()
     counts = {
-        mode: [run(wedding_scenario, mode, seed).llm_call_count() for seed in SEEDS]
+        mode: [compute_metrics(run(wedding_scenario, mode, seed)).llm_calls for seed in SEEDS]
         for mode in (MODE_TRADITIONAL, MODE_CA)
     }
     elapsed = time.monotonic() - started

@@ -36,14 +36,7 @@ from camcp.runtime import (
     serialize_trace,
     write_trace,
 )
-from camcp.scenarios import (
-    MODE_CA,
-    MODE_TRADITIONAL,
-    MODES,
-    ScenarioParseError,
-    ScenarioValidationError,
-    scenario_from_value,
-)
+from camcp.scenarios import MODE_CA, MODE_TRADITIONAL, load_builtin
 
 from oracles import paired_recompute
 from strategies import generated_wedding
@@ -534,8 +527,72 @@ def test_cli_run_of_an_undecodable_scenario_names_the_file(tmp_path, capsys, con
     assert err.startswith(f"error: scenario file {path} is not ") and err.count("\n") == 1
 
 
-_MUTANTS = [None, True, False, 0, 1, -1, 2.5, 10**20, "", "two", [], [1], {}, {"a": 1}]
+@pytest.mark.parametrize(
+    "table, row, field",
+    [("guests", 0, "ready_time_min"), ("vehicle", None, "trip_duration_min")],
+    ids=["ready", "trip"],
+)
+@pytest.mark.parametrize("value", [10**308, 10**400], ids=["10**308", "10**400"])
+def test_cli_bench_of_wedding_minutes_past_a_year_names_the_field(
+    tmp_path, capsys, table, row, field, value
+):
+    """A ready time or trip length too large for a makespan's mean to stay a
+    float is rejected by the loader, not met as an overflow in the sweep."""
+    data = _builtin_value("wedding_p5")
+    entry = data["data_tables"][table]
+    (entry if row is None else entry[row])[field] = value
+    path = tmp_path / "wedding.json"
+    path.write_text(json.dumps(data))
+    out_csv = tmp_path / "x.csv"
+    assert main(["bench", "--scenario", str(path), "--n", "2", "--out", str(out_csv)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    where = f"{table}[{row}]" if row is not None else table
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: scenario field 'data_tables.{where}.{field}': ")
+
+
+def test_cli_scores_a_travel_cost_too_large_for_a_float(golden_dir, tmp_path, capsys):
+    """An integer cost past the largest float beside a float cost: ``camcp
+    run`` in both modes and ``camcp replay`` score the budget as blown and
+    exit 0."""
+    data = _builtin_value("travel")
+    seattle = data["data_tables"]["destinations"]["Seattle"]
+    seattle["hotels"][0]["price_per_night"] = 10**400
+    seattle["attractions"][0]["cost"] = 0.5
+    scenario_path = tmp_path / "travel.json"
+    scenario_path.write_text(json.dumps(data))
+    lines = []
+    for line in (golden_dir / "trace_travel_ca.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        outputs = record["payload"].get("outputs", {})
+        for stage, cost in (("location", 10**400), ("hotel", 0.5)):
+            if record["kind"] == "stage_done" and stage in outputs:
+                outputs[stage]["cost"] = cost
+        lines.append(json.dumps(record))
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text("\n".join(lines) + "\n")
+    for args in (
+        ["run", "--scenario", str(scenario_path), "--mode", "ca"],
+        ["run", "--scenario", str(scenario_path), "--mode", "traditional"],
+        ["replay", "--trace", str(trace_path)],
+    ):
+        assert main(args) == EXIT_OK, args
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["constraint_satisfaction"] == 0.0, args
+
+
 _DELETE = object()
+# The one pool of edits every mutation sweep makes to a field: delete it, or
+# set it to a value of each JSON type, huge numbers included. Every number a
+# run's work grows with is bounded by the loader (travel ``days`` is at most
+# 30), so each scenario mutant is rejected or finishes quickly. ``1e308``
+# overflows a product (a hotel's nightly price times the nights) or a latency
+# sum unless the run contains it.
+_MUTANTS = [
+    _DELETE, None, True, False, 0, 1, -1, 2.5, 1e308, 10**30, -10**30, 10**400, "", "two", [], [1],
+    {}, {"a": 1},
+]
 
 
 def _paths(value, path=()):
@@ -551,17 +608,22 @@ def _paths(value, path=()):
         yield from _paths(child, path + (key,))
 
 
-def _mutated(lines: list[str], index: int, path: tuple, new) -> str:
-    """The trace text with the field at ``path`` of line ``index`` set to
-    ``new``, or deleted when ``new`` is ``_DELETE``."""
-    record = json.loads(lines[index])
-    parent = record
+def _edited(data, path: tuple, new):
+    """``data`` with the field at ``path`` set to ``new``, or deleted when
+    ``new`` is ``_DELETE``; edited in place."""
+    parent = data
     for key in path[:-1]:
         parent = parent[key]
     if new is _DELETE:
         del parent[path[-1]]
     else:
         parent[path[-1]] = new
+    return data
+
+
+def _mutated(lines: list[str], index: int, path: tuple, new) -> str:
+    """The trace text with line ``index`` edited by :func:`_edited`."""
+    record = _edited(json.loads(lines[index]), path, new)
     edited = lines[:index] + [json.dumps(record, separators=(",", ":"))] + lines[index + 1 :]
     return "\n".join(edited) + "\n"
 
@@ -573,16 +635,48 @@ def _score_or_reject(text: str) -> RunMetrics | None:
         return None
 
 
-@pytest.mark.parametrize("name", ["trace_travel_ca.jsonl", "trace_wedding_ca.jsonl"])
-def test_every_field_mutation_of_a_golden_trace_scores_or_is_rejected(golden_dir, name):
-    """Each field of each line, deleted or set to a value of each JSON type:
-    parsing raises MalformedTraceError or the trace scores, never another
-    exception."""
-    lines = (golden_dir / name).read_text().splitlines()
+def _trace_mutants(text: str, scored_only: bool):
+    """Every single-field mutant of a trace, each field edited with each of
+    ``_MUTANTS``; with ``scored_only``, only the fields of the payloads the
+    scoring reads (each ``run_start``, ``stage_done`` and ``run_end``,
+    envelopes aside)."""
+    lines = text.splitlines()
     for index, line in enumerate(lines):
-        for path in _paths(json.loads(line)):
-            for new in (_DELETE, None, True, -1, 2.5, "two", [], {}):
-                _score_or_reject(_mutated(lines, index, path, new))
+        record = json.loads(line)
+        if not scored_only:
+            paths = _paths(record)
+        elif record["kind"] in ("run_start", "stage_done", "run_end"):
+            paths = [("payload",) + p for p in _paths(record["payload"]) if p[0] != "envelope"]
+        else:
+            continue
+        for path in paths:
+            for new in _MUTANTS:
+                yield _mutated(lines, index, path, new)
+
+
+@pytest.mark.parametrize(
+    "name, scenario_name, count",
+    [("trace_travel_ca.jsonl", "travel", 6498), ("trace_wedding_ca.jsonl", "wedding_p5", 14220)],
+    ids=["trace_travel_ca.jsonl", "trace_wedding_ca.jsonl"],
+)
+def test_every_field_mutation_of_a_golden_trace_scores_or_is_rejected(
+    golden_dir, name, scenario_name, count
+):
+    """Each field of each line of a golden trace, the seed-0 CA run, and each
+    scored field of the same scenario's seed-0 traditional trace, edited with
+    each of ``_MUTANTS``: parse_trace raises MalformedTraceError, or the trace
+    scores to metrics that are JSON (no NaN or infinity), never another
+    exception."""
+    traditional = serialize_trace(run(load_builtin(scenario_name), MODE_TRADITIONAL, 0))
+    texts = [((golden_dir / name).read_text(), False), (traditional, True)]
+    seen = 0
+    for text, scored_only in texts:
+        for mutant in _trace_mutants(text, scored_only):
+            seen += 1
+            metrics = _score_or_reject(mutant)
+            if metrics is not None:
+                json.dumps(asdict(metrics), allow_nan=False)
+    assert seen == count
 
 
 @pytest.mark.parametrize("name", ["trace_travel_ca.jsonl", "trace_wedding_ca.jsonl"])
@@ -594,7 +688,7 @@ def test_replay_of_a_mutated_golden_trace_exits_0_or_1(golden_dir, tmp_path, cap
     lines = (golden_dir / name).read_text().splitlines()
     index = data.draw(st.integers(min_value=0, max_value=len(lines) - 1), label="line")
     path = data.draw(st.sampled_from(list(_paths(json.loads(lines[index])))), label="field")
-    new = data.draw(st.sampled_from([_DELETE] + _MUTANTS), label="value")
+    new = data.draw(st.sampled_from(_MUTANTS), label="value")
     text = _mutated(lines, index, path, new)
     metrics = _score_or_reject(text)
     trace_path = tmp_path / name
@@ -610,91 +704,19 @@ def test_replay_of_a_mutated_golden_trace_exits_0_or_1(golden_dir, tmp_path, cap
         assert json.loads(out) == asdict(metrics)
 
 
-# Huge integers included: every number a run's work grows with is bounded by
-# the loader (travel ``days`` is at most 30), so each mutant is rejected or
-# finishes quickly. ``1e308`` overflows a product (a hotel's nightly price
-# times the nights) or a latency sum unless the run contains it.
-_SCENARIO_MUTANTS = [
-    None, True, False, 0, 1, -1, 2.5, 1e308, 10**30, -10**30, 10**400, "", "two", [], [1], {},
-    {"a": 1},
-]
-
-
-def _trace_mutants(text: str):
-    """Every single-field mutant of the payloads the scoring reads (each
-    ``run_start``, ``stage_done`` and ``run_end``, envelopes aside): each
-    field deleted or set to each of ``_SCENARIO_MUTANTS``."""
-    lines = text.splitlines()
-    for index, line in enumerate(lines):
-        record = json.loads(line)
-        if record["kind"] not in ("run_start", "stage_done", "run_end"):
-            continue
-        for path in _paths(record["payload"]):
-            if path[0] != "envelope":
-                for new in [_DELETE] + _SCENARIO_MUTANTS:
-                    yield _mutated(lines, index, ("payload",) + path, new)
-
-
-def test_every_scored_field_mutation_of_a_run_trace_is_rejected_or_scores_as_json(
-    travel_scenario, wedding_scenario
-):
-    """Each field of each scored payload of both shipped scenarios' seed-0
-    traces, in both modes, deleted or set to a value of each JSON type, huge
-    integers included: parse_trace raises MalformedTraceError, or the trace
-    scores to metrics that are JSON (no NaN or infinity)."""
-    count = 0
-    for scenario in (travel_scenario, wedding_scenario):
-        for mode in MODES:
-            for text in _trace_mutants(serialize_trace(run(scenario, mode, 0))):
-                count += 1
-                metrics = _score_or_reject(text)
-                if metrics is not None:
-                    json.dumps(asdict(metrics), allow_nan=False)
-    assert count == 8136
-
-
 def _builtin_value(name: str) -> dict:
     text = resources.files("camcp").joinpath("data", f"{name}.json").read_text("utf-8")
     return json.loads(text)
 
 
-def _mutated_value(value: dict, path: tuple, new) -> dict:
-    """A copy of ``value`` with the field at ``path`` set to ``new``, or
-    deleted when ``new`` is ``_DELETE``."""
-    data = json.loads(json.dumps(value))
-    parent = data
-    for key in path[:-1]:
-        parent = parent[key]
-    if new is _DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = new
-    return data
-
-
 def _mutants(name: str):
-    """Every single-field mutant of a shipped scenario: each field deleted or
-    set to each of ``_SCENARIO_MUTANTS``."""
+    """Every single-field mutant of a shipped scenario, each field edited
+    with each of ``_MUTANTS``."""
     base = _builtin_value(name)
+    text = json.dumps(base)
     for path in _paths(base):
-        for new in [_DELETE] + _SCENARIO_MUTANTS:
-            yield _mutated_value(base, path, new)
-
-
-@pytest.mark.parametrize("name", ["travel", "wedding_p5"])
-def test_every_field_mutation_of_a_builtin_scenario_is_rejected_or_replays(name):
-    """Each field of a shipped scenario, deleted or set to a value of each
-    JSON type: the loader raises its documented errors, or both modes run to
-    a trace whose replayed metrics equal the live ones."""
-    for value in _mutants(name):
-        try:
-            scenario = scenario_from_value(value)
-        except (ScenarioParseError, ScenarioValidationError):
-            continue
-        for mode in MODES:
-            trace = run(scenario, mode, 0)
-            replayed = compute_metrics(parse_trace(serialize_trace(trace)))
-            assert replayed == compute_metrics(trace, scenario), (value, mode)
+        for new in _MUTANTS:
+            yield _edited(json.loads(text), path, new)
 
 
 @pytest.mark.parametrize("name", ["travel", "wedding_p5"])

@@ -308,6 +308,31 @@ def test_travel_preferences_may_be_absent():
             "data_tables.vehicle.trip_duration_min",
             id="vehicle-duration-bool",
         ),
+        pytest.param(
+            lambda d: d["data_tables"]["vehicle"].update(trip_duration_min=525601),
+            "data_tables.vehicle.trip_duration_min",
+            id="vehicle-duration-past-a-year",
+        ),
+        pytest.param(
+            lambda d: d["data_tables"]["guests"][2].update(ready_time_min=-1),
+            "data_tables.guests[2].ready_time_min",
+            id="guest-ready-negative",
+        ),
+        pytest.param(
+            lambda d: d["data_tables"]["errands"][0].update(ready_time_min=10**400),
+            "data_tables.errands[0].ready_time_min",
+            id="errand-ready-huge",
+        ),
+        pytest.param(
+            lambda d: d["constraints"].update(deadline_min=525601),
+            "constraints.deadline_min",
+            id="deadline-past-a-year",
+        ),
+        pytest.param(
+            lambda d: d["constraints"].update(deadline_min=None),
+            "constraints.deadline_min",
+            id="deadline-null",
+        ),
     ],
 )
 def test_wedding_validation_names_offending_field(mutate, field):
@@ -316,6 +341,17 @@ def test_wedding_validation_names_offending_field(mutate, field):
     with pytest.raises(ScenarioValidationError) as info:
         scenario_from_value(data)
     assert info.value.field == field
+
+
+def test_wedding_minutes_of_one_simulated_year_are_accepted():
+    """The minute cap is inclusive: a run at the cap finishes and scores."""
+    data = _wedding_value()
+    data["data_tables"]["guests"][0]["ready_time_min"] = 525600
+    data["data_tables"]["vehicle"]["trip_duration_min"] = 525600
+    data["constraints"]["deadline_min"] = 525600
+    scenario = scenario_from_value(data)
+    trace = parse_trace(serialize_trace(run(scenario, MODE_CA, 0)))
+    assert trace.events[-1].payload["completed"] is True
 
 
 def test_constraint_key_order_is_preserved(travel_scenario):
@@ -566,9 +602,10 @@ def test_collect_window_requests_merges_both_trackers(wedding_scenario):
 
 
 def test_goal_satisfaction_counts_present_stages():
-    goal, _ = evaluate_satisfaction("travel", {}, ["a", "b", "c", "d"], {"a": 1, "c": 2})
+    budget = {"budget": 0}
+    goal, _ = evaluate_satisfaction("travel", budget, ["a", "b", "c", "d"], {"a": 1, "c": 2})
     assert goal == 0.5
-    goal, constraint = evaluate_satisfaction("travel", {}, [], {})
+    goal, constraint = evaluate_satisfaction("travel", budget, [], {})
     assert goal == 1.0 and constraint == 1.0
 
 
