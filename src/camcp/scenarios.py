@@ -24,7 +24,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -406,6 +405,7 @@ def itinerary_cost(outputs: Mapping[str, ContextValue]):
     try:
         return sum(costs)
     except OverflowError:  # a float plus an integer too large to become one
+        from fractions import Fraction  # here, so importing camcp skips fractions and decimal
         floats = [c for c in costs if isinstance(c, float)]
         # An infinity, which only a parsed trace can hold, outweighs any integer.
         return sum(map(Fraction, costs)) if all(map(math.isfinite, floats)) else sum(floats)

@@ -2,6 +2,7 @@
 import copy
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -417,6 +418,16 @@ def test_itinerary_cost_sums_cost_fields():
         "note": "free",
     }
     assert itinerary_cost(outputs) == 297
+
+
+def test_itinerary_cost_past_the_largest_float_stays_exact():
+    """A float plus an integer too large to become one sums exactly, so the
+    budget check still orders it; an infinite float cost, which only a
+    parsed trace can hold, outweighs any integer."""
+    huge = 10**400
+    assert itinerary_cost({"a": {"cost": 0.5}, "b": {"cost": huge}}) == huge + Fraction(1, 2)
+    assert itinerary_cost({"a": {"cost": 0.5}, "b": {"cost": -huge}}) < 0
+    assert itinerary_cost({"a": {"cost": float("inf")}, "b": {"cost": -huge}}) == float("inf")
 
 
 def test_every_query_variation_fits_the_tightest_budget(travel_scenario):
