@@ -28,7 +28,7 @@ def print_table(scenario_name: str, seed: int) -> None:
         ("goal satisfaction", "goal_satisfaction"),
         ("constraint satisfaction", "constraint_satisfaction"),
     ]
-    if scenario.kind == "wedding":
+    if "schedule" in scenario.stage_ids():
         rows += [("makespan (min)", "makespan_min"), ("coordination", "coordination")]
 
     print(f"\n{scenario.name} (seed {seed})")

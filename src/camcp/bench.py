@@ -1,7 +1,10 @@
 """Benchmark harness: run both modes across seeds, score traces, compare.
 
 All metrics are computed purely from traces, so replaying a serialized trace
-yields byte-for-byte the same numbers as the live run that produced it.
+yields byte-for-byte the same numbers as the live run that produced it. No
+metric names a scenario kind: makespan and coordination come from a
+``schedule`` stage's output, and a sweep's summary pairs the makespan only
+for a scenario that has such a stage.
 """
 from __future__ import annotations
 
@@ -76,15 +79,15 @@ class PairedStats:
 def compute_metrics(trace: Trace, scenario: Scenario | None = None) -> RunMetrics:
     """Score one trace in one pass over its events. ``scenario`` is an
     optional cross-check only; every number comes out of the trace itself.
-    The wedding numbers are read from the ``outputs.schedule`` value whose
-    shape :func:`~camcp.runtime.parse_trace` checks."""
+    Makespan and coordination are read from an ``outputs.schedule`` value,
+    whose shape :func:`~camcp.runtime.parse_trace` checks whatever the kind,
+    and are None for a trace with none."""
     start = trace.events[0].payload
     if scenario is not None and scenario.name != start.get("scenario"):
         raise ValueError(
             f"trace is for scenario {start.get('scenario')!r}, not {scenario.name!r}"
         )
     stage_ids = start["stage_ids"]
-    kind = start["kind"]
 
     done: set[str] = set()
     outputs: dict = {}  # per-stage outputs, last write wins
@@ -98,14 +101,8 @@ def compute_metrics(trace: Trace, scenario: Scenario | None = None) -> RunMetric
     completeness = (
         sum(1 for sid in stage_ids if sid in done) / len(stage_ids) if stage_ids else 1.0
     )
-    goal, constraint = evaluate_satisfaction(kind, start["constraints"], stage_ids, outputs)
-
-    makespan: int | None = None
-    coordination: int | None = None
+    goal, constraint = evaluate_satisfaction(start["kind"], start["constraints"], stage_ids, outputs)
     schedule = outputs.get("schedule")
-    if kind == "wedding" and schedule is not None:
-        makespan = schedule["makespan_min"]
-        coordination = coordination_score(schedule)
 
     return RunMetrics(
         mode=trace.mode,
@@ -113,8 +110,8 @@ def compute_metrics(trace: Trace, scenario: Scenario | None = None) -> RunMetric
         llm_calls=llm_calls,
         completeness=completeness,
         simulated_latency_s=trace.simulated_latency_s,
-        makespan_min=makespan,
-        coordination=coordination,
+        makespan_min=None if schedule is None else schedule["makespan_min"],
+        coordination=None if schedule is None else coordination_score(schedule),
         goal_satisfaction=goal,
         constraint_satisfaction=constraint,
     )
@@ -180,8 +177,6 @@ def _summarize_metric(name: str, by_seed: dict[int, dict[str, RunMetrics]]) -> d
 
 def _mode_means(metrics: list[RunMetrics]) -> dict:
     means: dict = {}
-    if not metrics:
-        return means
     for name in DIFF_DIRECTIONS:
         values = [getattr(m, name) for m in metrics if getattr(m, name) is not None]
         if values:
@@ -239,7 +234,7 @@ def run_bench(
 
     paired = {seed: pair for seed, pair in by_seed.items() if len(pair) == 2}
     metric_names = list(DIFF_DIRECTIONS)
-    if scenario.kind != "wedding":
+    if "schedule" not in scenario.stage_ids():
         metric_names.remove("makespan_min")
     summary = {
         "scenario": scenario.name,

@@ -4,9 +4,10 @@ Context-aware runs plan once, seed the shared store, let reactors
 self-coordinate to quiescence, then summarize. Traditional runs drive every
 stage from the center through a private history that can lose context under
 a window budget. Either way the trace is a pure function of (scenario,
-mode, seed): replaying a serialized trace reproduces the same metrics. What
-differs by scenario kind (the query a seed asks, the call policy, the
-constraints a trace must carry) is read from the kind's ``scenarios.KINDS`` row.
+mode, seed): replaying a serialized trace reproduces the same metrics. The
+drivers name no kind or stage: what differs by kind (the query a seed asks,
+the call policy, the constraints a trace must carry) is read from the kind's
+``scenarios.KINDS`` row, and the tool calls a stage took from its tool.
 
 Each value a run produces is encoded once. A store commit's ``scs_write``
 line, a ``stage_done`` line and the final summary are assembled from the
@@ -113,17 +114,19 @@ class TraceEvent:
 
 @dataclass
 class Trace:
-    """Ordered event log of one run.
+    """Ordered event log of one run. Its mode and seed are the ones its
+    run_start event states, its simulated latency the one run_end states.
 
     ``wall_clock_s`` is measured, never serialized: trace files must be
     byte-identical across runs of the same (scenario, mode, seed).
     """
 
     events: list[TraceEvent]
-    mode: str
-    seed: int
-    simulated_latency_s: float
     wall_clock_s: float = 0.0
+
+    mode = property(lambda self: self.events[0].payload["mode"])
+    seed = property(lambda self: self.events[0].payload["seed"])
+    simulated_latency_s = property(lambda self: self.events[-1].payload["simulated_latency_s"])
 
     def events_of(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
@@ -208,12 +211,7 @@ def parse_trace(text: str) -> Trace:
     for event in events[1:-1]:
         if event.kind in (RUN_START, RUN_END):
             raise MalformedTraceError(event.t, f"{event.kind} may only appear at the boundary")
-    return Trace(
-        events=events,
-        mode=events[0].payload["mode"],
-        seed=events[0].payload["seed"],
-        simulated_latency_s=events[-1].payload["simulated_latency_s"],
-    )
+    return Trace(events)
 
 
 def _check_fields(line_no: int, where: str, prefix: str, obj: dict, fields: dict) -> None:
@@ -289,9 +287,11 @@ def read_trace(path) -> Trace:
 
 class TraceBuilder:
     """Accumulates events under one strictly increasing logical clock and one
-    strictly increasing protocol sequence counter."""
+    strictly increasing protocol sequence counter, and times the run from
+    its own creation to :meth:`build`."""
 
     def __init__(self, mode: str, seed: int, scenario: Scenario):
+        self._started = time.perf_counter()
         self.mode = mode
         self.seed = seed
         self.scenario = scenario
@@ -393,16 +393,14 @@ class TraceBuilder:
 
         return on_commit
 
-    def simulated_latency_s(self) -> float:
+    def run_end(self, completed: bool, summary: str | None = None) -> None:
+        """Close the trace; a *summary* goes out as the final response."""
         kinds = [e.kind for e in self._events]
-        return (
+        latency = (
             kinds.count(LLM_CALL) * self.cost.per_call_latency_s
             + kinds.count(TOOL_EXEC) * self.cost.per_tool_latency_s
         )
-
-    def run_end(self, completed: bool, summary: str | None = None) -> None:
-        """Close the trace; a *summary* goes out as the final response."""
-        payload = {"completed": completed, "simulated_latency_s": self.simulated_latency_s()}
+        payload = {"completed": completed, "simulated_latency_s": latency}
         if summary is not None:
             text = canonical_dumps({"text": summary})
             payload["envelope"] = self.envelope_line(protocol.FINAL_RESPONSE, text)
@@ -412,12 +410,7 @@ class TraceBuilder:
     def build(self) -> Trace:
         if not self._closed:
             raise RuntimeError("trace not ended")
-        return Trace(
-            events=self._events,
-            mode=self.mode,
-            seed=self.seed,
-            simulated_latency_s=self.simulated_latency_s(),
-        )
+        return Trace(self._events, time.perf_counter() - self._started)
 
 
 def query_for_seed(scenario: Scenario, seed: int) -> Query:
@@ -440,9 +433,8 @@ def seed_context(store: ContextStore, blueprint: PlanBlueprint) -> None:
 
 def run_context_aware(scenario: Scenario, seed: int) -> Trace:
     """One context-aware run: plan, seed, react to quiescence, summarize."""
-    started = time.perf_counter()
-    query = query_for_seed(scenario, seed)
     builder = TraceBuilder(MODE_CA, seed, scenario)
+    query = query_for_seed(scenario, seed)
     builder.run_start(query)
 
     planner = MockPlanner()
@@ -505,18 +497,17 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
                 builder.stage_failed(stage.stage_id, unfinished)
         builder.run_end(False)
 
-    trace = builder.build()
-    trace.wall_clock_s = time.perf_counter() - started
-    return trace
+    return builder.build()
 
 
 def run_traditional(scenario: Scenario, seed: int) -> Trace:
     """One centrally orchestrated run over a private, evictable history. Both
     call policies share this stage loop; the per-stage policy adds a step
-    decision and the eviction check before each stage."""
-    started = time.perf_counter()
-    query = query_for_seed(scenario, seed)
+    decision over the window and the eviction check before each stage. The
+    window also bounds the final synthesis. A tool logs one tool_exec per
+    call that its ``calls`` reports for its output."""
     builder = TraceBuilder(MODE_TRADITIONAL, seed, scenario)
+    query = query_for_seed(scenario, seed)
     builder.run_start(query)
 
     planner = MockPlanner()
@@ -524,23 +515,19 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
     # (key, value, rendered text) in the order the orchestrator learned them.
     history = [(k, v, rendered(v)) for k, v in query.constraints().items()]
 
-    def window() -> list[tuple[str, ContextValue, str]]:
-        if scenario.window.enabled:
-            return history[-scenario.window.budget_entries :]
-        return list(history)
-
+    # The window keeps the history from this index on.
+    first = -scenario.window.budget_entries if scenario.window.enabled else 0
     per_stage = KINDS[scenario.kind].traditional_calls == TRADITIONAL_PER_STAGE
     if not per_stage:
-        # One upfront orchestration decides everything; tools then run open-loop.
+        # One upfront orchestration decides everything; tools then run
+        # open-loop over the whole history.
         planner.plan(query, scenario)
         builder.llm_call("plan")
     for stage in scenario.stages:
         tool = tools[stage.stage_id]
-        # The schedule tool reads the whole history and dispatches each
-        # transport request as its own trip, one tool call per trip.
-        schedule = stage.stage_id == "schedule"
-        visible = history if schedule else window()
-        if per_stage:
+        visible = history
+        if per_stage:  # a step decision sees only what the window keeps
+            visible = history[first:]
             visible_keys = [k for k, _, _ in visible]
             planner.step_decision(stage.stage_id, visible_keys)
             builder.llm_call("step_decision")
@@ -552,31 +539,26 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
             output = tool.run({k: v for k, v, _ in visible})
             # One encoding per output, shared by its stage_done line and the synthesis.
             text = canonical_dumps(output)
+            calls = tool.calls(output)
         except Exception as exc:  # a crash, or an output with no JSON text
             builder.tool_exec(tool.server_id, stage.stage_id)
             builder.stage_failed(stage.stage_id, f"{type(exc).__name__}: {exc}")
             continue
-        if schedule:
-            for trip in output["trips"]:
-                request_id = trip["requests"][0]["request_id"]
-                builder.tool_exec(tool.server_id, stage.stage_id, {"request": request_id})
-        else:
-            builder.tool_exec(tool.server_id, stage.stage_id)
+        for extra in calls:
+            builder.tool_exec(tool.server_id, stage.stage_id, extra)
         history.append((stage.stage_id, output, output if isinstance(output, str) else text))
         builder.stage_done(stage.stage_id, output, text)
 
-    summary = planner.synthesize([(k, text) for k, _, text in window()])
+    summary = planner.synthesize([(k, text) for k, _, text in history[first:]])
     builder.llm_call("summarize")
     completed = len(builder.stages_done) == len(scenario.stages)
     builder.run_end(completed, summary)
 
-    trace = builder.build()
-    trace.wall_clock_s = time.perf_counter() - started
-    return trace
+    return builder.build()
 
 
 def run(scenario: Scenario, mode: str, seed: int) -> Trace:
-    if mode in (MODE_CA, "ca"):
+    if mode == MODE_CA:
         return run_context_aware(scenario, seed)
     if mode == MODE_TRADITIONAL:
         return run_traditional(scenario, seed)

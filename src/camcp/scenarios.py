@@ -109,7 +109,7 @@ class Kind:
     scored: dict
     score: Callable[[Mapping, Mapping], list[bool]]
     make_action: Callable[[Scenario, Stage], Action]
-    make_tool: Callable[[Scenario, Stage], Callable]
+    make_tool: Callable[[Scenario, Stage], StatelessTool]
 
 
 # -- Loading and validation ---------------------------------------------------
@@ -249,14 +249,24 @@ def _checked(field_name: str, value, low, high=None, number=False):
     """*value* if it is an integer, or with *number* an int or float, from
     *low* to *high*; else a ScenarioValidationError naming *field_name*. A
     bool is neither. With no *high*, an integer is unbounded and a number is
-    capped at the largest float, which rules out an int too big for one."""
+    capped at the largest float, which rules out an int too big for one; a
+    *high* of ``math.inf`` leaves a number unbounded too."""
     top = high if high is not None else sys.float_info.max if number else math.inf
     if isinstance(value, (int, float) if number else int) and not isinstance(value, bool):
         if low <= value <= top:
             return value
     what = "a number" if number else "an integer"
-    limit = f"from {low} to {high}" if high is not None else f">= {low}"
+    limit = f">= {low}" if high is None or high == math.inf else f"from {low} to {high}"
     raise ScenarioValidationError(field_name, f"must be {what} {limit}")
+
+
+# Each table of a travel destination, with the price the tools sum over its
+# rows; only an attraction may omit it. A price has no upper cap, because the
+# budget check sums an integer too large for a float exactly.
+_TRAVEL_PRICES = {
+    "attractions": "cost", "hotels": "price_per_night", "restaurants": "cost_per_meal",
+    "weather": None,
+}
 
 
 def _validate_travel(tables: dict, constraints: dict) -> None:
@@ -264,12 +274,16 @@ def _validate_travel(tables: dict, constraints: dict) -> None:
     if not isinstance(destinations, dict) or not destinations:
         raise ScenarioValidationError("data_tables.destinations", "must be a non-empty object")
     for place, entry in destinations.items():
-        for section in ("attractions", "hotels", "restaurants", "weather"):
+        for section, price in _TRAVEL_PRICES.items():
+            where = f"data_tables.destinations.{place}.{section}"
             rows = entry.get(section) if isinstance(entry, dict) else None
             if not isinstance(rows, list) or not rows:
-                raise ScenarioValidationError(
-                    f"data_tables.destinations.{place}.{section}", "must be a non-empty list"
-                )
+                raise ScenarioValidationError(where, "must be a non-empty list")
+            for i, row in enumerate(rows if price else ()):
+                if not isinstance(row, dict):
+                    raise ScenarioValidationError(f"{where}[{i}]", "must be an object")
+                if price in row or section != "attractions":
+                    _checked(f"{where}[{i}].{price}", row.get(price), 0, math.inf, number=True)
     destination = constraints.get("destination")
     if not isinstance(destination, str) or destination not in destinations:
         raise ScenarioValidationError("constraints.destination", "must name a data-table destination")
@@ -520,13 +534,16 @@ def _wedding_checks(constraints: Mapping, outputs: Mapping[str, ContextValue]) -
 
 @dataclass(frozen=True)
 class StatelessTool:
-    """Traditional-mode tool: a pure function of the context window it is
-    handed, with the keys it cannot run without."""
+    """Traditional-mode tool: a pure function of the context it is handed,
+    with the keys it cannot run without. ``calls(output)`` lists the extra
+    fields of each tool_exec that the output took, one plain call unless the
+    tool says otherwise."""
 
     stage_id: str
     server_id: str
     required: tuple[str, ...]
     run: Callable[[Mapping[str, ContextValue]], dict]
+    calls: Callable[[ContextValue], list[dict]] = lambda output: [{}]
 
 
 # Travel tools by stage, each called with (tables, destination, days,
@@ -558,7 +575,7 @@ def _travel_action(scenario: Scenario, stage: Stage) -> Action:
     return action
 
 
-def _travel_tool(scenario: Scenario, stage: Stage):
+def _travel_tool(scenario: Scenario, stage: Stage) -> StatelessTool:
     """A travel stage reads the destination and length of the location
     output when the window still holds it, else the query's."""
     tool = _TRAVEL_TOOLS[stage.stage_id]
@@ -570,7 +587,7 @@ def _travel_tool(scenario: Scenario, stage: Stage):
         days = source.get("days", window.get("days", 1))
         return tool(scenario.data_tables, destination, days, window.get("preferences") or [])
 
-    return run
+    return StatelessTool(stage.stage_id, stage.server_id, stage.required, run)
 
 
 def _wedding_action(scenario: Scenario, stage: Stage) -> Action:
@@ -583,7 +600,7 @@ def _wedding_action(scenario: Scenario, stage: Stage) -> Action:
             requests = [
                 entry.value for key, entry in snapshot.items() if key.startswith(REQUEST_KEY_PREFIX)
             ]
-            capacity = snapshot.value("constraints.vehicle_capacity", tables["vehicle"]["capacity"])
+            capacity = snapshot.value("constraints.vehicle_capacity")
             duration = tables["vehicle"]["trip_duration_min"]
             return [(stage.stage_id, batch_requests(requests, capacity, duration))]
 
@@ -621,20 +638,27 @@ def collect_window_requests(window: Mapping[str, ContextValue]) -> list[dict]:
     return requests
 
 
-def _wedding_tool(scenario: Scenario, stage: Stage):
+def _trip_calls(schedule: Mapping) -> list[dict]:
+    return [{"request": trip["requests"][0]["request_id"]} for trip in schedule["trips"]]
+
+
+def _wedding_tool(scenario: Scenario, stage: Stage) -> StatelessTool:
     """A tracker lists its requests; the schedule dispatches every request
-    in the window as its own trip."""
+    it is handed as its own trip, one tool call per trip."""
     tables = scenario.data_tables
     if stage.stage_id not in _WEDDING_TRACKERS:
         duration = tables["vehicle"]["trip_duration_min"]
-        return lambda window: batch_requests(collect_window_requests(window), 1, duration)
+        return StatelessTool(
+            stage.stage_id, stage.server_id, stage.required,
+            lambda window: batch_requests(collect_window_requests(window), 1, duration), _trip_calls,
+        )
     make_requests = _WEDDING_TRACKERS[stage.stage_id]
 
     def run(window: Mapping[str, ContextValue]) -> dict:
         requests = make_requests(tables)
         return {"requests": requests, "count": len(requests)}
 
-    return run
+    return StatelessTool(stage.stage_id, stage.server_id, stage.required, run)
 
 
 def build_servers(scenario: Scenario, mode: str):
@@ -649,10 +673,7 @@ def build_servers(scenario: Scenario, mode: str):
             ServerSpec(s.server_id, s.trigger, row.make_action(scenario, s), s.done_key)
             for s in scenario.stages
         ]
-    return [
-        StatelessTool(s.stage_id, s.server_id, s.required, row.make_tool(scenario, s))
-        for s in scenario.stages
-    ]
+    return [row.make_tool(scenario, s) for s in scenario.stages]
 
 
 # -- Scenario kinds ----------------------------------------------------------------

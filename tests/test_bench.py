@@ -230,9 +230,6 @@ def test_compute_metrics_matches_reference_on_schedule_values(
     ]
     trace = Trace(
         events=[TraceEvent(t, kind, payload) for t, (kind, payload) in enumerate(events, 1)],
-        mode=MODE_CA,
-        seed=0,
-        simulated_latency_s=1.5,
     )
     parsed = parse_trace(serialize_trace(trace))  # the values are shape-valid
     assert compute_metrics(parsed) == compute_metrics(trace) == _reference_metrics(trace)
@@ -263,6 +260,35 @@ def _load_trajectory_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _table_rows(text: str) -> dict[str, dict[str, list[str]]]:
+    """The rows of each table that reproduce_tables prints, by scenario name
+    and then by metric label."""
+    tables: dict[str, dict[str, list[str]]] = {}
+    for block in text.strip().split("\n\n"):
+        title, _header, _rule, *rows = block.splitlines()
+        tables[title.split()[0]] = {row[:26].strip(): row[26:].split() for row in rows}
+    return tables
+
+
+def test_reproduce_tables_prints_the_seed_0_numbers_the_readme_quotes(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_tables", ROOT / "scripts" / "reproduce_tables.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for name in ("travel", "wedding_p5"):
+        module.print_table(name, 0)
+    tables = _table_rows(capsys.readouterr().out)
+    travel, wedding = tables["travel"], tables["wedding_p5"]
+    assert travel["llm calls"] == ["5", "2"]
+    assert travel["simulated latency (s)"] == ["31.6", "13.6"]
+    assert "makespan (min)" not in travel  # travel has no schedule stage
+    assert wedding["llm calls"] == ["2", "1"]
+    assert wedding["simulated latency (s)"] == ["17.2", "7.2"]
+    assert wedding["makespan (min)"] == ["330", "180"]
+    assert wedding["coordination"] == ["0", "1"]
 
 
 def _bench_run(pair: int, side: str, workload: str, trace: int = 0, **values) -> dict:
@@ -549,6 +575,45 @@ def test_cli_bench_of_wedding_minutes_past_a_year_names_the_field(
     where = f"{table}[{row}]" if row is not None else table
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"error: scenario field 'data_tables.{where}.{field}': ")
+
+
+@pytest.mark.parametrize(
+    "section,field,value",
+    [
+        ("hotels", "price_per_night", "cheap"),
+        ("hotels", "price_per_night", None),
+        ("restaurants", "cost_per_meal", -1),
+        ("attractions", "cost", True),
+    ],
+    ids=["hotel-text", "hotel-null", "dining-negative", "attraction-bool"],
+)
+def test_cli_run_of_a_travel_price_that_is_not_a_number_names_the_field(
+    tmp_path, capsys, section, field, value
+):
+    """A price the tools would sum must be a number >= 0; the loader says
+    which one is not, before any run scores the budget."""
+    data = _builtin_value("travel")
+    data["data_tables"]["destinations"]["Seattle"][section][0][field] = value
+    path = tmp_path / "travel.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--scenario", str(path), "--mode", "ca"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    where = f"data_tables.destinations.Seattle.{section}[0]"
+    assert err.startswith(f"error: scenario field '{where}.{field}': must be a number >= 0")
+
+
+def test_cli_run_of_a_travel_row_that_is_not_an_object_names_the_row(tmp_path, capsys):
+    data = _builtin_value("travel")
+    data["data_tables"]["destinations"]["Seattle"]["restaurants"][1] = "Pike Place"
+    path = tmp_path / "travel.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--scenario", str(path), "--mode", "traditional"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: scenario field 'data_tables.destinations.Seattle.restaurants[1]': "
+        "must be an object\n"
+    )
 
 
 def test_cli_scores_a_travel_cost_too_large_for_a_float(golden_dir, tmp_path, capsys):

@@ -71,11 +71,12 @@ def test_run_start_payload_carries_everything_metrics_need(travel_scenario):
     assert set(payload["constraints"]) == {"preferences", "days", "destination", "budget"}
 
 
-def test_run_dispatcher_accepts_aliases_and_rejects_unknown(travel_scenario):
-    assert run(travel_scenario, "ca", 0).mode == MODE_CA
+def test_run_dispatcher_accepts_mode_names_and_rejects_aliases(travel_scenario):
+    assert run(travel_scenario, MODE_CA, 0).mode == MODE_CA
     assert run(travel_scenario, MODE_TRADITIONAL, 0).mode == MODE_TRADITIONAL
-    with pytest.raises(ValueError):
-        run(travel_scenario, "hybrid", 0)
+    for mode in ("ca", "hybrid"):  # the CLI maps --mode ca itself
+        with pytest.raises(ValueError):
+            run(travel_scenario, mode, 0)
 
 
 # -- Call counts and latency ---------------------------------------------------------
@@ -517,9 +518,6 @@ def _edit_wedding_constraints(edit):
 def test_serialize_trace_equals_dumping_the_field_ordered_dicts(events):
     trace = Trace(
         events=[TraceEvent(t, kind, payload) for t, (kind, payload) in enumerate(events, 1)],
-        mode=MODE_CA,
-        seed=0,
-        simulated_latency_s=0.0,
     )
     records = [
         {"t": t, "kind": kind, "payload": canonicalize_value(payload)}

@@ -556,9 +556,6 @@ def test_batched_schedule_passes_the_trace_check_and_leaves_requests_alone(
             TraceEvent(2, "stage_done", {"stage": "schedule", "outputs": {"schedule": schedule}}),
             TraceEvent(3, "run_end", {"simulated_latency_s": 0.0}),
         ],
-        mode=MODE_CA,
-        seed=0,
-        simulated_latency_s=0.0,
     )
     parsed = parse_trace(serialize_trace(trace))
     assert parsed.events[1].payload["outputs"]["schedule"] == schedule
