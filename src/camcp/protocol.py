@@ -111,6 +111,8 @@ _SCHEMAS = {
     SUMMARY_REQUEST: {"snapshot": (dict, "object")},
     FINAL_RESPONSE: {"text": (str, "text")},
 }
+# Made once; encode_line encodes any other message type.
+_TYPE_TEXTS = {msg_type: canonical_dumps(msg_type) for msg_type in _SCHEMAS}
 
 _TOOL_FIELDS = {"name": str, "description": str, "param_schema": dict}
 
@@ -176,7 +178,8 @@ def encode_line(msg_type: str, seq: int, payload_text: str) -> str:
     """Write the envelope layout around *payload_text*, a payload's
     canonical text. Nothing else is checked here; :func:`decode` checks the
     lines it reads."""
-    line = f'{{"msg_type":{canonical_dumps(msg_type)},"seq":{seq},"payload":{payload_text}}}'
+    type_text = _TYPE_TEXTS.get(msg_type) or canonical_dumps(msg_type)
+    line = f'{{"msg_type":{type_text},"seq":{seq},"payload":{payload_text}}}'
     assert "\n" not in line
     return line
 

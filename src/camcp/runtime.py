@@ -68,6 +68,8 @@ STAGE_FAILED = "stage_failed"
 EVENT_KINDS = (
     RUN_START, RUN_END, LLM_CALL, TOOL_EXEC, SCS_WRITE, TRIGGER_FIRE, STAGE_DONE, STAGE_FAILED
 )
+# Made once; _line encodes any other kind, which a hand-built event may carry.
+_KIND_TEXTS = {kind: canonical_dumps(kind) for kind in EVENT_KINDS}
 
 # Payload fields that compute_metrics reads, by event kind, with the JSON
 # type each must have. None of them may be a boolean, which Python counts as
@@ -141,7 +143,8 @@ class Trace:
 
 
 def _line(t: int, kind: str, payload_text: str) -> str:
-    return f'{{"t":{t},"kind":{canonical_dumps(kind)},"payload":{payload_text}}}'
+    kind_text = _KIND_TEXTS.get(kind) or canonical_dumps(kind)
+    return f'{{"t":{t},"kind":{kind_text},"payload":{payload_text}}}'
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -162,6 +165,7 @@ def _reject_constant(name: str):
 
 # Built once; rejects the NaN, Infinity and -Infinity that json.loads accepts.
 _TRACE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_RECORD_KEYS = frozenset({"t", "kind", "payload"})
 
 
 def parse_trace(text: str) -> Trace:
@@ -177,7 +181,7 @@ def parse_trace(text: str) -> Trace:
             record = _TRACE_DECODER.decode(raw)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise MalformedTraceError(line_no, f"not valid JSON: {exc}") from exc
-        if not isinstance(record, dict) or sorted(record) != ["kind", "payload", "t"]:
+        if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
             raise MalformedTraceError(line_no, "expected an object with t, kind, payload")
         if record["kind"] not in EVENT_KINDS:
             raise MalformedTraceError(line_no, f"unknown event kind {record['kind']!r}")

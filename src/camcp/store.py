@@ -10,12 +10,12 @@ each one as a trace event.
 Every stored value is a validated plain copy (:func:`copy_value`, which
 also caps nesting at :data:`MAX_VALUE_DEPTH` levels), made once at commit;
 listeners and readers must not change it. Its canonical text, compact JSON
-with map keys sorted by the C encoder (:func:`canonical_dumps`), is also
-made once at commit and kept on the entry as ``ContextEntry.text``. Every
-line that embeds a stored value (the protocol's context-write and
-summary-request lines, the trace's ``scs_write`` and ``stage_done`` lines,
-the final summary) is assembled from that text, with neither a second
-encoding nor a second check.
+with map keys sorted by the one C encoder built at import
+(:func:`canonical_dumps`), is also made once at commit and kept on the
+entry as ``ContextEntry.text``. Every line that embeds a stored value (the
+protocol's context-write and summary-request lines, the trace's
+``scs_write`` and ``stage_done`` lines, the final summary) is assembled
+from that text, with neither a second encoding nor a second check.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ import math
 import threading
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterator, Union
 
 ContextValue = Union[None, bool, int, float, str, list, dict]
@@ -148,15 +149,23 @@ def canonicalize_value(value: ContextValue) -> ContextValue:
     return value
 
 
-# Built once: ``json.dumps`` with these arguments builds a new encoder per call.
+# Built once. ``JSONEncoder.encode`` builds a C encoder per call for a value
+# that is not text, so one is held here, with no cycle check (markers=None).
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+_HELD = c_make_encoder and c_make_encoder(
+    None, _CANONICAL_ENCODER.default, encode_basestring_ascii, None, ":", ",", True, False, False
+)
 
 
 def canonical_dumps(value: ContextValue) -> str:
     """Serialize an already-validated value to compact JSON with sorted map
     keys everywhere. The C encoder sorts the keys, so this is the same text
-    as dumping :func:`canonicalize_value` of *value*, without the rebuild."""
-    return _CANONICAL_ENCODER.encode(value)
+    as dumping :func:`canonicalize_value` of *value*, without the rebuild.
+    *value* must be acyclic, as every :func:`copy_value` copy is: a cyclic
+    value raises ``RecursionError``."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return "".join(_HELD(value, 0)) if _HELD else _CANONICAL_ENCODER.encode(value)
 
 
 def canonical_object(members: Mapping[str, str]) -> str:

@@ -411,6 +411,31 @@ def test_output_the_store_cannot_hold_becomes_stage_failed(travel_scenario, mode
     assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace)
 
 
+def test_cyclic_tool_output_becomes_stage_failed(travel_scenario, monkeypatch):
+    """A traditional output is encoded without a copy, and the encoder does
+    not look for cycles: a cyclic output fails its stage, not the run."""
+    build_servers = runtime.build_servers
+
+    def cyclic_run(context):
+        output = {"hotel": "loop"}
+        output["self"] = output
+        return output
+
+    def servers(scenario, mode):
+        return [
+            dataclasses.replace(t, run=cyclic_run) if t.stage_id == "hotel" else t
+            for t in build_servers(scenario, mode)
+        ]
+
+    monkeypatch.setattr(runtime, "build_servers", servers)
+    trace = run_traditional(travel_scenario, 0)
+    failed = {e.payload["stage"]: e.payload["reason"] for e in trace.events_of("stage_failed")}
+    assert list(failed) == ["hotel"]
+    assert failed["hotel"].startswith("RecursionError")
+    assert trace.events[-1].payload["completed"] is False
+    assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace)
+
+
 @pytest.mark.parametrize("mode", [MODE_TRADITIONAL, MODE_CA])
 def test_crashing_schedule_tool_becomes_stage_failed(wedding_scenario, mode):
     tables = json.loads(json.dumps(wedding_scenario.data_tables))

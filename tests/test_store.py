@@ -20,6 +20,7 @@ from camcp.store import (
     Exists,
     Not,
     Or,
+    _CANONICAL_ENCODER,
     canonical_dumps,
     canonical_object,
     canonicalize_value,
@@ -82,6 +83,45 @@ def test_canonical_dumps_round_trips(value):
 def test_canonical_dumps_equals_dumping_the_sorted_rebuild(value):
     expected = json.dumps(canonicalize_value(value), separators=(",", ":"), allow_nan=False)
     assert canonical_dumps(value) == expected
+
+
+@given(json_values)
+@settings(max_examples=500)
+def test_held_encoder_equals_the_stdlib_encoder(value):
+    assert canonical_dumps(value) == _CANONICAL_ENCODER.encode(value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), 10**4400, object(), {1, 2}, b"x"],
+    ids=["nan", "inf", "long-integer", "object", "set", "bytes"],
+)
+@pytest.mark.parametrize("where", ["bare", "in-list", "in-dict"])
+def test_held_encoder_fails_as_the_stdlib_encoder(bad, where):
+    value = {"bare": bad, "in-list": [1, bad], "in-dict": {"a": 1, "k": bad}}[where]
+    with pytest.raises(Exception) as expected:
+        _CANONICAL_ENCODER.encode(value)
+    with pytest.raises(Exception) as got:
+        canonical_dumps(value)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C accelerator to count")
+def test_canonical_dumps_builds_no_encoder_per_call(monkeypatch):
+    """The C encoder is built once, at import; JSONEncoder.encode would
+    build one for every value that is not text."""
+    built = []
+    make = json.encoder.c_make_encoder
+
+    def counting_make(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counting_make)
+    texts = [canonical_dumps(v) for v in ({"b": 1, "a": [2]}, [1, "x"], True, 2.5)]
+    assert texts == ['{"a":[2],"b":1}', '[1,"x"]', "true", "2.5"]
+    assert built == []
 
 
 def _reference_copy(value, _path="$"):
@@ -291,6 +331,17 @@ def test_rejected_put_leaves_no_trace_in_the_store(value):
     assert store.last_logical_time() == 1
     assert store.get("k").version == 1
     assert heard == []
+
+
+def test_put_after_an_encode_error_commits():
+    """An integer too long to write as text fails the encoder, not the copy;
+    the next put encodes and commits as if it had not happened."""
+    store = ContextStore()
+    with pytest.raises(TypeError, match="no canonical text"):
+        store.put("k", {"n": 10**4400}, "w")
+    assert store.put("k", {"n": 1, "a": [2.5, None]}, "w") == 1
+    entry = store.get("k")
+    assert (entry.logical_time, entry.text) == (1, '{"a":[2.5,null],"n":1}')
 
 
 def test_canonical_object_equals_dumping_the_object():
