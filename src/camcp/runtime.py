@@ -165,6 +165,7 @@ def _reject_constant(name: str):
 
 # Built once; rejects the NaN, Infinity and -Infinity that json.loads accepts.
 _TRACE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
 _RECORD_KEYS = frozenset({"t", "kind", "payload"})
 
 

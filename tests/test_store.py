@@ -82,13 +82,7 @@ def test_canonical_dumps_round_trips(value):
 @settings(max_examples=500)
 def test_canonical_dumps_equals_dumping_the_sorted_rebuild(value):
     expected = json.dumps(canonicalize_value(value), separators=(",", ":"), allow_nan=False)
-    assert canonical_dumps(value) == expected
-
-
-@given(json_values)
-@settings(max_examples=500)
-def test_held_encoder_equals_the_stdlib_encoder(value):
-    assert canonical_dumps(value) == _CANONICAL_ENCODER.encode(value)
+    assert canonical_dumps(value) == expected == _CANONICAL_ENCODER.encode(value)
 
 
 @pytest.mark.parametrize(
@@ -316,12 +310,15 @@ def test_entry_text_is_the_canonical_text_of_its_value(value):
 
 
 @pytest.mark.parametrize(
-    "value", [float("nan"), {"x": object()}, 10**5000], ids=["nan", "object", "long-integer"]
+    "value",
+    [float("nan"), {"x": object()}, 10**5000, {"n": 10**4400}],
+    ids=["nan", "object", "long-integer", "long-integer-member"],
 )
 def test_rejected_put_leaves_no_trace_in_the_store(value):
     """The value is copied and encoded before the clock ticks, so a value
     the store cannot hold (here an integer too long to write as text)
-    changes nothing, and no listener hears of it."""
+    changes nothing, and no listener hears of it. An encode error leaves no
+    state behind: the next put commits."""
     store = ContextStore()
     store.put("k", 1, "w")
     heard = []
@@ -331,17 +328,8 @@ def test_rejected_put_leaves_no_trace_in_the_store(value):
     assert store.last_logical_time() == 1
     assert store.get("k").version == 1
     assert heard == []
-
-
-def test_put_after_an_encode_error_commits():
-    """An integer too long to write as text fails the encoder, not the copy;
-    the next put encodes and commits as if it had not happened."""
-    store = ContextStore()
-    with pytest.raises(TypeError, match="no canonical text"):
-        store.put("k", {"n": 10**4400}, "w")
-    assert store.put("k", {"n": 1, "a": [2.5, None]}, "w") == 1
-    entry = store.get("k")
-    assert (entry.logical_time, entry.text) == (1, '{"a":[2.5,null],"n":1}')
+    assert store.put("k", {"n": 1, "a": [2.5, None]}, "w") == 2
+    assert [e.text for e in heard] == ['{"a":[2.5,null],"n":1}']
 
 
 def test_canonical_object_equals_dumping_the_object():
