@@ -13,7 +13,8 @@ Each value a run produces is encoded once. A store commit's ``scs_write``
 line, a ``stage_done`` line and the final summary are assembled from the
 canonical text that the store made at commit (``ContextEntry.text``), or, in
 traditional mode, from the one text made per stage output; the builder
-keeps each such line on its event and :func:`serialize_trace` joins them.
+passes each such line to its event, a read-only tuple built in one call,
+and :func:`serialize_trace` joins them.
 Events without a prebuilt line, such as parsed ones, are encoded in full.
 Every protocol line a run writes goes through
 :func:`camcp.protocol.encode_line` as text, with no envelope, copy or check
@@ -26,6 +27,8 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import protocol
 from .planner import (
@@ -103,15 +106,26 @@ class MalformedTraceError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     t: int
     kind: str
     payload: dict
-    # Not a field: the event's serialized line, which TraceBuilder assembles
-    # from texts it already has; the payload must not change after that.
-    # Parsed and hand-built events have none and are encoded in full.
-    line = None
+    # The event's serialized line, which TraceBuilder assembles from texts it
+    # already has; the payload must not change after that, so ``_replace``
+    # of the payload would keep a stale line. Parsed and hand-built events
+    # have none and are encoded in full. Equality and repr leave it out.
+    line: str | None = None
+
+    def __eq__(self, other):
+        return self[:3] == other[:3] if isinstance(other, TraceEvent) else NotImplemented
+
+    def __ne__(self, other):
+        return self[:3] != other[:3] if isinstance(other, TraceEvent) else NotImplemented
+
+    __hash__ = None  # the payload is a dict
+
+    def __repr__(self) -> str:
+        return f"TraceEvent(t={self.t!r}, kind={self.kind!r}, payload={self.payload!r})"
 
 
 @dataclass
@@ -315,10 +329,8 @@ class TraceBuilder:
         if self._closed:
             raise RuntimeError("trace already ended")
         self._t += 1
-        event = TraceEvent(self._t, kind, payload)
-        if payload_text is not None:
-            object.__setattr__(event, "line", _line(self._t, kind, payload_text))
-        self._events.append(event)
+        line = None if payload_text is None else _line(self._t, kind, payload_text)
+        self._events.append(TraceEvent(self._t, kind, payload, line))
 
     def envelope_line(self, msg_type: str, payload_text: str) -> str:
         """The next protocol line, around a payload's canonical text."""
@@ -373,10 +385,12 @@ class TraceBuilder:
     def scs_listener(self, completion_key: str):
         """Commit listener: every store commit becomes an scs_write event
         carrying its wire message (the completion flag is the completion
-        signal; everything else is a plain context write)."""
+        signal; everything else is a plain context write). The key, the
+        writer and the line are text, so each is escaped directly."""
+        escape = encode_basestring_ascii
 
         def on_commit(entry) -> None:
-            key = canonical_dumps(entry.key)
+            key = escape(entry.key)
             if entry.key == completion_key:
                 line = self.envelope_line(protocol.COMPLETION_SIGNAL, f'{{"completion_key":{key}}}')
             else:
@@ -392,8 +406,8 @@ class TraceBuilder:
                     "writer": entry.writer_id,
                     "envelope": line,
                 },
-                f'{{"envelope":{canonical_dumps(line)},"key":{key},"value":{entry.text},'
-                f'"version":{entry.version},"writer":{canonical_dumps(entry.writer_id)}}}',
+                f'{{"envelope":{escape(line)},"key":{key},"value":{entry.text},'
+                f'"version":{entry.version},"writer":{escape(entry.writer_id)}}}',
             )
 
         return on_commit

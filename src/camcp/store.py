@@ -12,10 +12,11 @@ also caps nesting at :data:`MAX_VALUE_DEPTH` levels), made once at commit;
 listeners and readers must not change it. Its canonical text, compact JSON
 with map keys sorted by the one C encoder built at import
 (:func:`canonical_dumps`), is also made once at commit and kept on the
-entry as ``ContextEntry.text``. Every line that embeds a stored value (the
-protocol's context-write and summary-request lines, the trace's
-``scs_write`` and ``stage_done`` lines, the final summary) is assembled
-from that text, with neither a second encoding nor a second check.
+entry as ``ContextEntry.text``; an entry is a read-only tuple, built in one
+call. Every line that embeds a stored value (the protocol's context-write
+and summary-request lines, the trace's ``scs_write`` and ``stage_done``
+lines, the final summary) is assembled from that text, with neither a
+second encoding nor a second check.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import threading
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Iterator, Union
+from typing import Any, Callable, Iterator, NamedTuple, Union
 
 ContextValue = Union[None, bool, int, float, str, list, dict]
 
@@ -94,11 +95,15 @@ def _copy(value: Any, depth: int) -> ContextValue:
             if not math.isfinite(value):
                 raise UnstorableValueError("non-finite number")
             return value
-    if cls is list or isinstance(value, (list, tuple)):
+    # An exact leaf item is taken inline, with no call; anything else recurses.
+    if cls is list or (cls is not dict and isinstance(value, (list, tuple))):
         if depth == MAX_VALUE_DEPTH:
             raise UnstorableValueError("nested too deeply", _TOO_DEEP)
         items: list[ContextValue] = []
         for i, item in enumerate(value):
+            if type(item) in _LEAVES:
+                items.append(item)
+                continue
             try:
                 items.append(_copy(item, depth + 1))
             except UnstorableValueError as exc:
@@ -110,8 +115,11 @@ def _copy(value: Any, depth: int) -> ContextValue:
             raise UnstorableValueError("nested too deeply", _TOO_DEEP)
         out: dict[str, ContextValue] = {}
         for k, v in value.items():
-            if not isinstance(k, str):
+            if type(k) is not str and not isinstance(k, str):
                 raise UnstorableValueError("non-text key", f": {k!r}")
+            if type(v) in _LEAVES:
+                out[k] = v
+                continue
             try:
                 out[k] = _copy(v, depth + 1)
             except UnstorableValueError as exc:
@@ -263,9 +271,9 @@ def condition_from_value(data: Mapping) -> WatchCondition:
 # -- Entries, snapshots, subscriptions ---------------------------------------
 
 
-@dataclass(frozen=True)
-class ContextEntry:
-    """One committed version of a key. ``text`` is ``canonical_dumps(value)``."""
+class ContextEntry(NamedTuple):
+    """One committed version of a key, a read-only tuple built once at commit.
+    ``text`` is ``canonical_dumps(value)``."""
 
     key: str
     value: ContextValue
@@ -422,14 +430,8 @@ class ContextStore:
     def _commit(self, key: str, value: ContextValue, writer_id: str, text: str) -> ContextEntry:
         previous = self._entries.get(key)
         self._logical_time += 1
-        entry = ContextEntry(
-            key=key,
-            value=value,
-            version=1 if previous is None else previous.version + 1,
-            writer_id=writer_id,
-            logical_time=self._logical_time,
-            text=text,
-        )
+        version = 1 if previous is None else previous.version + 1
+        entry = ContextEntry(key, value, version, writer_id, self._logical_time, text)
         self._entries[key] = entry
         for listener in self._listeners:
             listener(entry)

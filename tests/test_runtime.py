@@ -610,6 +610,29 @@ def test_prebuilt_lines_equal_encoding_their_payload(travel_scenario, commits):
     assert serialize_trace(trace) == "".join(_encoded_line(e) + "\n" for e in trace.events)
 
 
+def test_entries_and_events_are_read_only_records():
+    """Store entries and trace events are read-only tuples with no
+    per-instance dict; an event's prebuilt line is left out of its equality
+    and its repr."""
+    context = ContextStore()
+    context.put("k", {"a": [1]}, "w")
+    entry = context.get("k")
+    event = TraceEvent(1, "run_start", {"mode": "x"}, '{"t":1}')
+    assert store.ContextEntry._fields == (
+        "key", "value", "version", "writer_id", "logical_time", "text"
+    )
+    assert entry == ("k", {"a": [1]}, 1, "w", 1, '{"a":[1]}')
+    for record in (entry, event):
+        assert not hasattr(record, "__dict__")
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    plain = TraceEvent(1, "run_start", {"mode": "x"})
+    assert event == plain and not event != plain
+    assert event != TraceEvent(1, "run_start", {"mode": "y"}, '{"t":1}')
+    assert repr(event) == repr(plain) == "TraceEvent(t=1, kind='run_start', payload={'mode': 'x'})"
+
+
 @pytest.mark.parametrize("mode", [MODE_TRADITIONAL, MODE_CA])
 @pytest.mark.parametrize("which", ["travel", "wedding_p5", 1, 2, 3, 4, 5])
 def test_every_line_of_a_run_equals_encoding_its_event(
