@@ -95,6 +95,8 @@ def _copy(value: Any, depth: int) -> ContextValue:
             if not math.isfinite(value):
                 raise UnstorableValueError("non-finite number")
             return value
+        if cls is ContextEntry:  # a tuple, but an entry is never a value itself
+            raise UnstorableValueError("unsupported value type", ": ContextEntry")
     # An exact leaf item is taken inline, with no call; anything else recurses.
     if cls is list or (cls is not dict and isinstance(value, (list, tuple))):
         if depth == MAX_VALUE_DEPTH:

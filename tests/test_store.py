@@ -15,6 +15,7 @@ from camcp.store import (
     MAX_VALUE_DEPTH,
     And,
     CasConflict,
+    ContextEntry,
     ContextStore,
     Equals,
     Exists,
@@ -54,6 +55,10 @@ def test_copy_value_rejects_bad_data():
         copy_value({1: "x"})
     with pytest.raises(TypeError, match="unsupported"):
         copy_value(object())
+    # An entry is a tuple, but writing one in place of its value is a mistake.
+    entry = ContextEntry("k", 1, 1, "w", 1, "1")
+    with pytest.raises(TypeError, match=r"unsupported value type at \$\[0\]: ContextEntry"):
+        copy_value([entry])
 
 
 def test_values_equal_numeric_and_bool_rules():
