@@ -9,13 +9,17 @@ drivers name no kind or stage: what differs by kind (the query a seed asks,
 the call policy, the constraints a trace must carry) is read from the kind's
 ``scenarios.KINDS`` row, and the tool calls a stage took from its tool.
 
-Each value a run produces is encoded once. A store commit's ``scs_write``
+Each value a run produces is encoded once, and every event a run builds,
+a read-only tuple built in one call, carries its line from the moment it is
+recorded; :func:`serialize_trace` joins them. A store commit's ``scs_write``
 line, a ``stage_done`` line and the final summary are assembled from the
 canonical text that the store made at commit (``ContextEntry.text``), or, in
-traditional mode, from the one text made per stage output; the builder
-passes each such line to its event, a read-only tuple built in one call,
-and :func:`serialize_trace` joins them.
-Events without a prebuilt line, such as parsed ones, are encoded in full.
+traditional mode, from the one text made per stage output. A run of
+``tool_exec`` calls with the same field names fills one template of the
+fixed fields' texts with each call's own. Every other event (``run_start``,
+``llm_call``, ``trigger_fire``, ``stage_failed``, ``run_end``, the first
+call of a run) is encoded when it is recorded. Parsed and hand-built events
+have no line and are encoded in full.
 Every protocol line a run writes goes through
 :func:`camcp.protocol.encode_line` as text, with no envelope, copy or check
 of its own: the loader and the store checked the values, and
@@ -162,10 +166,9 @@ def _line(t: int, kind: str, payload_text: str) -> str:
 
 
 def serialize_trace(trace: Trace) -> str:
-    return "\n".join(
-        _line(e.t, e.kind, canonical_dumps(e.payload)) if e.line is None else e.line
-        for e in trace.events
-    ) + "\n"
+    lines = [e.line or _line(e.t, e.kind, canonical_dumps(e.payload)) for e in trace.events]
+    lines.append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 def write_trace(trace: Trace, path) -> None:
@@ -323,14 +326,16 @@ class TraceBuilder:
         self._closed = False
 
     def _append(self, kind: str, payload: dict, payload_text: str | None = None) -> None:
-        """Record an event; *payload_text*, when given, is
-        ``canonical_dumps(payload)`` and becomes the event's prebuilt line.
-        Callers write its fields in sorted order, as the encoder would."""
+        """Record an event with its line. *payload_text*, when given, is
+        ``canonical_dumps(payload)``, which callers assemble from texts they
+        already have, writing its fields in sorted order as the encoder
+        would; otherwise the payload is encoded here."""
         if self._closed:
             raise RuntimeError("trace already ended")
         self._t += 1
-        line = None if payload_text is None else _line(self._t, kind, payload_text)
-        self._events.append(TraceEvent(self._t, kind, payload, line))
+        if payload_text is None:
+            payload_text = canonical_dumps(payload)
+        self._events.append(TraceEvent(self._t, kind, payload, _line(self._t, kind, payload_text)))
 
     def envelope_line(self, msg_type: str, payload_text: str) -> str:
         """The next protocol line, around a payload's canonical text."""
@@ -358,11 +363,25 @@ class TraceBuilder:
             payload["envelope"] = envelope
         self._append(LLM_CALL, payload)
 
-    def tool_exec(self, server_id: str, stage_id: str, extra: dict | None = None) -> None:
-        payload = {"server": server_id, "stage": stage_id, "latency_s": self.cost.per_tool_latency_s}
-        if extra:
-            payload.update(extra)
-        self._append(TOOL_EXEC, payload)
+    def tool_exec(self, server_id: str, stage_id: str, calls=({},)) -> None:
+        """Record one tool_exec per call, its payload the fixed fields updated
+        by the call's own. A call with the previous call's field names fills
+        a template of the fixed texts with its own values' texts; any other
+        call is encoded in full."""
+        fixed = {"server": server_id, "stage": stage_id, "latency_s": self.cost.per_tool_latency_s}
+        names = template = None
+        for extra in calls:
+            payload = {**fixed, **extra}
+            if extra.keys() != names:
+                names, template = extra.keys(), None
+                self._append(TOOL_EXEC, payload)
+                continue
+            if template is None:  # a canonical text holds no raw NUL to mark own fields
+                order = sorted(names)
+                members = {k: canonical_dumps(v) for k, v in fixed.items()}
+                members.update(dict.fromkeys(order, "\0"))
+                template = canonical_object(members).replace("%", "%%").replace("\0", "%s")
+            self._append(TOOL_EXEC, payload, template % tuple([canonical_dumps(extra[k]) for k in order]))
 
     def trigger_fire(self, server_id: str, edge_time: int) -> None:
         self._append(TRIGGER_FIRE, {"server": server_id, "edge_time": edge_time})
@@ -563,8 +582,7 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
             builder.tool_exec(tool.server_id, stage.stage_id)
             builder.stage_failed(stage.stage_id, f"{type(exc).__name__}: {exc}")
             continue
-        for extra in calls:
-            builder.tool_exec(tool.server_id, stage.stage_id, extra)
+        builder.tool_exec(tool.server_id, stage.stage_id, calls)
         history.append((stage.stage_id, output, output if isinstance(output, str) else text))
         builder.stage_done(stage.stage_id, output, text)
 

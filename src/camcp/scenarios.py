@@ -25,6 +25,7 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -446,19 +447,23 @@ def errand_requests(tables: dict) -> list[dict]:
     return [_request(e, "venue", "errand") for e in tables["errands"]]
 
 
+_READY_ORDER = itemgetter("ready_time_min", "request_id")
+
+
 def batch_requests(requests: Iterable[Mapping], capacity: int, duration_min: int) -> dict:
     """Greedy batching: sort by (ready_time_min, request_id), fill each trip
     to capacity in order, run trips back to back on the single vehicle.
-    The schedule's trips hold the request values they are given."""
+    Each group therefore reaches :func:`_append_trip` in ready order, as it
+    requires. The schedule's trips hold the request values they are given."""
     if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
         raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
     if isinstance(duration_min, bool) or not isinstance(duration_min, int) or duration_min < 1:
         raise ValueError(f"duration_min must be an integer >= 1, got {duration_min!r}")
-    ordered = sorted(requests, key=lambda r: (r["ready_time_min"], r["request_id"]))
+    ordered = sorted(requests, key=_READY_ORDER)
     trips: list[dict] = []
     for i in range(0, len(ordered), capacity):
         _append_trip(trips, ordered[i : i + capacity], duration_min)
-    return {"trips": trips, "makespan_min": _end_min(trips)}
+    return {"trips": trips, "makespan_min": trips[-1]["start_min"] + duration_min if trips else 0}
 
 
 def append_single_trip(trips: list[dict], request: Mapping, duration_min: int) -> dict:
@@ -468,8 +473,14 @@ def append_single_trip(trips: list[dict], request: Mapping, duration_min: int) -
 
 def _append_trip(trips: list[dict], requests: list, duration_min: int) -> dict:
     """Queue a trip after whatever the vehicle is already committed to; it
-    leaves at the earliest ready time among its requests."""
-    start = max(_end_min(trips), min(r["ready_time_min"] for r in requests))
+    leaves at the earliest ready time among its requests. The requests must
+    come in ready order, so that time is the first one's."""
+    start = requests[0]["ready_time_min"]
+    if trips:
+        last = trips[-1]
+        free = last["start_min"] + last["duration_min"]
+        if free > start:
+            start = free
     trip = {
         "trip_id": len(trips) + 1,
         "start_min": start,
@@ -478,10 +489,6 @@ def _append_trip(trips: list[dict], requests: list, duration_min: int) -> dict:
     }
     trips.append(trip)
     return trip
-
-
-def _end_min(trips: list[dict]) -> int:
-    return trips[-1]["start_min"] + trips[-1]["duration_min"] if trips else 0
 
 
 def coordination_score(schedule: Mapping) -> int:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from camcp import runtime, store
 from camcp.bench import compute_metrics
-from camcp.planner import MockPlanner, PlanBlueprint
+from camcp.planner import CostModel, MockPlanner, PlanBlueprint
 from camcp.protocol import decode, encode, validate_sequence
 from camcp.runtime import (
     EVENT_KINDS,
@@ -600,14 +600,68 @@ def test_prebuilt_lines_equal_encoding_their_payload(travel_scenario, commits):
         builder.stage_done(key, entry.value, entry.text)
     builder.run_end(True)
     trace = builder.build()
-    prebuilt = [e for e in trace.events if e.line is not None]
-    assert [e.kind for e in prebuilt] == ["scs_write", "stage_done"] * len(commits)
-    for event in prebuilt:
+    assert [e.kind for e in trace.events] == ["scs_write", "stage_done"] * len(commits) + ["run_end"]
+    for event in trace.events:
         assert event.line == _encoded_line(event)
         envelope = event.payload.get("envelope")
         if envelope is not None:
             assert encode(decode(envelope)) == envelope
     assert serialize_trace(trace) == "".join(_encoded_line(e) + "\n" for e in trace.events)
+
+
+# Field names that sort before, between and after the fixed ones (latency_s,
+# server, stage), two of the fixed names themselves, and awkward text.
+_call_names = st.one_of(
+    st.sampled_from(["a", "latency_s", "request", "server", "sl", "stage", "z", "é", '"q"', "%s"]),
+    _awkward_text,
+)
+_call_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _awkward_text,
+    st.sampled_from([1.0, -0.0, 1e300, 10**30, [], [1, "é"], {"n": [1, {"%d": "\n"}], "a": None}]),
+)
+
+
+@st.composite
+def _call_lists(draw):
+    """Calls of a few shapes in one list, so that runs of calls with the
+    same field names, in either order, meet calls of other shapes."""
+    shapes = draw(st.lists(st.lists(_call_names, unique=True, max_size=3), min_size=1, max_size=3))
+    calls = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        names = draw(st.permutations(draw(st.sampled_from(shapes))))
+        calls.append({name: draw(_call_values) for name in names})
+    return calls
+
+
+@given(
+    server=_awkward_text,
+    stage=_awkward_text,
+    latency=st.sampled_from([0, 0.4, 1e-7, 3, 1e300]),
+    calls=_call_lists(),
+)
+@settings(max_examples=300)
+def test_tool_exec_lines_equal_encoding_their_payload(
+    travel_scenario, server, stage, latency, calls
+):
+    """Each tool_exec the builder records for a list of calls carries the
+    payload a call always had, the fixed fields updated by the call's own,
+    and the line a full encoding of that payload gives."""
+    scenario = dataclasses.replace(travel_scenario, cost_model=CostModel(6.0, latency))
+    builder = TraceBuilder(MODE_TRADITIONAL, 0, scenario)
+    builder.tool_exec(server, stage, calls)
+    builder.run_end(False)
+    events = builder.build().events[:-1]
+    assert len(events) == len(calls)
+    for t, (event, extra) in enumerate(zip(events, calls), start=1):
+        payload = {"server": server, "stage": stage, "latency_s": latency}
+        payload.update(extra)
+        assert (event.t, event.kind, event.payload) == (t, "tool_exec", payload)
+        assert event.line == runtime._line(t, "tool_exec", store.canonical_dumps(payload))
+        assert event.line == _encoded_line(event)
 
 
 def test_entries_and_events_are_read_only_records():
@@ -639,8 +693,8 @@ def test_every_line_of_a_run_equals_encoding_its_event(
     travel_scenario, wedding_scenario, which, mode
 ):
     """Both shipped scenarios, and five generated wedding scenarios: each
-    serialized line, prebuilt or not, is the full encoding of its event, and
-    every value-carrying line (scs_write, stage_done) was prebuilt."""
+    serialized line is the full encoding of its event, and every event the
+    run built carries its line."""
     if isinstance(which, int):
         scenario = generated_wedding(which)
     else:
@@ -648,7 +702,7 @@ def test_every_line_of_a_run_equals_encoding_its_event(
     trace = run(scenario, mode, 0)
     assert serialize_trace(trace).splitlines() == [_encoded_line(e) for e in trace.events]
     for event in trace.events:
-        assert (event.line is not None) == (event.kind in ("scs_write", "stage_done"))
+        assert event.line is not None
 
 
 @pytest.mark.parametrize(

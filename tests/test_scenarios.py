@@ -587,6 +587,56 @@ def test_append_single_trip_matches_capacity_one_batching():
         assert makespan == expected["makespan_min"]
 
 
+def _reference_batch_requests(requests, capacity, duration_min):
+    """``batch_requests`` as it was before ``_append_trip`` assumed ready
+    order: each trip's start is computed from the whole group."""
+    ordered = sorted(requests, key=lambda r: (r["ready_time_min"], r["request_id"]))
+    trips = []
+    for i in range(0, len(ordered), capacity):
+        _reference_append_trip(trips, ordered[i : i + capacity], duration_min)
+    return {"trips": trips, "makespan_min": _reference_end_min(trips)}
+
+
+def _reference_append_trip(trips, requests, duration_min):
+    start = max(_reference_end_min(trips), min(r["ready_time_min"] for r in requests))
+    trip = {"trip_id": len(trips) + 1, "start_min": start, "duration_min": duration_min, "requests": requests}
+    trips.append(trip)
+    return trip
+
+
+def _reference_end_min(trips):
+    return trips[-1]["start_min"] + trips[-1]["duration_min"] if trips else 0
+
+
+# Few ids and ready times, so that ties on both are common.
+_tied_requests = st.lists(
+    st.builds(request, st.sampled_from(["a", "b", "c", "d"]), st.sampled_from([0, 0, 15, 40, 90])),
+    max_size=12,
+)
+
+
+@given(
+    requests=_tied_requests,
+    capacity=st.integers(min_value=1, max_value=4),
+    duration=st.integers(min_value=1, max_value=60),
+    durations=st.lists(st.integers(min_value=1, max_value=60), min_size=12, max_size=12),
+)
+@settings(max_examples=300)
+def test_batching_equals_the_reference_batching(requests, capacity, duration, durations):
+    """batch_requests equals the reference, holding the very request values
+    in the same order; append_single_trip, handed requests in any order and
+    with mixed trip lengths, queues the same trips as the reference."""
+    schedule = batch_requests(requests, capacity, duration)
+    expected = _reference_batch_requests(requests, capacity, duration)
+    assert schedule == expected
+    held = [[id(r) for r in trip["requests"]] for trip in schedule["trips"]]
+    assert held == [[id(r) for r in trip["requests"]] for trip in expected["trips"]]
+    trips, reference = [], []
+    for r, minutes in zip(requests, durations):
+        assert append_single_trip(trips, r, minutes) == _reference_append_trip(reference, [r], minutes)
+    assert trips == reference
+
+
 def test_greedy_trip_count_matches_brute_force_small():
     for n in range(0, 7):
         for capacity in range(1, 4):
