@@ -376,7 +376,7 @@ class TraceBuilder:
                 names, template = extra.keys(), None
                 self._append(TOOL_EXEC, payload)
                 continue
-            if template is None:  # a canonical text holds no raw NUL to mark own fields
+            if template is None:  # no canonical text holds a raw NUL, so NUL marks own fields
                 order = sorted(names)
                 members = {k: canonical_dumps(v) for k, v in fixed.items()}
                 members.update(dict.fromkeys(order, "\0"))
