@@ -9,17 +9,18 @@ drivers name no kind or stage: what differs by kind (the query a seed asks,
 the call policy, the constraints a trace must carry) is read from the kind's
 ``scenarios.KINDS`` row, and the tool calls a stage took from its tool.
 
-Each value a run produces is encoded once, and every event a run builds,
-a read-only tuple built in one call, carries its line from the moment it is
-recorded; :func:`serialize_trace` joins them. A store commit's ``scs_write``
+Each value a run produces is encoded once. A store commit's ``scs_write``
 line, a ``stage_done`` line and the final summary are assembled from the
 canonical text that the store made at commit (``ContextEntry.text``), or, in
 traditional mode, from the one text made per stage output. A run of
 ``tool_exec`` calls with the same field names fills one template of the
-fixed fields' texts with each call's own. Every other event (``run_start``,
-``llm_call``, ``trigger_fire``, ``stage_failed``, ``run_end``, the first
-call of a run) is encoded when it is recorded. Parsed and hand-built events
-have no line and are encoded in full.
+fixed fields' texts with each call's own, from the second call on. The
+builder passes each such line to its event, a read-only tuple built in one
+call, and :func:`serialize_trace` joins them. Every other event
+(``run_start``, ``llm_call``, ``trigger_fire``, ``stage_failed``,
+``run_end``, a stage's first or only call) is encoded in full when it is
+serialized, as parsed and hand-built events are, so a run that is never
+serialized does not encode it.
 Every protocol line a run writes goes through
 :func:`camcp.protocol.encode_line` as text, with no envelope, copy or check
 of its own: the loader and the store checked the values, and
@@ -326,16 +327,14 @@ class TraceBuilder:
         self._closed = False
 
     def _append(self, kind: str, payload: dict, payload_text: str | None = None) -> None:
-        """Record an event with its line. *payload_text*, when given, is
-        ``canonical_dumps(payload)``, which callers assemble from texts they
-        already have, writing its fields in sorted order as the encoder
-        would; otherwise the payload is encoded here."""
+        """Record an event; *payload_text*, when given, is
+        ``canonical_dumps(payload)`` and becomes the event's prebuilt line.
+        Callers write its fields in sorted order, as the encoder would."""
         if self._closed:
             raise RuntimeError("trace already ended")
         self._t += 1
-        if payload_text is None:
-            payload_text = canonical_dumps(payload)
-        self._events.append(TraceEvent(self._t, kind, payload, _line(self._t, kind, payload_text)))
+        line = None if payload_text is None else _line(self._t, kind, payload_text)
+        self._events.append(TraceEvent(self._t, kind, payload, line))
 
     def envelope_line(self, msg_type: str, payload_text: str) -> str:
         """The next protocol line, around a payload's canonical text."""
@@ -367,21 +366,25 @@ class TraceBuilder:
         """Record one tool_exec per call, its payload the fixed fields updated
         by the call's own. A call with the previous call's field names fills
         a template of the fixed texts with its own values' texts; any other
-        call is encoded in full."""
+        call is left to be encoded in full. Every text is made before any
+        event is recorded, so calls that cannot be encoded record nothing."""
         fixed = {"server": server_id, "stage": stage_id, "latency_s": self.cost.per_tool_latency_s}
         names = template = None
+        events = []
         for extra in calls:
-            payload = {**fixed, **extra}
+            text = None
             if extra.keys() != names:
                 names, template = extra.keys(), None
-                self._append(TOOL_EXEC, payload)
-                continue
-            if template is None:  # no canonical text holds a raw NUL, so NUL marks own fields
-                order = sorted(names)
-                members = {k: canonical_dumps(v) for k, v in fixed.items()}
-                members.update(dict.fromkeys(order, "\0"))
-                template = canonical_object(members).replace("%", "%%").replace("\0", "%s")
-            self._append(TOOL_EXEC, payload, template % tuple([canonical_dumps(extra[k]) for k in order]))
+            else:
+                if template is None:  # no canonical text holds a raw NUL, so NUL marks own fields
+                    order = sorted(names)
+                    members = {k: canonical_dumps(v) for k, v in fixed.items()}
+                    members.update(dict.fromkeys(order, "\0"))
+                    template = canonical_object(members).replace("%", "%%").replace("\0", "%s")
+                text = template % tuple([canonical_dumps(extra[k]) for k in order])
+            events.append(({**fixed, **extra}, text))
+        for payload, text in events:
+            self._append(TOOL_EXEC, payload, text)
 
     def trigger_fire(self, server_id: str, edge_time: int) -> None:
         self._append(TRIGGER_FIRE, {"server": server_id, "edge_time": edge_time})
@@ -577,12 +580,11 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
             output = tool.run({k: v for k, v, _ in visible})
             # One encoding per output, shared by its stage_done line and the synthesis.
             text = canonical_dumps(output)
-            calls = tool.calls(output)
-        except Exception as exc:  # a crash, or an output with no JSON text
+            builder.tool_exec(tool.server_id, stage.stage_id, tool.calls(output))
+        except Exception as exc:  # a crash, or an output or call with no JSON text
             builder.tool_exec(tool.server_id, stage.stage_id)
             builder.stage_failed(stage.stage_id, f"{type(exc).__name__}: {exc}")
             continue
-        builder.tool_exec(tool.server_id, stage.stage_id, calls)
         history.append((stage.stage_id, output, output if isinstance(output, str) else text))
         builder.stage_done(stage.stage_id, output, text)
 

@@ -449,6 +449,48 @@ def test_crashing_schedule_tool_becomes_stage_failed(wedding_scenario, mode):
     assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace)
 
 
+def _schedule_calls(monkeypatch, calls):
+    """Make the traditional schedule tool report *calls* for its output."""
+    build_servers = runtime.build_servers
+
+    def servers(scenario, mode):
+        return [
+            dataclasses.replace(t, calls=lambda output: calls) if t.stage_id == "schedule" else t
+            for t in build_servers(scenario, mode)
+        ]
+
+    monkeypatch.setattr(runtime, "build_servers", servers)
+
+
+@pytest.mark.parametrize(
+    "calls", [[{"request": "a"}, {"request": {1, 2}}], [{1: "x"}, {1: "y"}]], ids=["set", "int-key"]
+)
+def test_tool_calls_with_no_json_text_fail_only_their_stage(wedding_scenario, monkeypatch, calls):
+    """A call after the first is encoded while its stage runs: one with no
+    JSON text fails the stage, which records only the plain tool_exec a
+    crash leaves, and the run goes on."""
+    _schedule_calls(monkeypatch, calls)
+    trace = run_traditional(wedding_scenario, 0)
+    failed = {e.payload["stage"]: e.payload["reason"] for e in trace.events_of("stage_failed")}
+    assert list(failed) == ["schedule"]
+    assert failed["schedule"].startswith("TypeError")
+    schedule_calls = [e.payload for e in trace.events_of("tool_exec") if e.payload["stage"] == "schedule"]
+    latency = wedding_scenario.cost_model.per_tool_latency_s
+    assert schedule_calls == [{"server": "transport", "stage": "schedule", "latency_s": latency}]
+    assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace)
+
+
+def test_a_first_call_with_no_json_text_fails_only_serialization(wedding_scenario, monkeypatch):
+    """A stage's first call is encoded only when the trace is written, as
+    every event without a prebuilt line is, so the run completes and writing
+    its trace raises."""
+    _schedule_calls(monkeypatch, [{1: "x"}])
+    trace = run_traditional(wedding_scenario, 0)
+    assert trace.events[-1].payload["completed"] is True
+    with pytest.raises(TypeError):
+        serialize_trace(trace)
+
+
 # -- Serialization and parsing -------------------------------------------------------------------
 
 
@@ -600,8 +642,9 @@ def test_prebuilt_lines_equal_encoding_their_payload(travel_scenario, commits):
         builder.stage_done(key, entry.value, entry.text)
     builder.run_end(True)
     trace = builder.build()
-    assert [e.kind for e in trace.events] == ["scs_write", "stage_done"] * len(commits) + ["run_end"]
-    for event in trace.events:
+    prebuilt = [e for e in trace.events if e.line is not None]
+    assert [e.kind for e in prebuilt] == ["scs_write", "stage_done"] * len(commits)
+    for event in prebuilt:
         assert event.line == _encoded_line(event)
         envelope = event.payload.get("envelope")
         if envelope is not None:
@@ -648,20 +691,24 @@ def test_tool_exec_lines_equal_encoding_their_payload(
     travel_scenario, server, stage, latency, calls
 ):
     """Each tool_exec the builder records for a list of calls carries the
-    payload a call always had, the fixed fields updated by the call's own,
-    and the line a full encoding of that payload gives."""
+    payload a call always had, the fixed fields updated by the call's own.
+    A call with the previous call's field names carries the line a full
+    encoding of that payload gives; any other call carries none."""
     scenario = dataclasses.replace(travel_scenario, cost_model=CostModel(6.0, latency))
     builder = TraceBuilder(MODE_TRADITIONAL, 0, scenario)
     builder.tool_exec(server, stage, calls)
     builder.run_end(False)
     events = builder.build().events[:-1]
     assert len(events) == len(calls)
+    previous = None
     for t, (event, extra) in enumerate(zip(events, calls), start=1):
         payload = {"server": server, "stage": stage, "latency_s": latency}
         payload.update(extra)
         assert (event.t, event.kind, event.payload) == (t, "tool_exec", payload)
-        assert event.line == runtime._line(t, "tool_exec", store.canonical_dumps(payload))
-        assert event.line == _encoded_line(event)
+        line = runtime._line(t, "tool_exec", store.canonical_dumps(payload))
+        assert event.line == (line if extra.keys() == previous else None)
+        assert _encoded_line(event) == line
+        previous = extra.keys()
 
 
 def test_entries_and_events_are_read_only_records():
@@ -693,16 +740,20 @@ def test_every_line_of_a_run_equals_encoding_its_event(
     travel_scenario, wedding_scenario, which, mode
 ):
     """Both shipped scenarios, and five generated wedding scenarios: each
-    serialized line is the full encoding of its event, and every event the
-    run built carries its line."""
+    serialized line, prebuilt or not, is the full encoding of its event;
+    every value-carrying line (scs_write, stage_done) was prebuilt, and so
+    was each tool_exec that follows another, such as a wedding trip's."""
     if isinstance(which, int):
         scenario = generated_wedding(which)
     else:
         scenario = scenario_by_name(which, travel_scenario, wedding_scenario)
     trace = run(scenario, mode, 0)
     assert serialize_trace(trace).splitlines() == [_encoded_line(e) for e in trace.events]
+    previous = None
     for event in trace.events:
-        assert event.line is not None
+        follows_a_call = event.kind == previous == "tool_exec"
+        assert (event.line is not None) == (event.kind in ("scs_write", "stage_done") or follows_a_call)
+        previous = event.kind
 
 
 @pytest.mark.parametrize(
