@@ -132,7 +132,7 @@ class ReactorPool:
     def _fire_one(self, reactor: _Reactor) -> None:
         spec = reactor.spec
         if self._on_firing is not None:
-            self._on_firing(spec.server_id, reactor.edge_time or 0)
+            self._on_firing(spec.server_id, reactor.edge_time)
         snapshot = self.store.snapshot()
         try:
             writes = list(spec.action(snapshot))

@@ -189,10 +189,11 @@ _RECORD_KEYS = frozenset({"t", "kind", "payload"})
 
 def parse_trace(text: str) -> Trace:
     """Strict parse of a serialized trace; raises :class:`MalformedTraceError`
-    naming the offending line."""
+    naming the offending line. Only "\\n" ends a line: JSON allows U+0085,
+    U+2028 and U+2029 raw in a string, and a trailing "\\r" is whitespace."""
     events: list[TraceEvent] = []
     line_no = 0
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         if not raw.strip():
             continue
         line_no += 1
@@ -303,7 +304,7 @@ def read_trace(path) -> Trace:
     except UnicodeDecodeError as exc:
         # Number lines as parse_trace does; "x" keeps the bad byte's line non-blank.
         head = data[: exc.start].decode("utf-8") + "x"
-        line_no = sum(1 for raw in head.splitlines() if raw.strip())
+        line_no = sum(1 for raw in head.split("\n") if raw.strip())
         raise MalformedTraceError(line_no, f"not UTF-8 text: {exc.reason}") from exc
     return parse_trace(text)
 

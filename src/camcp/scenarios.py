@@ -133,12 +133,11 @@ def load_scenario(path) -> Scenario:
     return scenario_from_value(data, default_name=path.stem)
 
 
-def builtin_scenario_names() -> tuple[str, ...]:
-    return ("travel", "wedding_p5")
+BUILTIN_SCENARIO_NAMES = ("travel", "wedding_p5")
 
 
 def load_builtin(name: str) -> Scenario:
-    if name not in builtin_scenario_names():
+    if name not in BUILTIN_SCENARIO_NAMES:
         raise ScenarioParseError(f"no built-in scenario named {name!r}")
     text = resources.files("camcp").joinpath("data", f"{name}.json").read_text("utf-8")
     return scenario_from_value(json.loads(text), default_name=name)
@@ -148,7 +147,7 @@ def resolve_scenario(spec: str) -> Scenario:
     """Accept either a filesystem path or a built-in scenario name."""
     if Path(spec).exists():
         return load_scenario(spec)
-    if spec in builtin_scenario_names():
+    if spec in BUILTIN_SCENARIO_NAMES:
         return load_builtin(spec)
     raise ScenarioParseError(f"{spec!r} is neither a scenario file nor a built-in name")
 
@@ -359,9 +358,7 @@ def _destination_entry(tables: dict, destination) -> dict:
 
 def _preferred_first(rows: list[dict], preferences: Iterable[str]) -> list[dict]:
     wanted = set(preferences or [])
-    preferred = [r for r in rows if wanted & set(r.get("tags", []))]
-    rest = [r for r in rows if r not in preferred]
-    return preferred + rest
+    return sorted(rows, key=lambda r: not wanted & set(r.get("tags", [])))
 
 
 def suggest_locations(tables: dict, destination, days, preferences) -> dict:
@@ -399,9 +396,8 @@ def book_hotel(tables: dict, destination, days, preferences=()) -> dict:
 
 def plan_dining(tables: dict, destination, days, preferences) -> dict:
     entry = _destination_entry(tables, destination)
-    ordered = _preferred_first(entry["restaurants"], preferences)
-    wanted = set(preferences or [])
-    pool = [r for r in ordered if wanted & set(r.get("tags", []))] or ordered
+    rows, wanted = entry["restaurants"], set(preferences or [])
+    pool = [r for r in rows if wanted & set(r.get("tags", []))] or rows
     chosen = [pool[i % len(pool)] for i in range(int(days))]
     return {
         "restaurants": [r["name"] for r in chosen],
@@ -571,11 +567,12 @@ def _travel_action(scenario: Scenario, stage: Stage) -> Action:
     tool = _TRAVEL_TOOLS[stage.stage_id]
 
     def action(snapshot: Snapshot) -> list[tuple[str, ContextValue]]:
+        preferences = snapshot.get("constraints.preferences")  # optional
         output = tool(
             scenario.data_tables,
-            snapshot.value("constraints.destination"),
-            snapshot.value("constraints.days"),
-            snapshot.value("constraints.preferences") or [],
+            snapshot["constraints.destination"].value,
+            snapshot["constraints.days"].value,
+            [] if preferences is None else preferences.value,
         )
         return [(stage.stage_id, output)]
 
@@ -607,7 +604,7 @@ def _wedding_action(scenario: Scenario, stage: Stage) -> Action:
             requests = [
                 entry.value for key, entry in snapshot.items() if key.startswith(REQUEST_KEY_PREFIX)
             ]
-            capacity = snapshot.value("constraints.vehicle_capacity")
+            capacity = snapshot["constraints.vehicle_capacity"].value
             duration = tables["vehicle"]["trip_duration_min"]
             return [(stage.stage_id, batch_requests(requests, capacity, duration))]
 

@@ -1,11 +1,12 @@
 """Versioned key/value blackboard with rising-edge watch subscriptions.
 
 The store is the shared coordination surface: writers commit versioned
-entries under a single store-wide logical clock, readers take consistent
-snapshots, and subscribers are notified exactly once per false-to-true
-transition of a watch condition evaluated over successive post-commit
-states. Commit listeners see every commit in order; the runtime records
-each one as a trace event.
+entries under a single store-wide logical clock, readers take snapshots,
+and subscribers are notified exactly once per false-to-true transition of a
+watch condition evaluated over successive post-commit states. A snapshot is
+a read-only ``types.MappingProxyType`` of the entries by key, as they stood
+at one instant; later commits do not show in it. Commit listeners see
+every commit in order; the runtime records each one as a trace event.
 
 Every stored value is a validated plain copy (:func:`copy_value`, which
 also caps nesting at :data:`MAX_VALUE_DEPTH` levels), made once at commit;
@@ -26,7 +27,8 @@ import threading
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Iterator, NamedTuple, Union
+from types import MappingProxyType
+from typing import Any, Callable, NamedTuple, Union
 
 ContextValue = Union[None, bool, int, float, str, list, dict]
 
@@ -285,30 +287,8 @@ class ContextEntry(NamedTuple):
     text: str
 
 
-class Snapshot(Mapping):
-    """Immutable consistent view: all commits up to one logical time, no later ones."""
-
-    __slots__ = ("_entries", "logical_time")
-
-    def __init__(self, entries: dict[str, ContextEntry], logical_time: int):
-        self._entries = entries
-        self.logical_time = logical_time
-
-    def __getitem__(self, key: str) -> ContextEntry:
-        return self._entries[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def value(self, key: str, default: ContextValue = None) -> ContextValue:
-        entry = self._entries.get(key)
-        return default if entry is None else entry.value
-
-    def __repr__(self) -> str:
-        return f"Snapshot(t={self.logical_time}, keys={sorted(self._entries)})"
+# What :meth:`ContextStore.snapshot` returns, and what actions read.
+Snapshot = Mapping[str, ContextEntry]
 
 
 @dataclass
@@ -331,7 +311,7 @@ class ContextStore:
         self._entries: dict[str, ContextEntry] = {}
         self._logical_time = 0
         self._subscriptions: list[Subscription] = []
-        self._pending: list[tuple[int, int]] = []  # (logical_time, subscription_id)
+        self._pending: list[tuple[int, int]] = []  # (subscription_id, logical_time)
         self._listeners: list[Callable[[ContextEntry], None]] = []
 
     # -- Write operations --
@@ -372,8 +352,10 @@ class ContextStore:
             return self._entries.get(key)
 
     def snapshot(self) -> Snapshot:
+        """The entries by key, as a read-only ``types.MappingProxyType`` of a copy
+        made under the lock: assignment raises ``TypeError``; later commits never show."""
         with self._lock:
-            return Snapshot(dict(self._entries), self._logical_time)
+            return MappingProxyType(dict(self._entries))
 
     def last_logical_time(self) -> int:
         with self._lock:
@@ -393,16 +375,16 @@ class ContextStore:
             )
             self._subscriptions.append(sub)
             if sub.last_state:
-                self._pending.append((self._logical_time, sub.subscription_id))
+                self._pending.append((sub.subscription_id, self._logical_time))
             return sub
 
     def drain_notifications(self) -> list[tuple[int, int]]:
-        """Return and clear all pending notifications as
-        (subscription_id, logical_time), ordered by (logical_time, id)."""
+        """Return and clear the pending notifications as (subscription_id,
+        logical_time), in (logical_time, id) order, the order they were queued
+        in: the clock never falls, and at one time ids queue in rising order."""
         with self._lock:
-            items = sorted(self._pending)
-            self._pending.clear()
-            return [(sub_id, t) for t, sub_id in items]
+            items, self._pending = self._pending, []
+            return items
 
     def add_commit_listener(self, listener: Callable[[ContextEntry], None]) -> None:
         """Register a callback invoked once per commit, in commit order.
@@ -440,6 +422,6 @@ class ContextStore:
         for sub in self._subscriptions:
             state = evaluate(sub.condition, self._entries)
             if state and not sub.last_state:
-                self._pending.append((entry.logical_time, sub.subscription_id))
+                self._pending.append((sub.subscription_id, entry.logical_time))
             sub.last_state = state
         return entry

@@ -936,6 +936,23 @@ def test_parse_trace_rejects_corruption(
         assert info.value.line_no == line_no
 
 
+def test_parse_trace_splits_lines_only_at_newline(travel_scenario):
+    """JSON allows U+0085, U+2028 and U+2029 raw inside a string, so a line
+    that holds them is one line, and a CRLF copy parses the same."""
+    escaped = serialize_trace(run_context_aware(travel_scenario, 0)).replace(
+        '"scenario":"travel"', '"scenario":"trip x\\u0085y\\u2028z\\u2029"', 1
+    )
+    raw = escaped.replace("\\u0085", "\x85").replace("\\u2028", "\u2028")
+    raw = raw.replace("\\u2029", "\u2029")
+    assert raw != escaped and raw.count("\n") == escaped.count("\n")
+    expected = parse_trace(escaped)
+    assert expected.events[0].payload["scenario"] == "trip x\x85y\u2028z\u2029"
+    for text in (raw, raw.replace("\n", "\r\n")):
+        parsed = parse_trace(text)
+        assert parsed.events == expected.events
+        assert compute_metrics(parsed) == compute_metrics(expected)
+
+
 def test_parse_trace_requires_metric_fields(travel_scenario):
     lines = serialize_trace(run_context_aware(travel_scenario, 0)).splitlines()
     start = json.loads(lines[0])

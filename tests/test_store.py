@@ -357,15 +357,19 @@ def test_cas_put_create_update_conflict():
 
 
 def test_snapshot_is_isolated_from_later_writes():
+    """A snapshot is a read-only view of the entries as they stood when it
+    was taken: later commits do not show in it, and it takes no writes."""
     store = ContextStore()
     store.put("x", 1, "w")
     snap = store.snapshot()
     store.put("x", 2, "w")
     store.put("y", 5, "w")
-    assert snap.value("x") == 1
+    assert snap["x"].value == 1
     assert "y" not in snap
-    assert snap.logical_time == 1
-    assert store.snapshot().logical_time == 3
+    assert max(e.logical_time for e in snap.values()) == 1
+    assert max(e.logical_time for e in store.snapshot().values()) == 3
+    with pytest.raises(TypeError):
+        snap["x"] = store.get("x")
 
 
 def test_put_many_is_one_atomic_batch():
