@@ -6,7 +6,11 @@ For each file, in order of n, and each workload of its ``--trace 0`` runs,
 one line per end-to-end metric that BENCHMARK.json names: the median over
 the pairs, parent -> change, the relative change, and in how many pairs the
 change was better. A metric that got worse by more than its ``bound`` (a
-fraction of the parent's median) is marked ``WORSE THAN BOUND``.
+fraction of the parent's median) is marked ``WORSE THAN BOUND``. A metric
+whose parent runs spread wider than its bound (the interquartile range, as a
+fraction of their median) is marked ``UNRESOLVED``, because a difference
+inside that spread says nothing either way, unless every change run beats
+every parent run.
 
     python3 scripts/bench_trajectory.py
 """
@@ -29,6 +33,17 @@ def worsening(parent: float, change: float, better: str) -> float:
     if parent == 0:
         return 0.0 if delta == 0 else (float("inf") if delta > 0 else float("-inf"))
     return delta / abs(parent)
+
+
+def spread(values: list[float]) -> float:
+    """The interquartile range of *values* (``statistics.quantiles``'
+    default, exclusive method) as a fraction of their median; 0 for one."""
+    if len(values) < 2:
+        return 0.0
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    if median == 0:
+        return 0.0 if q3 == q1 else float("inf")
+    return (q3 - q1) / abs(median)
 
 
 def trajectory(root: Path = ROOT) -> list[str]:
@@ -64,6 +79,11 @@ def trajectory(root: Path = ROOT) -> list[str]:
                 )
                 if worse > metric["bound"]:
                     line += f"  WORSE THAN BOUND {metric['bound']:g}"
+                parents, changes = ([p[s][name] for p in both] for s in ("parent", "change"))
+                wide = spread(parents)
+                separated = all(worsening(p, c, better) < 0 for p in parents for c in changes)
+                if wide > metric["bound"] and not separated:
+                    line += f"  UNRESOLVED (parent IQR {wide:.0%} of its median)"
                 lines.append(line)
     return lines
 

@@ -31,17 +31,6 @@ COMPLETION_SIGNAL = "completion_signal"
 SUMMARY_REQUEST = "summary_request"
 FINAL_RESPONSE = "final_response"
 
-MESSAGE_TYPES = (
-    PLAN_REQUEST,
-    TOOL_DECLARATION,
-    CONTEXT_SEED,
-    CONTEXT_WRITE,
-    CONTEXT_READ,
-    COMPLETION_SIGNAL,
-    SUMMARY_REQUEST,
-    FINAL_RESPONSE,
-)
-
 # Position of each message type in the happy-path exchange. Ranks must be
 # non-decreasing along a valid sequence; equal ranks carry no mutual order
 # (concurrent server reads/writes).
@@ -100,7 +89,7 @@ class Envelope:
     payload: dict
 
 
-# msg_type -> ordered {field: (type, description)}
+# msg_type -> ordered {field: (type, description)}, in happy-path order
 _SCHEMAS = {
     PLAN_REQUEST: {"query": (dict, "object")},
     TOOL_DECLARATION: {"server_id": (str, "text"), "tools": (list, "list")},
@@ -111,10 +100,26 @@ _SCHEMAS = {
     SUMMARY_REQUEST: {"snapshot": (dict, "object")},
     FINAL_RESPONSE: {"text": (str, "text")},
 }
+MESSAGE_TYPES = tuple(_SCHEMAS)
 # Made once; encode_line encodes any other message type.
 _TYPE_TEXTS = {msg_type: canonical_dumps(msg_type) for msg_type in _SCHEMAS}
 
-_TOOL_FIELDS = {"name": str, "description": str, "param_schema": dict}
+_TOOL_FIELDS = {"name": (str, "text"), "description": (str, "text"), "param_schema": (dict, "object")}
+# make_envelope checks the seq and the payload of a decoded envelope.
+_ENVELOPE_FIELDS = {"msg_type": (str, "text"), "seq": (object, "value"), "payload": (object, "value")}
+
+
+def _check_fields(obj: dict, fields: dict, prefix: str = "") -> None:
+    """Check that *obj* holds exactly *fields*, each of its type; an error
+    names the field as *prefix* + name."""
+    for name, (kind, description) in fields.items():
+        if name not in obj:
+            raise SchemaViolationError(prefix + name, "missing")
+        if not isinstance(obj[name], kind):
+            raise SchemaViolationError(prefix + name, f"expected {description}")
+    for name in obj:
+        if name not in fields:
+            raise SchemaViolationError(prefix + name, "unexpected field")
 
 
 def check_payload(msg_type: str, payload: dict) -> None:
@@ -122,27 +127,12 @@ def check_payload(msg_type: str, payload: dict) -> None:
 
     Raises :class:`SchemaViolationError` naming the offending field.
     """
-    schema = _SCHEMAS[msg_type]
-    for name, (kind, description) in schema.items():
-        if name not in payload:
-            raise SchemaViolationError(name, "missing")
-        if not isinstance(payload[name], kind):
-            raise SchemaViolationError(name, f"expected {description}")
-    for name in payload:
-        if name not in schema:
-            raise SchemaViolationError(name, "unexpected field")
+    _check_fields(payload, _SCHEMAS[msg_type])
     if msg_type == TOOL_DECLARATION:
         for i, tool in enumerate(payload["tools"]):
             if not isinstance(tool, dict):
                 raise SchemaViolationError(f"tools[{i}]", "expected object")
-            for field, kind in _TOOL_FIELDS.items():
-                if field not in tool:
-                    raise SchemaViolationError(f"tools[{i}].{field}", "missing")
-                if not isinstance(tool[field], kind):
-                    raise SchemaViolationError(f"tools[{i}].{field}", "ill-typed")
-            for field in tool:
-                if field not in _TOOL_FIELDS:
-                    raise SchemaViolationError(f"tools[{i}].{field}", "unexpected field")
+            _check_fields(tool, _TOOL_FIELDS, f"tools[{i}].")
 
 
 def make_envelope(msg_type: str, seq: int, payload: dict) -> Envelope:
@@ -197,14 +187,7 @@ def decode(line: str) -> Envelope:
         raise MalformedSyntaxError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedSyntaxError("envelope must be a JSON object")
-    for field in ("msg_type", "seq", "payload"):
-        if field not in data:
-            raise SchemaViolationError(field, "missing")
-    for field in data:
-        if field not in ("msg_type", "seq", "payload"):
-            raise SchemaViolationError(field, "unexpected field")
-    if not isinstance(data["msg_type"], str):
-        raise SchemaViolationError("msg_type", "expected text")
+    _check_fields(data, _ENVELOPE_FIELDS)
     return make_envelope(data["msg_type"], data["seq"], data["payload"])
 
 

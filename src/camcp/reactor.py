@@ -75,27 +75,24 @@ class ReactorPool:
         self._on_firing = on_firing
         self._on_fired = on_fired
         self._on_failed = on_failed
-        self._reactors: list[_Reactor] = []
-        self._by_subscription: dict[int, _Reactor] = {}
+        self._reactors: dict[int, _Reactor] = {}  # by subscription id, in registration order
 
     def register(self, spec: ServerSpec) -> None:
         """Add a reactor. If its trigger already holds, the registration-time
         edge makes it ready on the next step, so seeding order never matters."""
-        for reactor in self._reactors:
+        for reactor in self._reactors.values():
             if reactor.spec.server_id == spec.server_id:
                 raise DuplicateServerError(f"server_id {spec.server_id!r}")
             if reactor.spec.done_key == spec.done_key:
                 raise DuplicateServerError(f"done_key {spec.done_key!r}")
         subscription = self.store.subscribe(spec.trigger)
-        reactor = _Reactor(spec)
-        self._reactors.append(reactor)
-        self._by_subscription[subscription.subscription_id] = reactor
+        self._reactors[subscription.subscription_id] = _Reactor(spec)
 
     def states(self) -> dict[str, ReactorState]:
-        return {r.spec.server_id: r.state for r in self._reactors}
+        return {r.spec.server_id: r.state for r in self._reactors.values()}
 
     def failures(self) -> dict[str, str]:
-        return {r.spec.server_id: r.failure for r in self._reactors if r.failure}
+        return {r.spec.server_id: r.failure for r in self._reactors.values() if r.failure}
 
     # -- Scheduling --
 
@@ -111,18 +108,18 @@ class ReactorPool:
         steps = 0
         while True:
             self._absorb()
-            if not any(r.state is ReactorState.READY for r in self._reactors):
+            if not any(r.state is ReactorState.READY for r in self._reactors.values()):
                 return steps
             if steps >= max_steps:
                 raise BudgetExceededError(max_steps)
-            for reactor in self._reactors:
+            for reactor in self._reactors.values():
                 if reactor.state is ReactorState.READY:
                     self._fire_one(reactor)
             steps += 1
 
     def _absorb(self) -> None:
         for subscription_id, logical_time in self.store.drain_notifications():
-            reactor = self._by_subscription.get(subscription_id)
+            reactor = self._reactors.get(subscription_id)
             if reactor is not None and reactor.state is ReactorState.IDLE:
                 reactor.state = ReactorState.READY
                 reactor.edge_time = logical_time

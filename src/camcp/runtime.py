@@ -45,7 +45,7 @@ from .planner import (
     render_summary,
     rendered,
 )
-from .reactor import BudgetExceededError, ReactorPool
+from .reactor import BudgetExceededError, ReactorPool, ReactorState
 from .scenarios import (
     CA_COMBINED_SINGLE,
     KINDS,
@@ -185,16 +185,18 @@ def _reject_constant(name: str):
 _TRACE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 _RECORD_KEYS = frozenset({"t", "kind", "payload"})
+_JSON_SPACE = " \t\r"  # all the JSON whitespace a line can hold once split at "\n"
 
 
 def parse_trace(text: str) -> Trace:
     """Strict parse of a serialized trace; raises :class:`MalformedTraceError`
     naming the offending line. Only "\\n" ends a line: JSON allows U+0085,
-    U+2028 and U+2029 raw in a string, and a trailing "\\r" is whitespace."""
+    U+2028 and U+2029 raw in a string, and a trailing "\\r" is whitespace. A
+    line is blank, and skipped, when it holds only JSON whitespace."""
     events: list[TraceEvent] = []
     line_no = 0
     for raw in text.split("\n"):
-        if not raw.strip():
+        if not raw.strip(_JSON_SPACE):
             continue
         line_no += 1
         try:
@@ -304,7 +306,7 @@ def read_trace(path) -> Trace:
     except UnicodeDecodeError as exc:
         # Number lines as parse_trace does; "x" keeps the bad byte's line non-blank.
         head = data[: exc.start].decode("utf-8") + "x"
-        line_no = sum(1 for raw in head.split("\n") if raw.strip())
+        line_no = sum(1 for raw in head.split("\n") if raw.strip(_JSON_SPACE))
         raise MalformedTraceError(line_no, f"not UTF-8 text: {exc.reason}") from exc
     return parse_trace(text)
 
@@ -320,10 +322,7 @@ class TraceBuilder:
         self.seed = seed
         self.scenario = scenario
         self.cost = scenario.cost_model
-        self.stages_done: set[str] = set()
-        self.stages_failed: set[str] = set()
         self._events: list[TraceEvent] = []
-        self._t = 0
         self._seq = 0
         self._closed = False
 
@@ -333,9 +332,9 @@ class TraceBuilder:
         Callers write its fields in sorted order, as the encoder would."""
         if self._closed:
             raise RuntimeError("trace already ended")
-        self._t += 1
-        line = None if payload_text is None else _line(self._t, kind, payload_text)
-        self._events.append(TraceEvent(self._t, kind, payload, line))
+        t = len(self._events) + 1
+        line = None if payload_text is None else _line(t, kind, payload_text)
+        self._events.append(TraceEvent(t, kind, payload, line))
 
     def envelope_line(self, msg_type: str, payload_text: str) -> str:
         """The next protocol line, around a payload's canonical text."""
@@ -393,7 +392,6 @@ class TraceBuilder:
     def stage_done(self, stage_id: str, output: ContextValue, text: str) -> None:
         """Record a finished stage and its *output*, whose canonical text is
         *text*."""
-        self.stages_done.add(stage_id)
         key = canonical_dumps(stage_id)
         self._append(
             STAGE_DONE,
@@ -402,7 +400,6 @@ class TraceBuilder:
         )
 
     def stage_failed(self, stage_id: str, reason: str) -> None:
-        self.stages_failed.add(stage_id)
         self._append(STAGE_FAILED, {"stage": stage_id, "reason": reason})
 
     def scs_listener(self, completion_key: str):
@@ -534,8 +531,9 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
             )
         builder.run_end(True, summary)
     else:
+        states = pool.states()
         for stage in blueprint.stages:
-            if stage.stage_id not in builder.stages_done | builder.stages_failed:
+            if states[stage.server_id] in (ReactorState.IDLE, ReactorState.READY):
                 builder.stage_failed(stage.stage_id, unfinished)
         builder.run_end(False)
 
@@ -553,7 +551,6 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
     builder.run_start(query)
 
     planner = MockPlanner()
-    tools = {t.stage_id: t for t in build_servers(scenario, MODE_TRADITIONAL)}
     # (key, value, rendered text) in the order the orchestrator learned them.
     history = [(k, v, rendered(v)) for k, v in query.constraints().items()]
 
@@ -565,15 +562,15 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
         # open-loop over the whole history.
         planner.plan(query, scenario)
         builder.llm_call("plan")
-    for stage in scenario.stages:
-        tool = tools[stage.stage_id]
+    finished = 0
+    for stage, tool in zip(scenario.stages, build_servers(scenario, MODE_TRADITIONAL)):
         visible = history
         if per_stage:  # a step decision sees only what the window keeps
             visible = history[first:]
             visible_keys = [k for k, _, _ in visible]
             planner.step_decision(stage.stage_id, visible_keys)
             builder.llm_call("step_decision")
-            missing = [k for k in tool.required if k not in visible_keys]
+            missing = [k for k in stage.required if k not in visible_keys]
             if missing:
                 builder.stage_failed(stage.stage_id, f"required context evicted: {missing[0]}")
                 continue
@@ -581,18 +578,18 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
             output = tool.run({k: v for k, v, _ in visible})
             # One encoding per output, shared by its stage_done line and the synthesis.
             text = canonical_dumps(output)
-            builder.tool_exec(tool.server_id, stage.stage_id, tool.calls(output))
+            builder.tool_exec(stage.server_id, stage.stage_id, tool.calls(output))
         except Exception as exc:  # a crash, or an output or call with no JSON text
-            builder.tool_exec(tool.server_id, stage.stage_id)
+            builder.tool_exec(stage.server_id, stage.stage_id)
             builder.stage_failed(stage.stage_id, f"{type(exc).__name__}: {exc}")
             continue
         history.append((stage.stage_id, output, output if isinstance(output, str) else text))
         builder.stage_done(stage.stage_id, output, text)
+        finished += 1
 
     summary = planner.synthesize([(k, text) for k, _, text in history[first:]])
     builder.llm_call("summarize")
-    completed = len(builder.stages_done) == len(scenario.stages)
-    builder.run_end(completed, summary)
+    builder.run_end(finished == len(scenario.stages), summary)
 
     return builder.build()
 

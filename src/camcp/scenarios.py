@@ -82,7 +82,6 @@ class Scenario:
     name: str
     kind: str
     stages: tuple[Stage, ...]
-    completion_key: str
     data_tables: dict
     window: WindowConfig
     constraints: dict
@@ -91,6 +90,8 @@ class Scenario:
 
     def stage_ids(self) -> list[str]:
         return [s.stage_id for s in self.stages]
+
+    completion_key = property(lambda self: KINDS[self.kind].completion_key)
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,6 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         name=name,
         kind=kind,
         stages=stages,
-        completion_key=row.completion_key,
         data_tables=tables,
         window=window,
         constraints=constraints,
@@ -282,6 +282,11 @@ def _validate_travel(tables: dict, constraints: dict) -> None:
             for i, row in enumerate(rows if price else ()):
                 if not isinstance(row, dict):
                     raise ScenarioValidationError(f"{where}[{i}]", "must be an object")
+                if not isinstance(row.get("name"), str):
+                    raise ScenarioValidationError(f"{where}[{i}].name", "must be text")
+                tags = row.get("tags", [])
+                if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+                    raise ScenarioValidationError(f"{where}[{i}].tags", "must be a list of text")
                 if price in row or section != "attractions":
                     _checked(f"{where}[{i}].{price}", row.get(price), 0, math.inf, number=True)
     destination = constraints.get("destination")
@@ -537,14 +542,11 @@ def _wedding_checks(constraints: Mapping, outputs: Mapping[str, ContextValue]) -
 
 @dataclass(frozen=True)
 class StatelessTool:
-    """Traditional-mode tool: a pure function of the context it is handed,
-    with the keys it cannot run without. ``calls(output)`` lists the extra
-    fields of each tool_exec that the output took, one plain call unless the
-    tool says otherwise."""
+    """Traditional-mode tool: a pure function of the context it is handed.
+    Its wiring (stage, server, the keys it cannot run without) is its
+    ``Stage``'s. ``calls(output)`` lists the extra fields of each tool_exec
+    that the output took, one plain call unless the tool says otherwise."""
 
-    stage_id: str
-    server_id: str
-    required: tuple[str, ...]
     run: Callable[[Mapping[str, ContextValue]], dict]
     calls: Callable[[ContextValue], list[dict]] = lambda output: [{}]
 
@@ -591,7 +593,7 @@ def _travel_tool(scenario: Scenario, stage: Stage) -> StatelessTool:
         days = source.get("days", window.get("days", 1))
         return tool(scenario.data_tables, destination, days, window.get("preferences") or [])
 
-    return StatelessTool(stage.stage_id, stage.server_id, stage.required, run)
+    return StatelessTool(run)
 
 
 def _wedding_action(scenario: Scenario, stage: Stage) -> Action:
@@ -653,8 +655,7 @@ def _wedding_tool(scenario: Scenario, stage: Stage) -> StatelessTool:
     if stage.stage_id not in _WEDDING_TRACKERS:
         duration = tables["vehicle"]["trip_duration_min"]
         return StatelessTool(
-            stage.stage_id, stage.server_id, stage.required,
-            lambda window: batch_requests(collect_window_requests(window), 1, duration), _trip_calls,
+            lambda window: batch_requests(collect_window_requests(window), 1, duration), _trip_calls
         )
     make_requests = _WEDDING_TRACKERS[stage.stage_id]
 
@@ -662,13 +663,13 @@ def _wedding_tool(scenario: Scenario, stage: Stage) -> StatelessTool:
         requests = make_requests(tables)
         return {"requests": requests, "count": len(requests)}
 
-    return StatelessTool(stage.stage_id, stage.server_id, stage.required, run)
+    return StatelessTool(run)
 
 
 def build_servers(scenario: Scenario, mode: str):
-    """Materialize the scenario's tool servers for one execution mode:
-    ServerSpec reactors for ``context_aware``, StatelessTool functions for
-    ``traditional``."""
+    """Materialize the scenario's tool servers for one execution mode, one
+    per stage in stage order: ServerSpec reactors for ``context_aware``,
+    StatelessTool functions for ``traditional``."""
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     row = KINDS[scenario.kind]

@@ -331,6 +331,34 @@ def test_trajectory_prints_every_end_to_end_metric_and_marks_bound_breaches(tmp_
     assert by_metric["op_ok_frac"].endswith("WORSE THAN BOUND 0.01")
 
 
+def test_trajectory_marks_a_metric_unresolved_when_the_parent_spread_exceeds_its_bound(tmp_path):
+    """setup_s has a 0.25 bound. Parent runs whose interquartile range is 67%
+    of their median cannot resolve a change inside that spread, unless every
+    change run beats every parent run; a narrow parent spread can."""
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    wide = [0.10, 0.20, 0.10, 0.20, 0.15]
+    narrow = [0.150, 0.151, 0.149, 0.150, 0.152]
+    sides = {
+        "inside": (wide, [0.16, 0.14, 0.12, 0.19, 0.15]),
+        "apart": (wide, [0.05, 0.06, 0.04, 0.07, 0.09]),
+        "worse": (wide, [0.30, 0.32, 0.31, 0.29, 0.30]),
+        "narrow": (narrow, [0.16, 0.14, 0.12, 0.19, 0.15]),
+    }
+    runs = [
+        _bench_run(pair, side, workload, setup_s=values[pair])
+        for workload, (parent, change) in sides.items()
+        for pair in range(5)
+        for side, values in (("parent", parent), ("change", change))
+    ]
+    (tmp_path / "BENCH_20.json").write_text(json.dumps({"runs": runs}))
+    lines = {line.split()[1]: line for line in _load_trajectory_script().trajectory(tmp_path)}
+    unresolved = "  UNRESOLVED (parent IQR 67% of its median)"
+    assert lines["inside"].endswith("(+0.0%, change better in 2/5 pairs)" + unresolved)
+    assert "UNRESOLVED" not in lines["apart"] and "WORSE" not in lines["apart"]
+    assert lines["worse"].endswith("WORSE THAN BOUND 0.25" + unresolved)
+    assert "UNRESOLVED" not in lines["narrow"]
+
+
 def test_trajectory_covers_every_committed_bench_file():
     metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     lines = _load_trajectory_script().trajectory(ROOT)

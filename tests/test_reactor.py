@@ -201,6 +201,19 @@ def test_callbacks_fire_in_order():
     ]
 
 
+def test_a_step_fires_in_registration_order_not_edge_order():
+    """B's edge rises first, but A registered first, so A fires first."""
+    store = ContextStore()
+    log = []
+    pool = ReactorPool(store, on_firing=lambda server, edge: log.append((server, edge)))
+    pool.register(spec("A", Exists("y"), write_output("a_out")))
+    pool.register(spec("B", Exists("x"), write_output("b_out")))
+    store.put("x", 1, "w")
+    store.put("y", 1, "w")
+    assert pool.run_until_quiescent(4) == 1
+    assert log == [("A", 2), ("B", 1)]
+
+
 # -- Random layered DAGs vs the step-count oracle -----------------------------------
 
 

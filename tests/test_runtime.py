@@ -263,6 +263,31 @@ def test_ca_run_out_of_steps_ends_incomplete(name, travel_scenario, wedding_scen
     assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace, scenario)
 
 
+def test_ca_stages_behind_a_failed_stage_are_reported_never_triggered(travel_scenario, monkeypatch):
+    """A reactor whose trigger never rose is still idle at quiescence, and
+    its stage fails as never triggered, after the stage that failed."""
+    build_servers = runtime.build_servers
+
+    def crash(snapshot):
+        raise RuntimeError("boom")
+
+    def servers(scenario, mode):
+        return [
+            dataclasses.replace(s, action=crash) if s.server_id == "location_server" else s
+            for s in build_servers(scenario, mode)
+        ]
+
+    monkeypatch.setattr(runtime, "build_servers", servers)
+    trace = run_context_aware(travel_scenario, 0)
+    failed = [(e.payload["stage"], e.payload["reason"]) for e in trace.events_of("stage_failed")]
+    never = "never triggered: upstream incomplete"
+    assert failed == [
+        ("location", "RuntimeError: boom"), ("weather", never), ("hotel", never), ("dining", never)
+    ]
+    assert trace.events[-1].payload["completed"] is False
+    assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace)
+
+
 # -- Protocol embedding ----------------------------------------------------------------------
 
 
@@ -423,8 +448,8 @@ def test_cyclic_tool_output_becomes_stage_failed(travel_scenario, monkeypatch):
 
     def servers(scenario, mode):
         return [
-            dataclasses.replace(t, run=cyclic_run) if t.stage_id == "hotel" else t
-            for t in build_servers(scenario, mode)
+            dataclasses.replace(t, run=cyclic_run) if s.stage_id == "hotel" else t
+            for s, t in zip(scenario.stages, build_servers(scenario, mode))
         ]
 
     monkeypatch.setattr(runtime, "build_servers", servers)
@@ -455,8 +480,8 @@ def _schedule_calls(monkeypatch, calls):
 
     def servers(scenario, mode):
         return [
-            dataclasses.replace(t, calls=lambda output: calls) if t.stage_id == "schedule" else t
-            for t in build_servers(scenario, mode)
+            dataclasses.replace(t, calls=lambda output: calls) if s.stage_id == "schedule" else t
+            for s, t in zip(scenario.stages, build_servers(scenario, mode))
         ]
 
     monkeypatch.setattr(runtime, "build_servers", servers)
@@ -951,6 +976,36 @@ def test_parse_trace_splits_lines_only_at_newline(travel_scenario):
         parsed = parse_trace(text)
         assert parsed.events == expected.events
         assert compute_metrics(parsed) == compute_metrics(expected)
+
+
+def _with_line_after_third(golden_dir, extra: str) -> list[str]:
+    lines = (golden_dir / "trace_travel_ca.jsonl").read_text(encoding="utf-8").split("\n")
+    return lines[:3] + [extra] + lines[3:]
+
+
+@pytest.mark.parametrize(
+    "extra", ["\u2028", "\x0b", "\x1c", "\u3000"], ids=["U+2028", "U+000B", "U+001C", "U+3000"]
+)
+def test_a_line_of_other_unicode_space_is_not_blank(golden_dir, tmp_path, extra):
+    """Only JSON whitespace makes a line blank. A line of any other space is
+    a line that is not JSON, in parse_trace and in read_trace's line count."""
+    lines = _with_line_after_third(golden_dir, extra)
+    with pytest.raises(MalformedTraceError, match="not valid JSON") as info:
+        parse_trace("\n".join(lines))
+    assert info.value.line_no == 4
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes("\n".join(lines[:4] + [""]).encode("utf-8") + b"\xff" + lines[4].encode("utf-8"))
+    with pytest.raises(MalformedTraceError, match="not UTF-8") as info:
+        read_trace(path)
+    assert info.value.line_no == 5
+
+
+@pytest.mark.parametrize("extra", [" \t", "\r"], ids=["space-tab", "CR"])
+def test_a_line_of_json_whitespace_is_skipped(golden_dir, extra):
+    golden = parse_trace((golden_dir / "trace_travel_ca.jsonl").read_text(encoding="utf-8"))
+    parsed = parse_trace("\n".join(_with_line_after_third(golden_dir, extra)))
+    assert len(parsed.events) == 32
+    assert parsed.events == golden.events
 
 
 def test_parse_trace_requires_metric_fields(travel_scenario):

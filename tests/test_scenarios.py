@@ -203,6 +203,36 @@ def _wedding_value() -> dict:
             id="policy-of-other-kind",
         ),
         pytest.param(lambda d: d.update(call_policy=[]), "call_policy", id="policy-list"),
+        pytest.param(
+            lambda d: d["data_tables"]["destinations"]["Seattle"]["hotels"][0].pop("name"),
+            "data_tables.destinations.Seattle.hotels[0].name",
+            id="hotel-name-missing",
+        ),
+        pytest.param(
+            lambda d: d["data_tables"]["destinations"]["Seattle"]["attractions"][1].update(name=7),
+            "data_tables.destinations.Seattle.attractions[1].name",
+            id="attraction-name-number",
+        ),
+        pytest.param(
+            lambda d: d["data_tables"]["destinations"]["Denver"]["restaurants"][0].update(name=None),
+            "data_tables.destinations.Denver.restaurants[0].name",
+            id="restaurant-name-null",
+        ),
+        pytest.param(
+            lambda d: d["data_tables"]["destinations"]["Seattle"]["restaurants"][1].update(tags=3),
+            "data_tables.destinations.Seattle.restaurants[1].tags",
+            id="restaurant-tags-number",
+        ),
+        pytest.param(
+            lambda d: d["data_tables"]["destinations"]["Portland"]["attractions"][0].update(tags="hiking"),
+            "data_tables.destinations.Portland.attractions[0].tags",
+            id="attraction-tags-text",
+        ),
+        pytest.param(
+            lambda d: d["data_tables"]["destinations"]["Seattle"]["hotels"][1].update(tags=["quiet", 1]),
+            "data_tables.destinations.Seattle.hotels[1].tags",
+            id="hotel-tags-number-item",
+        ),
     ],
 )
 def test_travel_validation_names_offending_field(mutate, field):
@@ -712,12 +742,18 @@ def test_build_servers_by_mode(travel_scenario, wedding_scenario):
     ]
     traditional = build_servers(wedding_scenario, MODE_TRADITIONAL)
     assert all(isinstance(t, StatelessTool) for t in traditional)
-    assert [t.stage_id for t in traditional] == ["arrivals", "errands", "schedule"]
+    # One tool per stage, in stage order: each runs its own stage's computation.
+    assert len(traditional) == len(wedding_scenario.stages)
+    tools = {s.stage_id: t for s, t in zip(wedding_scenario.stages, traditional)}
+    assert list(tools) == ["arrivals", "errands", "schedule"]
+    assert {r["source"] for r in tools["arrivals"].run({})["requests"]} == {"arrival"}
+    assert {r["source"] for r in tools["errands"].run({})["requests"]} == {"errand"}
+    assert tools["schedule"].run({}) == {"trips": [], "makespan_min": 0}
     with pytest.raises(ValueError):
         build_servers(travel_scenario, "hybrid")
 
 
 def test_traditional_tools_declare_required_keys(travel_scenario):
-    tools = {t.stage_id: t for t in build_servers(travel_scenario, MODE_TRADITIONAL)}
-    assert tools["location"].required == ("destination", "days")
-    assert tools["dining"].required == ("location", "budget")
+    stages = {s.stage_id: s for s in travel_scenario.stages}
+    assert stages["location"].required == ("destination", "days")
+    assert stages["dining"].required == ("location", "budget")
