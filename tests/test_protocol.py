@@ -117,7 +117,8 @@ def test_tool_declaration_nested_schema():
     with pytest.raises(SchemaViolationError) as info:
         make_envelope("tool_declaration", 1, {"server_id": "s", "tools": ["book_hotel"]})
     assert info.value.field == "tools[0]"
-    for tools, field in (([dict(base, extra=1)], "tools[0].extra"), ([base, dict(base, x=1)], "tools[1].x")):
+    extra_fields = [([dict(base, extra=1)], "tools[0].extra"), ([base, dict(base, x=1)], "tools[1].x")]
+    for tools, field in extra_fields:
         with pytest.raises(SchemaViolationError) as info:
             make_envelope("tool_declaration", 1, {"server_id": "s", "tools": tools})
         assert info.value.field == field
