@@ -12,6 +12,12 @@ fraction of their median) is marked ``UNRESOLVED``, because a difference
 inside that spread says nothing either way, unless every change run beats
 every parent run.
 
+A file may carry ``"claim": {"metric": ..., "workload": ...}``, the gain
+its change claims. One more line judges it: ``CLAIM MET`` when the change
+is better in at least nine pairs of ten (a tie counts for neither side) and
+the gap between the two medians exceeds the interquartile range of the
+parent's runs, ``CLAIM NOT MET`` otherwise; both numbers are printed.
+
     python3 scripts/bench_trajectory.py
 """
 import json
@@ -35,42 +41,69 @@ def worsening(parent: float, change: float, better: str) -> float:
     return delta / abs(parent)
 
 
-def spread(values: list[float]) -> float:
-    """The interquartile range of *values* (``statistics.quantiles``'
-    default, exclusive method) as a fraction of their median; 0 for one."""
+def iqr(values: list[float]) -> float:
+    """The interquartile range of *values*, by ``statistics.quantiles``'
+    default, exclusive method; 0 for one value."""
     if len(values) < 2:
         return 0.0
-    q1, median, q3 = statistics.quantiles(values, n=4)
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def judge_claim(pairs: list[tuple[float, float]], better: str, unit: str) -> str:
+    """Judge a claimed gain on the (parent, change) pairs of one metric."""
+    if not pairs:
+        return "CLAIM NOT MET (no pairs)"
+    won = sum(worsening(parent, change, better) < 0 for parent, change in pairs)
+    need = -(-9 * len(pairs) // 10)  # nine in ten, rounded up
+    parents = [parent for parent, _ in pairs]
+    gap = statistics.median(parents) - statistics.median(change for _, change in pairs)
+    if better != "lower":
+        gap = -gap
+    width = iqr(parents)
+    verdict = "CLAIM MET" if won >= need and gap > width else "CLAIM NOT MET"
+    return (
+        f"{verdict} (change better in {won}/{len(pairs)} pairs, {need} needed;"
+        f" median gap {gap:.4g} {unit}, parent IQR {width:.4g} {unit})"
+    )
+
+
+def spread(values: list[float]) -> float:
+    """The interquartile range of *values* as a fraction of their median."""
+    width, median = iqr(values), statistics.median(values)
     if median == 0:
-        return 0.0 if q3 == q1 else float("inf")
-    return (q3 - q1) / abs(median)
+        return 0.0 if width == 0 else float("inf")
+    return width / abs(median)
+
+
+def paired(pairs: dict[int, dict[str, dict[str, float]]], name: str) -> list[tuple[float, float]]:
+    """The (parent, change) values of metric *name* in the pairs that have both."""
+    return [
+        (p["parent"][name], p["change"][name]) for p in pairs.values()
+        if all(name in p.get(side, {}) for side in ("parent", "change"))
+    ]
 
 
 def trajectory(root: Path = ROOT) -> list[str]:
     metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
     lines = []
     for path in sorted(root.glob("BENCH_*.json"), key=bench_number):
+        data = json.loads(path.read_text())
         # workload -> pair -> side -> metric -> value
         runs: dict[str, dict[int, dict[str, dict[str, float]]]] = {}
-        for run in json.loads(path.read_text())["runs"]:
+        for run in data["runs"]:
             if run["trace"] == 0:
                 pair = runs.setdefault(run["workload"], {}).setdefault(run["pair"], {})
                 pair[run["side"]] = {k: v["value"] for k, v in run["result"]["metrics"].items()}
         for workload, pairs in runs.items():
             for metric in metrics:
                 name, better = metric["name"], metric["better"]
-                both = [
-                    p for p in pairs.values()
-                    if all(name in p.get(side, {}) for side in ("parent", "change"))
-                ]
+                both = paired(pairs, name)
                 if not both:
                     continue
-                parent, change = (
-                    statistics.median(p[s][name] for p in both) for s in ("parent", "change")
-                )
-                won = sum(
-                    worsening(p["parent"][name], p["change"][name], better) < 0 for p in both
-                )
+                parents, changes = ([p[i] for p in both] for i in (0, 1))
+                parent, change = statistics.median(parents), statistics.median(changes)
+                won = sum(worsening(p, c, better) < 0 for p, c in both)
                 worse = worsening(parent, change, better)
                 relative = f"{change / parent - 1:+.1%}" if parent else "n/a"
                 line = (
@@ -79,12 +112,19 @@ def trajectory(root: Path = ROOT) -> list[str]:
                 )
                 if worse > metric["bound"]:
                     line += f"  WORSE THAN BOUND {metric['bound']:g}"
-                parents, changes = ([p[s][name] for p in both] for s in ("parent", "change"))
                 wide = spread(parents)
                 separated = all(worsening(p, c, better) < 0 for p in parents for c in changes)
                 if wide > metric["bound"] and not separated:
                     line += f"  UNRESOLVED (parent IQR {wide:.0%} of its median)"
                 lines.append(line)
+        claim = data.get("claim")
+        if claim:
+            metric = next(m for m in metrics if m["name"] == claim["metric"])
+            both = paired(runs.get(claim["workload"], {}), claim["metric"])
+            lines.append(
+                f"{path.name}  claim {claim['metric']} on {claim['workload']}: "
+                + judge_claim(both, metric["better"], metric["unit"])
+            )
     return lines
 
 

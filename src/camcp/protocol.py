@@ -143,7 +143,7 @@ def make_envelope(msg_type: str, seq: int, payload: dict) -> Envelope:
     field may nest as deep as a scenario file or a stored value may
     (:data:`camcp.store.MAX_VALUE_DEPTH` levels) and every line a run writes
     decodes."""
-    if msg_type not in _SCHEMAS:
+    if not isinstance(msg_type, str) or msg_type not in _SCHEMAS:  # a list is unhashable
         raise UnknownMessageTypeError(msg_type)
     if isinstance(seq, bool) or not isinstance(seq, int) or seq < 1:
         raise SchemaViolationError("seq", "expected integer >= 1")
@@ -204,6 +204,9 @@ def validate_sequence(messages: Sequence[Envelope]) -> None:
     highest_type = None
     last_seq = 0
     for index, envelope in enumerate(messages, start=1):
+        if not isinstance(envelope, Envelope):
+            kind = type(envelope).__name__
+            raise ProtocolError(f"message {index}: expected an Envelope, got {kind}")
         rank = STEP_RANK[envelope.msg_type]
         if rank < highest:
             raise SequenceError(index, f"{envelope.msg_type} after {highest_type}")

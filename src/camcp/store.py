@@ -258,18 +258,42 @@ def condition_to_value(condition: WatchCondition) -> dict:
 
 
 def condition_from_value(data: Mapping) -> WatchCondition:
+    """Inverse of :func:`condition_to_value`. Raises :class:`ValueError`
+    naming the offending field by its path, such as ``children[0].key``."""
+    return _condition_from(data, "")
+
+
+def _condition_from(data, path: str) -> WatchCondition:
+    def named(name: str) -> str:
+        return f"{path}.{name}" if path else name
+
+    def field(name: str, kind: type, description: str):
+        if name not in data:
+            raise ValueError(f"condition field {named(name)!r}: missing")
+        if not isinstance(data[name], kind):
+            raise ValueError(f"condition field {named(name)!r}: expected {description}")
+        return data[name]
+
+    if not isinstance(data, Mapping):
+        where = f"condition field {path!r}" if path else "condition"
+        raise ValueError(f"{where}: expected an object")
     op = data.get("op")
     if op == "exists":
-        return Exists(data["key"])
+        return Exists(field("key", str, "text"))
     if op == "equals":
-        return Equals(data["key"], copy_value(data["value"]))
-    if op == "and":
-        return And(tuple(condition_from_value(c) for c in data["children"]))
-    if op == "or":
-        return Or(tuple(condition_from_value(c) for c in data["children"]))
+        key, value = field("key", str, "text"), field("value", object, "a value")
+        try:
+            return Equals(key, copy_value(value))
+        except TypeError as exc:
+            raise ValueError(f"condition field {named('value')!r}: {exc}") from exc
+    if op == "and" or op == "or":
+        children = field("children", list, "a list")
+        where = named("children")
+        parts = tuple(_condition_from(c, f"{where}[{i}]") for i, c in enumerate(children))
+        return And(parts) if op == "and" else Or(parts)
     if op == "not":
-        return Not(condition_from_value(data["child"]))
-    raise ValueError(f"unknown condition op: {op!r}")
+        return Not(_condition_from(field("child", object, "an object"), named("child")))
+    raise ValueError(f"condition field {named('op')!r}: unknown condition op {op!r}")
 
 
 # -- Entries, snapshots, subscriptions ---------------------------------------

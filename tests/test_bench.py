@@ -359,6 +359,35 @@ def test_trajectory_marks_a_metric_unresolved_when_the_parent_spread_exceeds_its
     assert "UNRESOLVED" not in lines["narrow"]
 
 
+@pytest.mark.parametrize(
+    "ties, cut, verdict",
+    [
+        (1, 0.5, "CLAIM MET (change better in 9/10 pairs, 9 needed; median gap 0.45 ms"),
+        (2, 0.5, "CLAIM NOT MET (change better in 8/10 pairs, 9 needed; median gap 0.4 ms"),
+        (0, 0.2, "CLAIM NOT MET (change better in 10/10 pairs, 9 needed; median gap 0.2 ms"),
+    ],
+    ids=["met", "too-few-wins", "gap-inside-iqr"],
+)
+def test_trajectory_judges_a_claim_by_pairs_won_and_the_parent_iqr(tmp_path, ties, cut, verdict):
+    """A claim is met when the change wins at least 9 pairs of 10, a tie
+    winning for neither side, and the median gap exceeds the parent's
+    interquartile range (here 0.25 ms)."""
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    parents = [3.6, 3.7, 3.8, 3.9, 4.0] * 2
+    changes = [p if pair < ties else p - cut for pair, p in enumerate(parents)]
+    runs = [
+        _bench_run(pair, side, "replay_corpus", op_ms_best=values[pair])
+        for pair in range(10)
+        for side, values in (("parent", parents), ("change", changes))
+    ]
+    claim = {"metric": "op_ms_best", "workload": "replay_corpus"}
+    (tmp_path / "BENCH_23.json").write_text(json.dumps({"claim": claim, "runs": runs}))
+    lines = _load_trajectory_script().trajectory(tmp_path)
+    assert lines[-1] == (
+        f"BENCH_23.json  claim op_ms_best on replay_corpus: {verdict}, parent IQR 0.25 ms)"
+    )
+    assert len(lines) == 2  # op_ms_best and the claim: the runs carry no other metric
+
 def test_trajectory_covers_every_committed_bench_file():
     metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     lines = _load_trajectory_script().trajectory(ROOT)

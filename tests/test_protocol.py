@@ -9,6 +9,7 @@ from camcp import protocol
 from camcp.protocol import (
     MESSAGE_TYPES,
     MalformedSyntaxError,
+    ProtocolError,
     SchemaViolationError,
     SequenceError,
     UnknownMessageTypeError,
@@ -86,6 +87,12 @@ def test_make_envelope_rejects_bad_inputs():
         make_envelope("context_read", 1, ["not a dict"])
     assert info.value.field == "payload"
 
+
+@pytest.mark.parametrize("msg_type", [["x"], {"a": 1}], ids=["list", "dict"])
+def test_make_envelope_rejects_an_unhashable_msg_type(msg_type):
+    with pytest.raises(UnknownMessageTypeError) as info:
+        make_envelope(msg_type, 1, {})
+    assert info.value.msg_type == msg_type
 
 def test_schema_missing_field_named():
     with pytest.raises(SchemaViolationError) as info:
@@ -249,6 +256,12 @@ def test_validate_sequence_rejects_write_before_seed():
         )
     assert info.value.at == 3
 
+
+def test_validate_sequence_rejects_a_message_that_is_not_an_envelope():
+    with pytest.raises(ProtocolError, match="message 1: expected an Envelope, got int"):
+        validate_sequence([1])
+    with pytest.raises(ProtocolError, match="message 2: expected an Envelope, got dict"):
+        validate_sequence([sample("plan_request", 1), {"msg_type": "context_seed", "seq": 2}])
 
 # -- Properties -----------------------------------------------------------------------------
 

@@ -12,11 +12,21 @@ from camcp.bench import compute_metrics
 from camcp.planner import CostModel, MockPlanner, PlanBlueprint
 from camcp.protocol import decode, encode, validate_sequence
 from camcp.runtime import (
+    _JSON_SPACE,
+    _PAYLOAD_FIELDS,
+    _RECORD_KEYS,
+    _REQUEST_FIELDS,
+    _TRACE_DECODER,
+    _TRIP_INTS,
     EVENT_KINDS,
+    RUN_END,
+    RUN_START,
+    STAGE_DONE,
     MalformedTraceError,
     Trace,
     TraceBuilder,
     TraceEvent,
+    _check_fields,
     parse_trace,
     query_for_seed,
     read_trace,
@@ -27,7 +37,7 @@ from camcp.runtime import (
     serialize_trace,
     write_trace,
 )
-from camcp.scenarios import MODE_CA, MODE_TRADITIONAL, WindowConfig
+from camcp.scenarios import KINDS, MODE_CA, MODE_TRADITIONAL, WindowConfig
 from camcp.store import ContextStore, canonicalize_value
 from strategies import generated_wedding, json_values
 
@@ -946,6 +956,23 @@ def test_every_line_of_a_run_equals_encoding_its_event(
             _edit_payload("run_start", "kind", "cooking"), 1,
             "run_start payload 'kind' must be 'travel' or 'wedding'", id="run-start-kind-unknown",
         ),
+        pytest.param(
+            lambda lines: [lines[0], *lines[1].split(",", 1), *lines[2:]], 2,
+            "not valid JSON", id="line-split-at-comma",
+        ),
+        pytest.param(
+            lambda lines: [lines[0], lines[1] + lines[2], *lines[3:]], 2,
+            "not valid JSON", id="lines-joined",
+        ),
+        pytest.param(
+            _edit_text(0, '"kind":"run_start"', '"kind":["run_start"]'), 1,
+            re.escape("unknown event kind ['run_start']"), id="kind-list",
+        ),
+        pytest.param(
+            _edit_schedule(lambda o: o["schedule"]["trips"][1].update(start_min="30")), 34,
+            re.escape("outputs.schedule.trips[1] 'start_min' must be an integer"),
+            id="schedule-start-text",
+        ),
     ],
 )
 def test_parse_trace_rejects_corruption(
@@ -978,9 +1005,18 @@ def test_parse_trace_splits_lines_only_at_newline(travel_scenario):
         assert compute_metrics(parsed) == compute_metrics(expected)
 
 
+def _golden_travel_lines(golden_dir) -> list[str]:
+    return (golden_dir / "trace_travel_ca.jsonl").read_text(encoding="utf-8").split("\n")
+
+
 def _with_line_after_third(golden_dir, extra: str) -> list[str]:
-    lines = (golden_dir / "trace_travel_ca.jsonl").read_text(encoding="utf-8").split("\n")
+    lines = _golden_travel_lines(golden_dir)
     return lines[:3] + [extra] + lines[3:]
+
+
+def _with_fourth_line_padded(golden_dir, pad: str) -> list[str]:
+    lines = _golden_travel_lines(golden_dir)
+    return lines[:3] + [pad + lines[3] + pad] + lines[4:]
 
 
 @pytest.mark.parametrize(
@@ -1000,13 +1036,163 @@ def test_a_line_of_other_unicode_space_is_not_blank(golden_dir, tmp_path, extra)
     assert info.value.line_no == 5
 
 
-@pytest.mark.parametrize("extra", [" \t", "\r"], ids=["space-tab", "CR"])
-def test_a_line_of_json_whitespace_is_skipped(golden_dir, extra):
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda golden_dir: _with_line_after_third(golden_dir, " \t"),
+        lambda golden_dir: _with_line_after_third(golden_dir, "\r"),
+        lambda golden_dir: _with_fourth_line_padded(golden_dir, " \t\r"),
+    ],
+    ids=["space-tab", "CR", "padded"],
+)
+def test_a_line_of_json_whitespace_is_skipped(golden_dir, edit):
     golden = parse_trace((golden_dir / "trace_travel_ca.jsonl").read_text(encoding="utf-8"))
-    parsed = parse_trace("\n".join(_with_line_after_third(golden_dir, extra)))
+    parsed = parse_trace("\n".join(edit(golden_dir)))
     assert len(parsed.events) == 32
     assert parsed.events == golden.events
 
+
+
+# The parser as it was before lines were scanned in place in the trace text,
+# copied verbatim: it decodes each line on its own, and the in-place parser
+# must accept what it accepts, with equal events, and reject what it
+# rejects, naming the same line and reason.
+def _reference_parse_trace(text: str) -> Trace:
+    """Strict parse of a serialized trace; raises :class:`MalformedTraceError`
+    naming the offending line. Only "\\n" ends a line: JSON allows U+0085,
+    U+2028 and U+2029 raw in a string, and a trailing "\\r" is whitespace. A
+    line is blank, and skipped, when it holds only JSON whitespace."""
+    events: list[TraceEvent] = []
+    line_no = 0
+    for raw in text.split("\n"):
+        if not raw.strip(_JSON_SPACE):
+            continue
+        line_no += 1
+        try:
+            record = _TRACE_DECODER.decode(raw)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+            raise MalformedTraceError(line_no, f"not valid JSON: {exc}") from exc
+        if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+            raise MalformedTraceError(line_no, "expected an object with t, kind, payload")
+        if record["kind"] not in EVENT_KINDS:
+            raise MalformedTraceError(line_no, f"unknown event kind {record['kind']!r}")
+        if type(record["t"]) is not int or record["t"] != line_no:
+            raise MalformedTraceError(line_no, f"logical time 't' must be the integer {line_no}")
+        kind, payload = record["kind"], record["payload"]
+        if not isinstance(payload, dict):
+            raise MalformedTraceError(line_no, "payload must be an object")
+        fields = _PAYLOAD_FIELDS.get(kind)
+        if fields:
+            _check_fields(line_no, f"{kind} payload", "", payload, fields)
+        if kind == RUN_START:
+            if not all(isinstance(s, str) for s in payload["stage_ids"]):
+                raise MalformedTraceError(line_no, "run_start payload 'stage_ids' must hold only text")
+            row = KINDS.get(payload["kind"])
+            if row is None:
+                known = " or ".join(map(repr, KINDS))
+                raise MalformedTraceError(line_no, f"run_start payload 'kind' must be {known}")
+            _check_fields(
+                line_no, "run_start payload", "constraints.", payload["constraints"], row.scored
+            )
+        if kind == STAGE_DONE and payload["outputs"].get("schedule") is not None:
+            _reference_check_schedule(line_no, payload["outputs"]["schedule"])
+        events.append(TraceEvent(record["t"], kind, payload))
+    if not events:
+        raise MalformedTraceError(1, "empty trace")
+    if events[0].kind != RUN_START:
+        raise MalformedTraceError(1, "first event must be run_start")
+    if events[-1].kind != RUN_END:
+        raise MalformedTraceError(len(events), "last event must be run_end")
+    for event in events[1:-1]:
+        if event.kind in (RUN_START, RUN_END):
+            raise MalformedTraceError(event.t, f"{event.kind} may only appear at the boundary")
+    return Trace(events)
+
+
+def _reference_check_schedule(line_no: int, schedule) -> None:
+    """Check, in place, the shape of a wedding schedule that the scoring
+    reads; raise :class:`MalformedTraceError` naming the first bad field.
+    Parsed JSON holds exact types, so ``type(v) is int`` also rules out
+    booleans."""
+    where = "stage_done outputs.schedule"
+    if type(schedule) is not dict:
+        raise MalformedTraceError(line_no, f"{where} must be an object")
+    if type(schedule.get("makespan_min")) is not int:
+        raise _reference_field_error(line_no, where, schedule, "makespan_min", "an integer")
+    trips = schedule.get("trips")
+    if type(trips) is not list:
+        raise _reference_field_error(line_no, where, schedule, "trips", "a list")
+    for i, trip in enumerate(trips):
+        if type(trip) is not dict:
+            raise MalformedTraceError(line_no, f"{where}.trips[{i}] must be an object")
+        for name in _TRIP_INTS:
+            if type(trip.get(name)) is not int:
+                raise _reference_field_error(line_no, f"{where}.trips[{i}]", trip, name, "an integer")
+        requests = trip.get("requests")
+        if type(requests) is not list:
+            raise _reference_field_error(line_no, f"{where}.trips[{i}]", trip, "requests", "a list")
+        for j, request in enumerate(requests):
+            if type(request) is not dict:
+                raise MalformedTraceError(
+                    line_no, f"{where}.trips[{i}].requests[{j}] must be an object"
+                )
+            for name in _REQUEST_FIELDS:
+                if name not in request:
+                    raise MalformedTraceError(
+                        line_no, f"{where}.trips[{i}].requests[{j}] missing {name!r}"
+                    )
+            if type(request["ready_time_min"]) is not int:
+                raise MalformedTraceError(
+                    line_no,
+                    f"{where}.trips[{i}].requests[{j}] 'ready_time_min' must be an integer",
+                )
+
+
+def _reference_field_error(line_no: int, where: str, obj: dict, name: str, description: str):
+    if name not in obj:
+        return MalformedTraceError(line_no, f"{where} missing {name!r}")
+    return MalformedTraceError(line_no, f"{where} {name!r} must be {description}")
+
+
+_EDIT_CHARS = ["\n", "\r", " ", "\t", ",", "{", "}", "[", "]", '"', "\\", "1"]
+
+
+@pytest.fixture(scope="module")
+def replay_texts(golden_dir, travel_scenario, wedding_scenario):
+    """The golden traces, and both modes' seed-0 traces of both shipped
+    scenarios; the traditional wedding run's schedule has one request per
+    trip."""
+    texts = [(golden_dir / name).read_text(encoding="utf-8") for name in (
+        "trace_travel_ca.jsonl", "trace_wedding_ca.jsonl"
+    )]
+    for scenario in (travel_scenario, wedding_scenario):
+        texts += [serialize_trace(run(scenario, mode, 0)) for mode in (MODE_TRADITIONAL, MODE_CA)]
+    return texts
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return [event[:3] for event in parse(text).events]
+    except MalformedTraceError as exc:
+        return exc.line_no, exc.reason
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_trace_agrees_with_the_reference_parser(replay_texts, data):
+    """One to three edits, each inserting or deleting one character that
+    matters to JSON or to line splitting, anywhere in a trace."""
+    text = data.draw(st.sampled_from(replay_texts), label="trace")
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        char = data.draw(st.sampled_from(_EDIT_CHARS), label="char")
+        at = [i for i, c in enumerate(text) if c == char]
+        if at and data.draw(st.booleans(), label="delete"):
+            i = data.draw(st.sampled_from(at), label="at")
+            text = text[:i] + text[i + 1:]
+        else:
+            i = data.draw(st.integers(0, len(text)), label="at")
+            text = text[:i] + char + text[i:]
+    assert _parse_outcome(parse_trace, text) == _parse_outcome(_reference_parse_trace, text)
 
 def test_parse_trace_requires_metric_fields(travel_scenario):
     lines = serialize_trace(run_context_aware(travel_scenario, 0)).splitlines()

@@ -273,6 +273,32 @@ def test_condition_value_round_trip(condition):
     assert condition_from_value(condition_to_value(condition)) == condition
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([], "condition: expected an object"),
+        ({"op": "exists"}, "condition field 'key': missing"),
+        ({"op": "and", "children": 5}, "condition field 'children': expected a list"),
+        ({"op": "or", "children": [{"op": "exists", "key": "a"}, {"op": "exists"}]},
+         "condition field 'children[1].key': missing"),
+        ({"op": "and", "children": [{"op": "exists", "key": 3}]},
+         "condition field 'children[0].key': expected text"),
+        ({"op": "not", "child": [{"op": "exists", "key": "a"}]},
+         "condition field 'child': expected an object"),
+        ({"op": "not", "child": {"op": "equals", "key": "a"}}, "condition field 'child.value': missing"),
+        ({"op": "and", "children": [{"op": "nor"}]},
+         "condition field 'children[0].op': unknown condition op 'nor'"),
+    ],
+    ids=[
+        "list", "exists-no-key", "and-children-number", "or-child-no-key", "child-key-number",
+        "not-child-list", "not-child-no-value", "child-op-unknown",
+    ],
+)
+def test_condition_from_value_names_the_bad_field(value, message):
+    with pytest.raises(ValueError) as info:
+        condition_from_value(value)
+    assert str(info.value) == message
+
 @given(conditions(), st.dictionaries(keys, small_values, max_size=4))
 def test_evaluate_total_and_pure(condition, entries):
     store = ContextStore()
