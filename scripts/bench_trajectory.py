@@ -14,9 +14,11 @@ every parent run.
 
 A file may carry ``"claim": {"metric": ..., "workload": ...}``, the gain
 its change claims. One more line judges it: ``CLAIM MET`` when the change
-is better in at least nine pairs of ten (a tie counts for neither side) and
-the gap between the two medians exceeds the interquartile range of the
-parent's runs, ``CLAIM NOT MET`` otherwise; both numbers are printed.
+is better in at least nine pairs of ten (a tie counts for neither side), the
+gap between the two medians exceeds the interquartile range of the parent's
+runs, and no larger share of the workload's operations failed in the
+change's runs than in the parent's; ``CLAIM NOT MET`` otherwise, with the
+numbers. A claim on a metric that BENCHMARK.json does not name is not met.
 
     python3 scripts/bench_trajectory.py
 """
@@ -50,10 +52,19 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def judge_claim(pairs: list[tuple[float, float]], better: str, unit: str) -> str:
-    """Judge a claimed gain on the (parent, change) pairs of one metric."""
+def judge_claim(
+    pairs: list[tuple[float, float]], better: str, unit: str, failed: tuple[float, float] = (0, 0)
+) -> str:
+    """Judge a claimed gain on the (parent, change) pairs of one metric;
+    *failed* is the (parent, change) share of the workload's operations that
+    failed."""
     if not pairs:
         return "CLAIM NOT MET (no pairs)"
+    if failed[1] > failed[0]:
+        return (
+            f"CLAIM NOT MET (more operations failed: {failed[1]:.3%} of the change's,"
+            f" {failed[0]:.3%} of the parent's)"
+        )
     won = sum(worsening(parent, change, better) < 0 for parent, change in pairs)
     need = -(-9 * len(pairs) // 10)  # nine in ten, rounded up
     parents = [parent for parent, _ in pairs]
@@ -91,10 +102,16 @@ def trajectory(root: Path = ROOT) -> list[str]:
         data = json.loads(path.read_text())
         # workload -> pair -> side -> metric -> value
         runs: dict[str, dict[int, dict[str, dict[str, float]]]] = {}
+        # workload -> side -> [operations failed, operations attempted]
+        ops: dict[str, dict[str, list[int]]] = {}
         for run in data["runs"]:
             if run["trace"] == 0:
+                result = run["result"]
                 pair = runs.setdefault(run["workload"], {}).setdefault(run["pair"], {})
-                pair[run["side"]] = {k: v["value"] for k, v in run["result"]["metrics"].items()}
+                pair[run["side"]] = {k: v["value"] for k, v in result["metrics"].items()}
+                total = ops.setdefault(run["workload"], {}).setdefault(run["side"], [0, 0])
+                total[0] += result.get("failed", 0)
+                total[1] += result.get("attempted", 0)
         for workload, pairs in runs.items():
             for metric in metrics:
                 name, better = metric["name"], metric["better"]
@@ -119,12 +136,18 @@ def trajectory(root: Path = ROOT) -> list[str]:
                 lines.append(line)
         claim = data.get("claim")
         if claim:
-            metric = next(m for m in metrics if m["name"] == claim["metric"])
+            head = f"{path.name}  claim {claim['metric']} on {claim['workload']}: "
+            metric = next((m for m in metrics if m["name"] == claim["metric"]), None)
+            if metric is None:
+                lines.append(head + "CLAIM NOT MET (BENCHMARK.json names no such metric)")
+                continue
             both = paired(runs.get(claim["workload"], {}), claim["metric"])
-            lines.append(
-                f"{path.name}  claim {claim['metric']} on {claim['workload']}: "
-                + judge_claim(both, metric["better"], metric["unit"])
+            totals = ops.get(claim["workload"], {})
+            failed = tuple(
+                failed / attempted if attempted else 0.0
+                for failed, attempted in (totals.get(side, (0, 0)) for side in ("parent", "change"))
             )
+            lines.append(head + judge_claim(both, metric["better"], metric["unit"], failed))
     return lines
 
 

@@ -26,10 +26,11 @@ Every protocol line a run writes goes through
 of its own: the loader and the store checked the values, and
 :func:`camcp.protocol.decode` checks a line where it is read.
 
-:func:`parse_trace` reads the trace text in place. A line that holds
-exactly one object is scanned where it stands, with no copy of the line;
-any other line is sliced out and decoded on its own. Either way a line gives
-the same events, or the same error naming it, as decoding every line alone.
+:func:`parse_trace` reads each line with one call into the decoder's C
+scanner. A line that holds exactly one object, with at most JSON whitespace
+after it, is scanned directly; any other line is decoded on its own through
+the decoder's ``decode``. Either way a line gives the same events, or the
+same error naming it, as decoding every line alone.
 """
 from __future__ import annotations
 
@@ -105,7 +106,6 @@ _PAYLOAD_FIELDS = {
 # the integers of each trip, and the fields of each request it carries.
 _TRIP_INTS = ("trip_id", "start_min", "duration_min")
 _REQUEST_FIELDS = ("request_id", "origin", "destination", "ready_time_min", "source")
-_REQUEST_KEYS = frozenset(_REQUEST_FIELDS)
 
 SEED_WRITER = "runtime"
 
@@ -201,40 +201,33 @@ def parse_trace(text: str) -> Trace:
     U+2028 and U+2029 raw in a string, and a trailing "\\r" is whitespace. A
     line is blank, and skipped, when it holds only JSON whitespace.
 
-    A line that holds exactly one object, from its first character to its
-    last, is scanned in place in *text*. Any other line (blank, padded, CRLF,
-    a value that spans or shares lines, bad JSON) is sliced out and decoded
-    on its own, so it gives the result and the error it would give if every
-    line were decoded alone."""
+    A line that starts with an object and holds only JSON whitespace after
+    it, CRLF included, is scanned directly. Any other line (blank, indented,
+    a value that spans or shares lines, bad JSON) is decoded on its own, so
+    it gives the result and the error it would give if every line were
+    decoded alone."""
     events: list[TraceEvent] = []
-    scan, find, size = _TRACE_DECODER.scan_once, text.find, len(text)
-    line_no = pos = 0
-    while pos < size:
-        end = find("\n", pos)
-        if end < 0:
-            end = size
+    scan = _TRACE_DECODER.scan_once
+    line_no = 0
+    for raw in text.split("\n"):
         record = None
-        if text[pos] == "{":
+        if raw[:1] == "{":
             try:
-                record, stop = scan(text, pos)
+                record, end = scan(raw, 0)
             except (ValueError, RecursionError, StopIteration):
                 pass
             else:
-                if stop != end:  # the object ends before the line does, or after it
+                # JSON whitespace may follow the object, as decoding the line allows.
+                if end != len(raw) and raw[end:].strip(_JSON_SPACE):
                     record = None
         if record is None:
-            raw = text[pos:end]
-            pos = end + 1
             if not raw.strip(_JSON_SPACE):
                 continue
-            line_no += 1
             try:
                 record = _TRACE_DECODER.decode(raw)
             except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-                raise MalformedTraceError(line_no, f"not valid JSON: {exc}") from exc
-        else:
-            pos = end + 1
-            line_no += 1
+                raise MalformedTraceError(line_no + 1, f"not valid JSON: {exc}") from exc
+        line_no += 1
         # Decoded JSON holds exact types, so ``type(x) is`` checks suffice.
         if type(record) is not dict or record.keys() != _RECORD_KEYS:
             raise MalformedTraceError(line_no, "expected an object with t, kind, payload")
@@ -246,22 +239,20 @@ def parse_trace(text: str) -> Trace:
         if type(payload) is not dict:
             raise MalformedTraceError(line_no, "payload must be an object")
         fields = _PAYLOAD_FIELDS.get(kind)
-        if fields:  # run_start, stage_done and run_end only
+        if fields:
             _check_fields(line_no, f"{kind} payload", "", payload, fields)
-            if kind == RUN_START:
-                if not all(isinstance(s, str) for s in payload["stage_ids"]):
-                    raise MalformedTraceError(
-                        line_no, "run_start payload 'stage_ids' must hold only text"
-                    )
-                row = KINDS.get(payload["kind"])
-                if row is None:
-                    known = " or ".join(map(repr, KINDS))
-                    raise MalformedTraceError(line_no, f"run_start payload 'kind' must be {known}")
-                _check_fields(
-                    line_no, "run_start payload", "constraints.", payload["constraints"], row.scored
-                )
-            elif kind == STAGE_DONE and payload["outputs"].get("schedule") is not None:
-                _check_schedule(line_no, payload["outputs"]["schedule"])
+        if kind == RUN_START:
+            if not all(isinstance(s, str) for s in payload["stage_ids"]):
+                raise MalformedTraceError(line_no, "run_start payload 'stage_ids' must hold only text")
+            row = KINDS.get(payload["kind"])
+            if row is None:
+                known = " or ".join(map(repr, KINDS))
+                raise MalformedTraceError(line_no, f"run_start payload 'kind' must be {known}")
+            _check_fields(
+                line_no, "run_start payload", "constraints.", payload["constraints"], row.scored
+            )
+        if kind == STAGE_DONE and payload["outputs"].get("schedule") is not None:
+            _check_schedule(line_no, payload["outputs"]["schedule"])
         # tuple.__new__ skips the Python-level __new__ that NamedTuple defines.
         events.append(tuple.__new__(TraceEvent, (t, kind, payload, None)))
     if not events:
@@ -293,10 +284,7 @@ def _check_schedule(line_no: int, schedule) -> None:
     """Check, in place, the shape of a wedding schedule that the scoring
     reads; raise :class:`MalformedTraceError` naming the first bad field.
     Parsed JSON holds exact types, so ``type(v) is int`` also rules out
-    booleans. A sound schedule costs one pass that only answers yes or no;
-    the walk that names the field runs only when it answers no."""
-    if _schedule_is_sound(schedule):
-        return
+    booleans."""
     where = "stage_done outputs.schedule"
     if type(schedule) is not dict:
         raise MalformedTraceError(line_no, f"{where} must be an object")
@@ -329,31 +317,6 @@ def _check_schedule(line_no: int, schedule) -> None:
                     line_no,
                     f"{where}.trips[{i}].requests[{j}] 'ready_time_min' must be an integer",
                 )
-
-
-def _schedule_is_sound(schedule) -> bool:
-    if type(schedule) is not dict or type(schedule.get("makespan_min")) is not int:
-        return False
-    trips = schedule.get("trips")
-    if type(trips) is not list:
-        return False
-    for trip in trips:
-        if type(trip) is not dict:
-            return False
-        for name in _TRIP_INTS:
-            if type(trip.get(name)) is not int:
-                return False
-        requests = trip.get("requests")
-        if type(requests) is not list:
-            return False
-        for request in requests:
-            if (
-                type(request) is not dict
-                or not _REQUEST_KEYS <= request.keys()
-                or type(request["ready_time_min"]) is not int
-            ):
-                return False
-    return True
 
 
 def _field_error(line_no: int, where: str, obj: dict, name: str, description: str):

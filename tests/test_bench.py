@@ -291,12 +291,16 @@ def test_reproduce_tables_prints_the_seed_0_numbers_the_readme_quotes(capsys):
     assert wedding["coordination"] == ["0", "1"]
 
 
-def _bench_run(pair: int, side: str, workload: str, trace: int = 0, **values) -> dict:
+def _bench_run(
+    pair: int, side: str, workload: str, trace: int = 0, failed: int = 0, **values
+) -> dict:
     units = {"op_ms_best": "ms", "peak_rss_mb": "MB", "op_ok_frac": "fraction"}
     return {
         "pair": pair, "workload": workload, "seed": pair, "trace": trace, "side": side,
         "result": {
             "correct": True,
+            "attempted": 1000,
+            "failed": failed,
             "metrics": {k: {"value": v, "unit": units.get(k, "us")} for k, v in values.items()},
         },
     }
@@ -387,6 +391,33 @@ def test_trajectory_judges_a_claim_by_pairs_won_and_the_parent_iqr(tmp_path, tie
         f"BENCH_23.json  claim op_ms_best on replay_corpus: {verdict}, parent IQR 0.25 ms)"
     )
     assert len(lines) == 2  # op_ms_best and the claim: the runs carry no other metric
+
+
+def test_trajectory_refuses_a_claim_with_more_failed_operations_or_an_unknown_metric(tmp_path):
+    """A change that wins all ten pairs by a wide gap still misses its claim
+    when a larger share of its operations failed; a claim on a metric that
+    BENCHMARK.json does not name is reported by name, not as a crash."""
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    parents = [3.6, 3.7, 3.8, 3.9, 4.0] * 2
+    runs = [
+        _bench_run(pair, side, "replay_corpus", failed=failed, op_ms_best=best)
+        for pair, parent in enumerate(parents)
+        for side, best, failed in (
+            ("parent", parent, 0), ("change", parent - 0.5, int(pair == 3))
+        )
+    ]
+    claim = {"metric": "op_ms_best", "workload": "replay_corpus"}
+    (tmp_path / "BENCH_23.json").write_text(json.dumps({"claim": claim, "runs": runs}))
+    unknown = {"metric": "op_ms_mean", "workload": "replay_corpus"}
+    (tmp_path / "BENCH_24.json").write_text(json.dumps({"claim": unknown, "runs": runs}))
+    lines = [line for line in _load_trajectory_script().trajectory(tmp_path) if " claim " in line]
+    assert lines == [
+        "BENCH_23.json  claim op_ms_best on replay_corpus: CLAIM NOT MET"
+        " (more operations failed: 0.010% of the change's, 0.000% of the parent's)",
+        "BENCH_24.json  claim op_ms_mean on replay_corpus: CLAIM NOT MET"
+        " (BENCHMARK.json names no such metric)",
+    ]
+
 
 def test_trajectory_covers_every_committed_bench_file():
     metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]

@@ -1052,11 +1052,32 @@ def test_a_line_of_json_whitespace_is_skipped(golden_dir, edit):
     assert parsed.events == golden.events
 
 
+@pytest.mark.parametrize("end", ["\r\n", " \t\n"], ids=["CRLF", "trailing-space-tab"])
+def test_an_object_line_with_trailing_json_whitespace_is_scanned_not_decoded(
+    golden_dir, monkeypatch, end
+):
+    """JSON whitespace after a line's object is accepted where the object
+    is scanned, so a CRLF trace costs one scan per line, as an LF one does."""
+    decoded = []
 
-# The parser as it was before lines were scanned in place in the trace text,
-# copied verbatim: it decodes each line on its own, and the in-place parser
-# must accept what it accepts, with equal events, and reject what it
-# rejects, naming the same line and reason.
+    class CountingDecoder(json.JSONDecoder):
+        def decode(self, s, *args, **kwargs):
+            decoded.append(s)
+            return super().decode(s, *args, **kwargs)
+
+    text = (golden_dir / "trace_travel_ca.jsonl").read_text(encoding="utf-8")
+    golden = parse_trace(text)
+    monkeypatch.setattr(
+        runtime, "_TRACE_DECODER", CountingDecoder(parse_constant=runtime._reject_constant)
+    )
+    assert parse_trace(text.replace("\n", end)).events == golden.events
+    assert decoded == []
+
+
+# The parser as it was before a line holding one object was scanned directly,
+# copied verbatim: it decodes each line on its own, and parse_trace must
+# accept what it accepts, with equal events, and reject what it rejects,
+# naming the same line and reason.
 def _reference_parse_trace(text: str) -> Trace:
     """Strict parse of a serialized trace; raises :class:`MalformedTraceError`
     naming the offending line. Only "\\n" ends a line: JSON allows U+0085,
@@ -1159,12 +1180,13 @@ _EDIT_CHARS = ["\n", "\r", " ", "\t", ",", "{", "}", "[", "]", '"', "\\", "1"]
 
 @pytest.fixture(scope="module")
 def replay_texts(golden_dir, travel_scenario, wedding_scenario):
-    """The golden traces, and both modes' seed-0 traces of both shipped
-    scenarios; the traditional wedding run's schedule has one request per
-    trip."""
+    """The golden traces, also with CRLF line ends, and both modes' seed-0
+    traces of both shipped scenarios; the traditional wedding run's schedule
+    has one request per trip."""
     texts = [(golden_dir / name).read_text(encoding="utf-8") for name in (
         "trace_travel_ca.jsonl", "trace_wedding_ca.jsonl"
     )]
+    texts += [text.replace("\n", "\r\n") for text in texts]
     for scenario in (travel_scenario, wedding_scenario):
         texts += [serialize_trace(run(scenario, mode, 0)) for mode in (MODE_TRADITIONAL, MODE_CA)]
     return texts
@@ -1193,6 +1215,7 @@ def test_parse_trace_agrees_with_the_reference_parser(replay_texts, data):
             i = data.draw(st.integers(0, len(text)), label="at")
             text = text[:i] + char + text[i:]
     assert _parse_outcome(parse_trace, text) == _parse_outcome(_reference_parse_trace, text)
+
 
 def test_parse_trace_requires_metric_fields(travel_scenario):
     lines = serialize_trace(run_context_aware(travel_scenario, 0)).splitlines()
