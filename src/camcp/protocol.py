@@ -11,8 +11,8 @@ canonical text, and every envelope line goes through it: :func:`encode`
 fills it from an :class:`Envelope`, and a run fills it with texts it
 already has (a store entry's ``ContextEntry.text``, or the one encoding of a
 value the loader checked), with no second copy or check. The checks live
-where lines are read: :func:`decode`, and :func:`make_envelope` for public
-callers.
+where envelopes are built, since an :class:`Envelope` checks itself, and
+where lines are read, in :func:`decode`.
 """
 from __future__ import annotations
 
@@ -80,13 +80,30 @@ class SequenceError(ProtocolError):
 
 @dataclass(frozen=True)
 class Envelope:
-    """One message. Its payload is the validated copy that
-    :func:`make_envelope` took, so later edits to the caller's value do not
-    reach it."""
+    """One message, checked when built: ``msg_type``, then ``seq``, then the
+    payload, which it holds as its own validated copy. Each payload field is
+    copied on its own, so it may nest :data:`camcp.store.MAX_VALUE_DEPTH`
+    levels, as a stored value may, and every line a run writes decodes."""
 
     msg_type: str
     seq: int
     payload: dict
+
+    def __post_init__(self) -> None:
+        _schema(self.msg_type)
+        seq, payload = self.seq, self.payload
+        if isinstance(seq, bool) or not isinstance(seq, int) or seq < 1:
+            raise SchemaViolationError("seq", "expected integer >= 1")
+        if not isinstance(payload, dict):
+            raise SchemaViolationError("payload", "expected object")
+        copied = {}
+        for name, value in payload.items():
+            try:
+                copied[name] = copy_value(value)
+            except TypeError as exc:
+                raise SchemaViolationError(name, str(exc)) from exc
+        check_payload(self.msg_type, copied)
+        object.__setattr__(self, "payload", copied)
 
 
 # msg_type -> ordered {field: (type, description)}, in happy-path order
@@ -105,7 +122,7 @@ MESSAGE_TYPES = tuple(_SCHEMAS)
 _TYPE_TEXTS = {msg_type: canonical_dumps(msg_type) for msg_type in _SCHEMAS}
 
 _TOOL_FIELDS = {"name": (str, "text"), "description": (str, "text"), "param_schema": (dict, "object")}
-# make_envelope checks the seq and the payload of a decoded envelope.
+# The Envelope checks the msg_type, seq and payload of a decoded envelope.
 _ENVELOPE_FIELDS = {"msg_type": (str, "text"), "seq": (object, "value"), "payload": (object, "value")}
 
 
@@ -122,12 +139,23 @@ def _check_fields(obj: dict, fields: dict, prefix: str = "") -> None:
             raise SchemaViolationError(prefix + name, "unexpected field")
 
 
+def _schema(msg_type) -> dict:
+    schema = _SCHEMAS.get(msg_type) if isinstance(msg_type, str) else None
+    if schema is None:
+        raise UnknownMessageTypeError(msg_type)
+    return schema
+
+
 def check_payload(msg_type: str, payload: dict) -> None:
     """Validate a payload against its message schema.
 
-    Raises :class:`SchemaViolationError` naming the offending field.
+    Raises :class:`UnknownMessageTypeError` for a msg_type with no schema,
+    and :class:`SchemaViolationError` naming the offending field.
     """
-    _check_fields(payload, _SCHEMAS[msg_type])
+    schema = _schema(msg_type)
+    if not isinstance(payload, dict):
+        raise SchemaViolationError("payload", "expected object")
+    _check_fields(payload, schema)
     if msg_type == TOOL_DECLARATION:
         for i, tool in enumerate(payload["tools"]):
             if not isinstance(tool, dict):
@@ -136,27 +164,8 @@ def check_payload(msg_type: str, payload: dict) -> None:
 
 
 def make_envelope(msg_type: str, seq: int, payload: dict) -> Envelope:
-    """Construct a validated envelope around its own copy of *payload*.
-
-    This is the checked boundary for payloads from outside a run: decoded
-    lines and public callers. Each payload field is copied on its own, so a
-    field may nest as deep as a scenario file or a stored value may
-    (:data:`camcp.store.MAX_VALUE_DEPTH` levels) and every line a run writes
-    decodes."""
-    if not isinstance(msg_type, str) or msg_type not in _SCHEMAS:  # a list is unhashable
-        raise UnknownMessageTypeError(msg_type)
-    if isinstance(seq, bool) or not isinstance(seq, int) or seq < 1:
-        raise SchemaViolationError("seq", "expected integer >= 1")
-    if not isinstance(payload, dict):
-        raise SchemaViolationError("payload", "expected object")
-    copied = {}
-    for name, value in payload.items():
-        try:
-            copied[name] = copy_value(value)
-        except TypeError as exc:
-            raise SchemaViolationError(name, str(exc)) from exc
-    check_payload(msg_type, copied)
-    return Envelope(msg_type=msg_type, seq=seq, payload=copied)
+    """Build a checked :class:`Envelope`; decoded lines come through here."""
+    return Envelope(msg_type, seq, payload)
 
 
 def encode(envelope: Envelope) -> str:

@@ -1,10 +1,11 @@
 """Stateful tool-server reactors driven by store watch edges.
 
-A reactor idles until its watch condition rises, then fires once: it takes
-a fresh consistent snapshot, runs its action, and commits the writes the
-action returns as one atomic batch ending with its done flag. An action
-fails only by raising; that failure, or a batch the store rejects, is
-contained per reactor, and independent reactors keep running.
+A reactor serves one :class:`~camcp.planner.Stage`, which holds its wiring.
+It idles until the stage's trigger rises, then fires once: it takes a fresh
+consistent snapshot, runs its action, and commits the writes the action
+returns as one atomic batch ending with its done flag. An action fails only
+by raising; that failure, or a batch the store rejects, is contained per
+reactor, and independent reactors keep running.
 """
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .store import ContextStore, ContextValue, Snapshot, WatchCondition, values_equal
+from .planner import Stage
+from .store import ContextStore, ContextValue, Snapshot, values_equal
 
 
 class ReactorState(Enum):
@@ -40,59 +42,54 @@ Action = Callable[[Snapshot], list[tuple[str, ContextValue]]]
 
 @dataclass(frozen=True)
 class ServerSpec:
-    server_id: str
-    trigger: WatchCondition
+    stage: Stage
     action: Action
-    done_key: str
 
 
 class _Reactor:
-    __slots__ = ("spec", "state", "edge_time", "failure")
+    __slots__ = ("spec", "state", "edge_time")
 
     def __init__(self, spec: ServerSpec):
         self.spec = spec
         self.state = ReactorState.IDLE
         self.edge_time: int | None = None
-        self.failure: str | None = None
 
 
 class ReactorPool:
     """Registry and scheduler for reactors sharing one store.
 
-    The optional callbacks let a caller trace activity: ``on_firing(server,
-    edge_time)`` right before an action runs, ``on_fired(server, writes)``
-    after its batch commits, ``on_failed(server, reason)`` when it fails.
+    The optional callbacks let a caller trace activity. Each is handed the
+    ``Stage`` of the reactor it reports on: ``on_firing(stage, edge_time)``
+    right before an action runs, ``on_fired(stage, writes)`` after its batch
+    commits, ``on_failed(stage, reason)`` when it fails.
     """
 
     def __init__(
         self,
         store: ContextStore,
-        on_firing: Callable[[str, int], None] | None = None,
-        on_fired: Callable[[str, list[tuple[str, ContextValue]]], None] | None = None,
-        on_failed: Callable[[str, str], None] | None = None,
+        on_firing: Callable[[Stage, int], None] | None = None,
+        on_fired: Callable[[Stage, list[tuple[str, ContextValue]]], None] | None = None,
+        on_failed: Callable[[Stage, str], None] | None = None,
     ):
         self.store = store
         self._on_firing = on_firing
         self._on_fired = on_fired
         self._on_failed = on_failed
-        self._reactors: dict[int, _Reactor] = {}  # by subscription id, in registration order
+        self._reactors: dict[int, _Reactor] = {}  # by watch id, in registration order
 
     def register(self, spec: ServerSpec) -> None:
         """Add a reactor. If its trigger already holds, the registration-time
         edge makes it ready on the next step, so seeding order never matters."""
+        stage = spec.stage
         for reactor in self._reactors.values():
-            if reactor.spec.server_id == spec.server_id:
-                raise DuplicateServerError(f"server_id {spec.server_id!r}")
-            if reactor.spec.done_key == spec.done_key:
-                raise DuplicateServerError(f"done_key {spec.done_key!r}")
-        subscription = self.store.subscribe(spec.trigger)
-        self._reactors[subscription.subscription_id] = _Reactor(spec)
+            if reactor.spec.stage.server_id == stage.server_id:
+                raise DuplicateServerError(f"server_id {stage.server_id!r}")
+            if reactor.spec.stage.done_key == stage.done_key:
+                raise DuplicateServerError(f"done_key {stage.done_key!r}")
+        self._reactors[self.store.subscribe(stage.trigger)] = _Reactor(spec)
 
     def states(self) -> dict[str, ReactorState]:
-        return {r.spec.server_id: r.state for r in self._reactors.values()}
-
-    def failures(self) -> dict[str, str]:
-        return {r.spec.server_id: r.failure for r in self._reactors.values() if r.failure}
+        return {r.spec.stage.server_id: r.state for r in self._reactors.values()}
 
     # -- Scheduling --
 
@@ -118,8 +115,8 @@ class ReactorPool:
             steps += 1
 
     def _absorb(self) -> None:
-        for subscription_id, logical_time in self.store.drain_notifications():
-            reactor = self._reactors.get(subscription_id)
+        for watch_id, logical_time in self.store.drain_notifications():
+            reactor = self._reactors.get(watch_id)
             if reactor is not None and reactor.state is ReactorState.IDLE:
                 reactor.state = ReactorState.READY
                 reactor.edge_time = logical_time
@@ -127,21 +124,21 @@ class ReactorPool:
     # -- One fire --
 
     def _fire_one(self, reactor: _Reactor) -> None:
-        spec = reactor.spec
+        stage = reactor.spec.stage
         if self._on_firing is not None:
-            self._on_firing(spec.server_id, reactor.edge_time)
+            self._on_firing(stage, reactor.edge_time)
         snapshot = self.store.snapshot()
         try:
-            writes = list(spec.action(snapshot))
-            if not (writes and writes[-1][0] == spec.done_key and values_equal(writes[-1][1], True)):
-                writes.append((spec.done_key, True))
-            self.store.put_many(writes, writer_id=spec.server_id)
+            writes = list(reactor.spec.action(snapshot))
+            done_key = stage.done_key
+            if not (writes and writes[-1][0] == done_key and values_equal(writes[-1][1], True)):
+                writes.append((done_key, True))
+            self.store.put_many(writes, writer_id=stage.server_id)
         except Exception as exc:  # a crash, or a batch the store rejected whole
             reactor.state = ReactorState.FAILED
-            reactor.failure = f"{type(exc).__name__}: {exc}"
             if self._on_failed is not None:
-                self._on_failed(spec.server_id, reactor.failure)
+                self._on_failed(stage, f"{type(exc).__name__}: {exc}")
             return
         reactor.state = ReactorState.FIRED
         if self._on_fired is not None:
-            self._on_fired(spec.server_id, writes)
+            self._on_fired(stage, writes)

@@ -46,6 +46,7 @@ from .planner import (
     MockPlanner,
     PlanBlueprint,
     Query,
+    Stage,
     blueprint_to_value,
     completion_condition,
     render_summary,
@@ -154,9 +155,6 @@ class Trace:
     mode = property(lambda self: self.events[0].payload["mode"])
     seed = property(lambda self: self.events[0].payload["seed"])
     simulated_latency_s = property(lambda self: self.events[-1].payload["simulated_latency_s"])
-
-    def events_of(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
 
     def protocol_messages(self) -> list[protocol.Envelope]:
         messages = []
@@ -517,19 +515,17 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
     store.add_commit_listener(builder.scs_listener(blueprint.completion_key))
     seed_context(store, blueprint)
 
-    stage_by_server = {s.server_id: s.stage_id for s in blueprint.stages}
+    def on_firing(stage: Stage, edge_time: int) -> None:
+        builder.trigger_fire(stage.server_id, edge_time)
+        builder.tool_exec(stage.server_id, stage.stage_id)
 
-    def on_firing(server_id: str, edge_time: int) -> None:
-        builder.trigger_fire(server_id, edge_time)
-        builder.tool_exec(server_id, stage_by_server[server_id])
-
-    def on_fired(server_id: str, writes) -> None:
+    def on_fired(stage: Stage, writes) -> None:
         # Every action writes its stage's output under the stage id.
-        entry = store.get(stage_by_server[server_id])
+        entry = store.get(stage.stage_id)
         builder.stage_done(entry.key, entry.value, entry.text)
 
-    def on_failed(server_id: str, reason: str) -> None:
-        builder.stage_failed(stage_by_server[server_id], reason)
+    def on_failed(stage: Stage, reason: str) -> None:
+        builder.stage_failed(stage.stage_id, reason)
 
     pool = ReactorPool(store, on_firing=on_firing, on_fired=on_fired, on_failed=on_failed)
     for spec in build_servers(scenario, MODE_CA):

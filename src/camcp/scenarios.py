@@ -668,16 +668,13 @@ def _wedding_tool(scenario: Scenario, stage: Stage) -> StatelessTool:
 
 def build_servers(scenario: Scenario, mode: str):
     """Materialize the scenario's tool servers for one execution mode, one
-    per stage in stage order: ServerSpec reactors for ``context_aware``,
-    StatelessTool functions for ``traditional``."""
+    per stage in stage order: for ``context_aware`` a ServerSpec, the stage
+    with its reactor action; for ``traditional`` a StatelessTool."""
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     row = KINDS[scenario.kind]
     if mode == MODE_CA:
-        return [
-            ServerSpec(s.server_id, s.trigger, row.make_action(scenario, s), s.done_key)
-            for s in scenario.stages
-        ]
+        return [ServerSpec(s, row.make_action(scenario, s)) for s in scenario.stages]
     return [row.make_tool(scenario, s) for s in scenario.stages]
 
 

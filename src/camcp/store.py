@@ -315,18 +315,18 @@ class ContextEntry(NamedTuple):
 Snapshot = Mapping[str, ContextEntry]
 
 
-@dataclass
-class Subscription:
-    subscription_id: int
-    condition: WatchCondition
-    last_state: bool
+class _Watch:
+    __slots__ = ("watch_id", "condition", "held")  # held: its value after the last commit
+
+    def __init__(self, watch_id: int, condition: WatchCondition, held: bool):
+        self.watch_id, self.condition, self.held = watch_id, condition, held
 
 
 class ContextStore:
     """Shared watchable store.
 
     Notifications are delivered through :meth:`drain_notifications`, ordered
-    by (logical_time, subscription_id). Commits are totally ordered by an
+    by (logical_time, watch id). Commits are totally ordered by an
     internal lock, so concurrent writers stay linearizable.
     """
 
@@ -334,8 +334,8 @@ class ContextStore:
         self._lock = threading.Lock()
         self._entries: dict[str, ContextEntry] = {}
         self._logical_time = 0
-        self._subscriptions: list[Subscription] = []
-        self._pending: list[tuple[int, int]] = []  # (subscription_id, logical_time)
+        self._watches: list[_Watch] = []
+        self._pending: list[tuple[int, int]] = []  # (watch id, logical_time)
         self._listeners: list[Callable[[ContextEntry], None]] = []
 
     # -- Write operations --
@@ -387,23 +387,20 @@ class ContextStore:
 
     # -- Subscriptions --
 
-    def subscribe(self, condition: WatchCondition) -> Subscription:
-        """Register a rising-edge watch. If the condition already holds, one
-        notification is queued immediately so registration order never races
-        seeding order."""
+    def subscribe(self, condition: WatchCondition) -> int:
+        """Register a rising-edge watch; returns its id (1, 2, ...), which
+        :meth:`drain_notifications` names its edges by. If the condition
+        already holds, one notification is queued immediately so
+        registration order never races seeding order."""
         with self._lock:
-            sub = Subscription(
-                subscription_id=len(self._subscriptions) + 1,
-                condition=condition,
-                last_state=evaluate(condition, self._entries),
-            )
-            self._subscriptions.append(sub)
-            if sub.last_state:
-                self._pending.append((sub.subscription_id, self._logical_time))
-            return sub
+            watch = _Watch(len(self._watches) + 1, condition, evaluate(condition, self._entries))
+            self._watches.append(watch)
+            if watch.held:
+                self._pending.append((watch.watch_id, self._logical_time))
+            return watch.watch_id
 
     def drain_notifications(self) -> list[tuple[int, int]]:
-        """Return and clear the pending notifications as (subscription_id,
+        """Return and clear the pending notifications as (watch id,
         logical_time), in (logical_time, id) order, the order they were queued
         in: the clock never falls, and at one time ids queue in rising order."""
         with self._lock:
@@ -443,9 +440,9 @@ class ContextStore:
         self._entries[key] = entry
         for listener in self._listeners:
             listener(entry)
-        for sub in self._subscriptions:
-            state = evaluate(sub.condition, self._entries)
-            if state and not sub.last_state:
-                self._pending.append((sub.subscription_id, entry.logical_time))
-            sub.last_state = state
+        for watch in self._watches:
+            state = evaluate(watch.condition, self._entries)
+            if state and not watch.held:
+                self._pending.append((watch.watch_id, entry.logical_time))
+            watch.held = state
         return entry

@@ -165,7 +165,7 @@ def _reference_metrics(trace: Trace) -> RunMetrics:
     return RunMetrics(
         mode=trace.mode,
         seed=trace.seed,
-        llm_calls=len(trace.events_of(LLM_CALL)),
+        llm_calls=sum(1 for e in trace.events if e.kind == LLM_CALL),
         completeness=(
             sum(1 for sid in stage_ids if sid in done) / len(stage_ids) if stage_ids else 1.0
         ),

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from camcp import protocol
 from camcp.protocol import (
     MESSAGE_TYPES,
+    Envelope,
     MalformedSyntaxError,
     ProtocolError,
     SchemaViolationError,
     SequenceError,
     UnknownMessageTypeError,
     decode,
+    check_payload,
     encode,
     encode_line,
     make_envelope,
@@ -262,6 +264,69 @@ def test_validate_sequence_rejects_a_message_that_is_not_an_envelope():
         validate_sequence([1])
     with pytest.raises(ProtocolError, match="message 2: expected an Envelope, got dict"):
         validate_sequence([sample("plan_request", 1), {"msg_type": "context_seed", "seq": 2}])
+
+
+@pytest.mark.parametrize(
+    "msg_type, seq, error, field",
+    [
+        ("x", 1, UnknownMessageTypeError, None),
+        ("plan_request", "1", SchemaViolationError, "seq"),
+    ],
+    ids=["unknown-type", "text-seq"],
+)
+def test_validate_sequence_of_bad_envelopes_raises_protocol_errors(msg_type, seq, error, field):
+    """An Envelope checks itself when built, so a sequence of bad ones fails
+    with the protocol's own error naming the field, never a raw KeyError or
+    TypeError."""
+    with pytest.raises(error) as info:
+        validate_sequence([Envelope(msg_type, seq, {})])
+    assert getattr(info.value, "field", None) == field
+    if error is UnknownMessageTypeError:
+        assert info.value.msg_type == msg_type
+
+
+@pytest.mark.parametrize(
+    "msg_type, seq, payload, error, field",
+    [
+        ("plan_request", True, {}, SchemaViolationError, "seq"),
+        ("bogus", 0, [], UnknownMessageTypeError, None),
+        ("plan_request", 0, [], SchemaViolationError, "seq"),
+        ("plan_request", 1, [], SchemaViolationError, "payload"),
+        ("plan_request", 1, {"query": {"k": float("nan")}}, SchemaViolationError, "query"),
+        ("plan_request", 1, {}, SchemaViolationError, "query"),
+    ],
+    ids=["bool-seq", "type-first", "seq-second", "payload-object", "payload-copy", "payload-schema"],
+)
+def test_an_envelope_checks_type_then_seq_then_payload_when_built(msg_type, seq, payload, error, field):
+    with pytest.raises(error) as info:
+        Envelope(msg_type, seq, payload)
+    assert getattr(info.value, "field", None) == field
+
+
+def test_an_envelope_built_directly_equals_a_made_one():
+    payload = {"key": "k", "value": {"pair": (1, 2)}}
+    envelope = Envelope("context_write", 2, payload)
+    assert envelope == make_envelope("context_write", 2, payload)
+    assert envelope.payload == {"key": "k", "value": {"pair": [1, 2]}}
+    payload["key"] = "changed"
+    assert envelope.payload["key"] == "k"
+
+
+@pytest.mark.parametrize(
+    "msg_type, payload, error, field",
+    [
+        ("bogus", {}, UnknownMessageTypeError, None),
+        (["x"], {}, UnknownMessageTypeError, None),
+        ("final_response", None, SchemaViolationError, "payload"),
+    ],
+    ids=["unknown-type", "unhashable-type", "payload-none"],
+)
+def test_check_payload_rejects_a_bad_type_or_payload_with_a_protocol_error(
+    msg_type, payload, error, field
+):
+    with pytest.raises(error) as info:
+        check_payload(msg_type, payload)
+    assert getattr(info.value, "field", None) == field
 
 # -- Properties -----------------------------------------------------------------------------
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from camcp.planner import Stage
 from camcp.reactor import (
     BudgetExceededError,
     DuplicateServerError,
@@ -14,12 +15,14 @@ from camcp.store import And, ContextStore, Exists
 
 
 def spec(server_id: str, trigger, action, done_key: str | None = None) -> ServerSpec:
-    return ServerSpec(
+    stage = Stage(
+        stage_id=server_id,
         server_id=server_id,
         trigger=trigger,
-        action=action,
         done_key=done_key or f"{server_id}_done",
+        goal="",
     )
+    return ServerSpec(stage, action)
 
 
 def write_output(key: str, value=1):
@@ -81,7 +84,7 @@ def test_fire_batch_triggers_conjunction_downstream_once():
         return [("out_a", 1), ("out_b", 2)]
 
     fired = []
-    pool = ReactorPool(store, on_fired=lambda server, writes: fired.append(server))
+    pool = ReactorPool(store, on_fired=lambda stage, writes: fired.append(stage.server_id))
     pool.register(spec("s", Exists("go"), action))
     pool.register(spec("joiner", And((Exists("out_a"), Exists("out_b"))), write_output("joined")))
     store.put("go", 1, "w")
@@ -149,7 +152,7 @@ def test_failure_is_contained_and_reported():
     events = []
     pool = ReactorPool(
         store,
-        on_failed=lambda server, reason: events.append((server, reason)),
+        on_failed=lambda stage, reason: events.append((stage.server_id, reason)),
     )
 
     def crash(snapshot) -> list:
@@ -165,7 +168,6 @@ def test_failure_is_contained_and_reported():
     assert states["broken"] is ReactorState.FAILED
     assert states["healthy"] is ReactorState.FIRED
     assert states["downstream"] is ReactorState.IDLE
-    assert pool.failures() == {"broken": "RuntimeError: tool blew up"}
     assert events == [("broken", "RuntimeError: tool blew up")]
     assert store.get("broken_done") is None
     assert store.get("never") is None
@@ -175,7 +177,7 @@ def test_batch_the_store_rejects_fails_the_reactor_and_commits_nothing():
     store = ContextStore()
     store.put("seed", True, "w")
     failed = []
-    pool = ReactorPool(store, on_failed=lambda server, reason: failed.append((server, reason)))
+    pool = ReactorPool(store, on_failed=lambda stage, reason: failed.append((stage.server_id, reason)))
     pool.register(spec("overflow", Exists("seed"), lambda snap: [("out", 1), ("cost", float("inf"))]))
     pool.register(spec("downstream", Exists("overflow_done"), write_output("never")))
     pool.run_until_quiescent(4)
@@ -185,27 +187,37 @@ def test_batch_the_store_rejects_fails_the_reactor_and_commits_nothing():
 
 
 def test_callbacks_fire_in_order():
+    """Every callback is handed the registered Stage object itself; its
+    stage_id differs from its server_id, so a swapped id shows."""
     store = ContextStore()
     log = []
     pool = ReactorPool(
         store,
-        on_firing=lambda server, edge: log.append(("firing", server, edge)),
-        on_fired=lambda server, writes: log.append(("fired", server, [k for k, _ in writes])),
+        on_firing=lambda stage, edge: log.append(("firing", stage, edge)),
+        on_fired=lambda stage, writes: log.append(("fired", stage, [k for k, _ in writes])),
+        on_failed=lambda stage, reason: log.append(("failed", stage, reason)),
     )
-    pool.register(spec("only", Exists("seed"), write_output("out")))
+    only = Stage("only_stage", "only_server", Exists("seed"), "only_done", "")
+    broken = Stage("broken_stage", "broken_server", Exists("seed"), "broken_done", "")
+    pool.register(ServerSpec(only, write_output("out")))
+    pool.register(ServerSpec(broken, lambda snapshot: 1 / 0))
     store.put("seed", True, "w")
     pool.run_until_quiescent(4)
     assert log == [
-        ("firing", "only", 1),
-        ("fired", "only", ["out", "only_done"]),
+        ("firing", only, 1),
+        ("fired", only, ["out", "only_done"]),
+        ("firing", broken, 1),
+        ("failed", broken, "ZeroDivisionError: division by zero"),
     ]
+    assert all(entry[1] is stage for entry, stage in zip(log, [only, only, broken, broken]))
+    assert store.get("out").writer_id == "only_server"
 
 
 def test_a_step_fires_in_registration_order_not_edge_order():
     """B's edge rises first, but A registered first, so A fires first."""
     store = ContextStore()
     log = []
-    pool = ReactorPool(store, on_firing=lambda server, edge: log.append((server, edge)))
+    pool = ReactorPool(store, on_firing=lambda stage, edge: log.append((stage.server_id, edge)))
     pool.register(spec("A", Exists("y"), write_output("a_out")))
     pool.register(spec("B", Exists("x"), write_output("b_out")))
     store.put("x", 1, "w")
@@ -219,7 +231,7 @@ def test_a_step_fires_in_registration_order_not_edge_order():
 
 def build_layered(pool_store, layers: list[list[str]], record):
     """Wire each node to require every node of the previous layer."""
-    pool = ReactorPool(pool_store, on_fired=lambda server, writes: record.append(server))
+    pool = ReactorPool(pool_store, on_fired=lambda stage, writes: record.append(stage.server_id))
     previous: list[str] = []
     for layer in layers:
         for node in layer:

@@ -48,6 +48,10 @@ def scenario_by_name(name, travel, wedding):
     return travel if name == "travel" else wedding
 
 
+def events_of(trace, kind):
+    return [e for e in trace.events if e.kind == kind]
+
+
 @pytest.fixture()
 def windowed_travel(travel_scenario):
     def make(budget: int):
@@ -98,8 +102,8 @@ def test_travel_call_counts(travel_scenario, seed):
     aware = run_context_aware(travel_scenario, seed)
     assert compute_metrics(traditional).llm_calls == 5
     assert compute_metrics(aware).llm_calls == 2
-    assert [e.payload["role"] for e in aware.events_of("llm_call")] == ["plan", "summarize"]
-    assert [e.payload["role"] for e in traditional.events_of("llm_call")] == [
+    assert [e.payload["role"] for e in events_of(aware, "llm_call")] == ["plan", "summarize"]
+    assert [e.payload["role"] for e in events_of(traditional, "llm_call")] == [
         "step_decision"
     ] * 4 + ["summarize"]
 
@@ -110,9 +114,9 @@ def test_wedding_call_counts(wedding_scenario, seed):
     aware = run_context_aware(wedding_scenario, seed)
     assert compute_metrics(traditional).llm_calls == 2
     assert compute_metrics(aware).llm_calls == 1
-    assert [e.payload["role"] for e in aware.events_of("llm_call")] == ["combined"]
-    assert len(traditional.events_of("tool_exec")) == 13  # 2 trackers + 11 dispatches
-    assert len(aware.events_of("tool_exec")) == 3
+    assert [e.payload["role"] for e in events_of(aware, "llm_call")] == ["combined"]
+    assert len(events_of(traditional, "tool_exec")) == 13  # 2 trackers + 11 dispatches
+    assert len(events_of(aware, "tool_exec")) == 3
 
 
 def test_simulated_latency_matches_event_arithmetic(travel_scenario, wedding_scenario):
@@ -125,8 +129,8 @@ def test_simulated_latency_matches_event_arithmetic(travel_scenario, wedding_sce
     for (name, mode), total in expected.items():
         trace = run(scenario_by_name(name, travel_scenario, wedding_scenario), mode, 0)
         assert trace.simulated_latency_s == total
-        llm = trace.events_of("llm_call")
-        tools = trace.events_of("tool_exec")
+        llm = events_of(trace, "llm_call")
+        tools = events_of(trace, "tool_exec")
         assert all(e.payload["latency_s"] == 6.0 for e in llm)
         assert all(e.payload["latency_s"] == 0.4 for e in tools)
         assert trace.simulated_latency_s == len(llm) * 6.0 + len(tools) * 0.4
@@ -239,11 +243,11 @@ def test_query_rejects_bad_seed(travel_scenario, bad):
 
 def test_window_three_loses_exactly_dining(windowed_travel):
     trace = run_traditional(windowed_travel(3), 0)
-    failed = trace.events_of("stage_failed")
+    failed = events_of(trace, "stage_failed")
     assert len(failed) == 1
     assert failed[0].payload["stage"] == "dining"
     assert "budget" in failed[0].payload["reason"]
-    done = [e.payload["stage"] for e in trace.events_of("stage_done")]
+    done = [e.payload["stage"] for e in events_of(trace, "stage_done")]
     assert done == ["location", "weather", "hotel"]
     assert trace.events[-1].payload["completed"] is False
     assert compute_metrics(trace).llm_calls == 5  # the orchestrator still pays every decision
@@ -252,12 +256,12 @@ def test_window_three_loses_exactly_dining(windowed_travel):
 @pytest.mark.parametrize("budget, expected_done", [(1, 0), (2, 0), (4, 4), (6, 4)])
 def test_window_budget_thresholds(windowed_travel, budget, expected_done):
     trace = run_traditional(windowed_travel(budget), 0)
-    assert len(trace.events_of("stage_done")) == expected_done
+    assert len(events_of(trace, "stage_done")) == expected_done
 
 
 def test_context_aware_ignores_window(windowed_travel):
     trace = run_context_aware(windowed_travel(1), 0)
-    assert len(trace.events_of("stage_done")) == 4
+    assert len(events_of(trace, "stage_done")) == 4
     assert trace.events[-1].payload["completed"] is True
 
 
@@ -268,7 +272,7 @@ def test_ca_run_out_of_steps_ends_incomplete(name, travel_scenario, wedding_scen
     )
     trace = run_context_aware(scenario, 0)
     assert trace.events[-1].payload["completed"] is False
-    reasons = {e.payload["reason"] for e in trace.events_of("stage_failed")}
+    reasons = {e.payload["reason"] for e in events_of(trace, "stage_failed")}
     assert reasons == {"not quiescent within 1 steps"}
     assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace, scenario)
 
@@ -283,13 +287,13 @@ def test_ca_stages_behind_a_failed_stage_are_reported_never_triggered(travel_sce
 
     def servers(scenario, mode):
         return [
-            dataclasses.replace(s, action=crash) if s.server_id == "location_server" else s
+            dataclasses.replace(s, action=crash) if s.stage.server_id == "location_server" else s
             for s in build_servers(scenario, mode)
         ]
 
     monkeypatch.setattr(runtime, "build_servers", servers)
     trace = run_context_aware(travel_scenario, 0)
-    failed = [(e.payload["stage"], e.payload["reason"]) for e in trace.events_of("stage_failed")]
+    failed = [(e.payload["stage"], e.payload["reason"]) for e in events_of(trace, "stage_failed")]
     never = "never triggered: upstream incomplete"
     assert failed == [
         ("location", "RuntimeError: boom"), ("weather", never), ("hotel", never), ("dining", never)
@@ -337,7 +341,7 @@ def test_ca_run_copies_only_the_payloads_from_outside_the_store(
             calls.clear()
             trace = run(scenario_by_name(name, travel_scenario, wedding_scenario), mode, seed)
             assert sum("envelope" in e.payload for e in trace.events) >= 2
-            commits = len(trace.events_of(runtime.SCS_WRITE))
+            commits = len(events_of(trace, runtime.SCS_WRITE))
             assert len(calls) == (commits if mode == MODE_CA else 0), (name, mode, seed)
 
 
@@ -365,7 +369,7 @@ def test_traditional_messages_are_plan_and_final_only(travel_scenario):
 
 def test_ca_run_spends_no_calls_between_seed_and_summary(travel_scenario):
     trace = run_context_aware(travel_scenario, 0)
-    calls = [e.t for e in trace.events_of("llm_call")]
+    calls = [e.t for e in events_of(trace, "llm_call")]
     assert len(calls) == 2
     between = [
         e.kind for e in trace.events if calls[0] < e.t < calls[1] and e.kind == "llm_call"
@@ -378,13 +382,13 @@ def test_ca_run_spends_no_calls_between_seed_and_summary(travel_scenario):
 
 def test_ca_stage_done_outputs_are_scoped_to_own_stage(travel_scenario):
     trace = run_context_aware(travel_scenario, 0)
-    for event in trace.events_of("stage_done"):
+    for event in events_of(trace, "stage_done"):
         assert list(event.payload["outputs"]) == [event.payload["stage"]]
 
 
 def test_ca_trigger_fire_precedes_matching_tool_exec(travel_scenario):
     trace = run_context_aware(travel_scenario, 0)
-    fires = trace.events_of("trigger_fire")
+    fires = events_of(trace, "trigger_fire")
     assert len(fires) == 4
     for fire in fires:
         follower = trace.events[fire.t]  # trace.events is 0-indexed, t is 1-based
@@ -394,7 +398,7 @@ def test_ca_trigger_fire_precedes_matching_tool_exec(travel_scenario):
 
 def test_wedding_ca_store_coordination(wedding_scenario):
     trace = run_context_aware(wedding_scenario, 0)
-    writes = {e.payload["key"]: e.payload for e in trace.events_of("scs_write")}
+    writes = {e.payload["key"]: e.payload for e in events_of(trace, "scs_write")}
     request_keys = [k for k in writes if k.startswith("transport_request.")]
     assert len(request_keys) == 11
     # the tracker that fires second observes the first one's done flag and
@@ -424,7 +428,7 @@ def test_traditional_failure_reason_reaches_trace_for_unknown_destination(travel
         constraints={**travel_scenario.constraints, "destination": "Atlantis"},
     )
     trace = run_traditional(broken, 0)
-    failed = {e.payload["stage"]: e.payload["reason"] for e in trace.events_of("stage_failed")}
+    failed = {e.payload["stage"]: e.payload["reason"] for e in events_of(trace, "stage_failed")}
     assert "location" in failed
     assert "Atlantis" in failed["location"]
     assert trace.events[-1].payload["completed"] is False
@@ -438,10 +442,10 @@ def test_output_the_store_cannot_hold_becomes_stage_failed(travel_scenario, mode
     tables["destinations"]["Seattle"]["hotels"][0]["price_per_night"] = 1e308
     broken = dataclasses.replace(travel_scenario, data_tables=tables)
     trace = run(broken, mode, 0)
-    failed = {e.payload["stage"]: e.payload["reason"] for e in trace.events_of("stage_failed")}
+    failed = {e.payload["stage"]: e.payload["reason"] for e in events_of(trace, "stage_failed")}
     assert "hotel" in failed
     assert failed["hotel"].startswith("TypeError" if mode == MODE_CA else "ValueError")
-    assert "hotel" not in {e.payload["stage"] for e in trace.events_of("stage_done")}
+    assert "hotel" not in {e.payload["stage"] for e in events_of(trace, "stage_done")}
     assert trace.events[-1].payload["completed"] is False
     assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace)
 
@@ -464,7 +468,7 @@ def test_cyclic_tool_output_becomes_stage_failed(travel_scenario, monkeypatch):
 
     monkeypatch.setattr(runtime, "build_servers", servers)
     trace = run_traditional(travel_scenario, 0)
-    failed = {e.payload["stage"]: e.payload["reason"] for e in trace.events_of("stage_failed")}
+    failed = {e.payload["stage"]: e.payload["reason"] for e in events_of(trace, "stage_failed")}
     assert list(failed) == ["hotel"]
     assert failed["hotel"].startswith("RecursionError")
     assert trace.events[-1].payload["completed"] is False
@@ -477,7 +481,7 @@ def test_crashing_schedule_tool_becomes_stage_failed(wedding_scenario, mode):
     tables["guests"][0]["ready_time_min"] = "soon"
     broken = dataclasses.replace(wedding_scenario, data_tables=tables)
     trace = run(broken, mode, 0)
-    failed = {e.payload["stage"]: e.payload["reason"] for e in trace.events_of("stage_failed")}
+    failed = {e.payload["stage"]: e.payload["reason"] for e in events_of(trace, "stage_failed")}
     assert list(failed) == ["schedule"]
     assert failed["schedule"].startswith("TypeError")
     assert trace.events[-1].payload["completed"] is False
@@ -506,10 +510,10 @@ def test_tool_calls_with_no_json_text_fail_only_their_stage(wedding_scenario, mo
     crash leaves, and the run goes on."""
     _schedule_calls(monkeypatch, calls)
     trace = run_traditional(wedding_scenario, 0)
-    failed = {e.payload["stage"]: e.payload["reason"] for e in trace.events_of("stage_failed")}
+    failed = {e.payload["stage"]: e.payload["reason"] for e in events_of(trace, "stage_failed")}
     assert list(failed) == ["schedule"]
     assert failed["schedule"].startswith("TypeError")
-    schedule_calls = [e.payload for e in trace.events_of("tool_exec") if e.payload["stage"] == "schedule"]
+    schedule_calls = [e.payload for e in events_of(trace, "tool_exec") if e.payload["stage"] == "schedule"]
     latency = wedding_scenario.cost_model.per_tool_latency_s
     assert schedule_calls == [{"server": "transport", "stage": "schedule", "latency_s": latency}]
     assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace)

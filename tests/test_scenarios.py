@@ -734,7 +734,7 @@ def test_wedding_deadline_check():
 def test_build_servers_by_mode(travel_scenario, wedding_scenario):
     ca = build_servers(travel_scenario, MODE_CA)
     assert all(isinstance(s, ServerSpec) for s in ca)
-    assert [s.server_id for s in ca] == [
+    assert [s.stage.server_id for s in ca] == [
         "location_server",
         "weather_server",
         "hotel_server",

@@ -404,7 +404,7 @@ def test_put_many_is_one_atomic_batch():
     versions = store.put_many([("a", 1), ("b", 2), ("a", 3)], "w")
     assert versions == [1, 1, 2]
     # the conjunction rose exactly once, at the commit that completed it
-    assert store.drain_notifications() == [(sub.subscription_id, 2)]
+    assert store.drain_notifications() == [(sub, 2)]
 
 
 @pytest.mark.parametrize(
@@ -423,7 +423,8 @@ def test_rejected_put_many_commits_none_of_its_batch(value):
     assert store.get("a") is None
     assert heard == []
     assert store.drain_notifications() == []
-    assert sub.last_state is False
+    store.put("a", 1, "w")  # the watch saw no commit, so this is its rising edge
+    assert store.drain_notifications() == [(sub, 1)]
 
 
 def test_copy_value_rejects_nesting_past_the_recursion_limit():
@@ -471,9 +472,9 @@ def test_drain_order_example():
     store.put("dummy4", 0, "w")  # t=6
     store.put("y", 2, "w")  # t=7, raises s2
     assert store.drain_notifications() == [
-        (s1.subscription_id, 5),
-        (s3.subscription_id, 5),
-        (s2.subscription_id, 7),
+        (s1, 5),
+        (s3, 5),
+        (s2, 7),
     ]
     assert store.drain_notifications() == []
 
@@ -483,7 +484,7 @@ def test_subscribe_fires_registration_edge_when_already_true():
     store.put("x", 1, "w")
     store.put("pad", 0, "w")
     sub = store.subscribe(Exists("x"))
-    assert store.drain_notifications() == [(sub.subscription_id, 2)]
+    assert store.drain_notifications() == [(sub, 2)]
 
 
 def test_edge_requires_false_to_true_transition():
@@ -494,8 +495,8 @@ def test_edge_requires_false_to_true_transition():
     store.put("x", 2, "w")  # falls silently
     store.put("x", 1, "w")  # rises again
     assert store.drain_notifications() == [
-        (sub.subscription_id, 1),
-        (sub.subscription_id, 4),
+        (sub, 1),
+        (sub, 4),
     ]
 
 
@@ -505,7 +506,7 @@ def test_exists_does_not_refire_on_overwrite():
     store.put("x", 1, "w")
     store.put("x", 2, "w")
     store.put("x", None, "w")
-    assert store.drain_notifications() == [(sub.subscription_id, 1)]
+    assert store.drain_notifications() == [(sub, 1)]
 
 
 def test_random_sequences_match_edge_oracle():
@@ -524,8 +525,7 @@ def test_random_sequences_match_edge_oracle():
                 condition = Equals(key, rng.choice(value_pool))
             else:
                 condition = And((Exists(key), Equals(rng.choice(key_pool), rng.choice(value_pool))))
-            store.subscribe(condition)
-            oracle.subscribe(condition)
+            assert store.subscribe(condition) == oracle.subscribe(condition)
         for _ in range(rng.randint(5, 25)):
             if rng.random() < 0.2:
                 assert store.drain_notifications() == oracle.drain()
