@@ -12,6 +12,13 @@ fraction of their median) is marked ``UNRESOLVED``, because a difference
 inside that spread says nothing either way, unless every change run beats
 every parent run.
 
+One more line per file judges the no-regression rule: ``REGRESSION CHECK
+PASS`` when no end-to-end metric on any workload is worse than its bound
+and no workload's share of failed operations rose from the parent's runs
+to the change's; ``REGRESSION CHECK FAIL`` otherwise, naming each workload
+and metric (or failed share) that broke the rule. Either way it says how
+many metrics are ``UNRESOLVED``.
+
 A file may carry ``"claim": {"metric": ..., "workload": ...}``, the gain
 its change claims. One more line judges it: ``CLAIM MET`` when the change
 is better in at least nine pairs of ten (a tie counts for neither side), the
@@ -95,6 +102,15 @@ def paired(pairs: dict[int, dict[str, dict[str, float]]], name: str) -> list[tup
     ]
 
 
+def failed_shares(totals: dict[str, list[int]]) -> tuple[float, float]:
+    """The (parent, change) share of operations that failed, from each
+    side's [operations failed, operations attempted]."""
+    return tuple(
+        failed / attempted if attempted else 0.0
+        for failed, attempted in (totals.get(side, (0, 0)) for side in ("parent", "change"))
+    )
+
+
 def trajectory(root: Path = ROOT) -> list[str]:
     metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
     lines = []
@@ -112,6 +128,7 @@ def trajectory(root: Path = ROOT) -> list[str]:
                 total = ops.setdefault(run["workload"], {}).setdefault(run["side"], [0, 0])
                 total[0] += result.get("failed", 0)
                 total[1] += result.get("attempted", 0)
+        broken, unresolved = [], 0
         for workload, pairs in runs.items():
             for metric in metrics:
                 name, better = metric["name"], metric["better"]
@@ -129,11 +146,23 @@ def trajectory(root: Path = ROOT) -> list[str]:
                 )
                 if worse > metric["bound"]:
                     line += f"  WORSE THAN BOUND {metric['bound']:g}"
+                    broken.append(f"{workload} {name}")
                 wide = spread(parents)
                 separated = all(worsening(p, c, better) < 0 for p in parents for c in changes)
                 if wide > metric["bound"] and not separated:
                     line += f"  UNRESOLVED (parent IQR {wide:.0%} of its median)"
+                    unresolved += 1
                 lines.append(line)
+            parent_failed, change_failed = failed_shares(ops.get(workload, {}))
+            if change_failed > parent_failed:
+                broken.append(
+                    f"{workload} failed operations {parent_failed:.3%} -> {change_failed:.3%}"
+                )
+        verdict = "FAIL" if broken else "PASS"
+        found = ", ".join(broken) or (
+            "no metric worse than its bound, no workload failed more operations"
+        )
+        lines.append(f"{path.name}  REGRESSION CHECK {verdict} ({found}; {unresolved} UNRESOLVED)")
         claim = data.get("claim")
         if claim:
             head = f"{path.name}  claim {claim['metric']} on {claim['workload']}: "
@@ -142,11 +171,7 @@ def trajectory(root: Path = ROOT) -> list[str]:
                 lines.append(head + "CLAIM NOT MET (BENCHMARK.json names no such metric)")
                 continue
             both = paired(runs.get(claim["workload"], {}), claim["metric"])
-            totals = ops.get(claim["workload"], {})
-            failed = tuple(
-                failed / attempted if attempted else 0.0
-                for failed, attempted in (totals.get(side, (0, 0)) for side in ("parent", "change"))
-            )
+            failed = failed_shares(ops.get(claim["workload"], {}))
             lines.append(head + judge_claim(both, metric["better"], metric["unit"], failed))
     return lines
 

@@ -322,8 +322,8 @@ def test_trajectory_prints_every_end_to_end_metric_and_marks_bound_breaches(tmp_
     (tmp_path / "BENCH_12.json").write_text(json.dumps({"runs": runs}))
     (tmp_path / "BENCH_3.json").write_text(json.dumps({"runs": runs[:2]}))
     lines = _load_trajectory_script().trajectory(tmp_path)
-    assert [line.split()[0] for line in lines] == ["BENCH_3.json"] * 3 + ["BENCH_12.json"] * 3
-    by_metric = {line.split()[2]: line for line in lines[3:]}
+    assert [line.split()[0] for line in lines] == ["BENCH_3.json"] * 4 + ["BENCH_12.json"] * 4
+    by_metric = {line.split()[2]: line for line in lines[4:7]}
     assert list(by_metric) == ["op_ms_best", "peak_rss_mb", "op_ok_frac"]
     # op_ms_best: median 11 -> 13.2, +20%, inside its 0.25 bound.
     assert "11 ->       13.2 ms" in by_metric["op_ms_best"]
@@ -333,6 +333,7 @@ def test_trajectory_prints_every_end_to_end_metric_and_marks_bound_breaches(tmp_
     assert by_metric["peak_rss_mb"].endswith("WORSE THAN BOUND 0.1")
     # op_ok_frac is better higher: a 2% fall breaches its 0.01 bound.
     assert by_metric["op_ok_frac"].endswith("WORSE THAN BOUND 0.01")
+    assert lines[7] == "BENCH_12.json  REGRESSION CHECK FAIL (w peak_rss_mb, w op_ok_frac; 0 UNRESOLVED)"
 
 
 def test_trajectory_marks_a_metric_unresolved_when_the_parent_spread_exceeds_its_bound(tmp_path):
@@ -361,6 +362,7 @@ def test_trajectory_marks_a_metric_unresolved_when_the_parent_spread_exceeds_its
     assert "UNRESOLVED" not in lines["apart"] and "WORSE" not in lines["apart"]
     assert lines["worse"].endswith("WORSE THAN BOUND 0.25" + unresolved)
     assert "UNRESOLVED" not in lines["narrow"]
+    assert lines["REGRESSION"] == "BENCH_20.json  REGRESSION CHECK FAIL (worse setup_s; 2 UNRESOLVED)"
 
 
 @pytest.mark.parametrize(
@@ -402,7 +404,44 @@ def test_trajectory_judges_a_claim_by_pairs_won_and_the_parent_iqr(
     (tmp_path / "BENCH_23.json").write_text(json.dumps({"claim": claim, "runs": runs}))
     lines = _load_trajectory_script().trajectory(tmp_path)
     assert lines[-1] == f"BENCH_23.json  claim {metric} on replay_corpus: {verdict}"
-    assert len(lines) == 2  # op_ms_best and the claim: the runs carry no other metric
+    # op_ms_best, the regression check and the claim: the runs carry no other metric
+    assert len(lines) == 3
+
+
+_PASS = "no metric worse than its bound, no workload failed more operations"
+
+
+@pytest.mark.parametrize(
+    "slower, failed, verdict",
+    [
+        (1.0, 0, f"REGRESSION CHECK PASS ({_PASS}; 2 UNRESOLVED)"),
+        (1.3, 0, "REGRESSION CHECK FAIL (replay_corpus op_ms_best; 2 UNRESOLVED)"),
+        (1.0, 1, "REGRESSION CHECK FAIL (replay_corpus failed operations 0.000% -> 0.010%;"
+                 " 2 UNRESOLVED)"),
+    ],
+    ids=["pass", "worse-metric", "more-failed"],
+)
+def test_trajectory_judges_the_no_regression_rule(tmp_path, slower, failed, verdict):
+    """The check fails on any workload's end-to-end metric worse than its
+    bound (op_ms_best 30% slower against 0.25) or any rise in a workload's
+    share of failed operations (here one of 10000), names each, and counts
+    the unresolved metrics: here setup_s on each workload, whose parent runs
+    spread wider than its bound. A file with or without a claim gets the
+    line."""
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    parents, setup = [3.6, 3.7, 3.8, 3.9, 4.0] * 2, [0.10, 0.20] * 5
+    runs = [
+        _bench_run(pair, side, workload, op_ms_best=parents[pair] * (slower if bad else 1.0),
+                   setup_s=setup[pair], failed=failed if bad and pair == 3 else 0)
+        for workload in ("travel_sweep", "replay_corpus")
+        for pair in range(10)
+        for side in ("parent", "change")
+        for bad in [side == "change" and workload == "replay_corpus"]
+    ]
+    (tmp_path / "BENCH_24.json").write_text(json.dumps({"runs": runs}))
+    lines = _load_trajectory_script().trajectory(tmp_path)
+    assert len(lines) == 5  # two metrics on each workload, then the check
+    assert lines[-1] == f"BENCH_24.json  {verdict}"
 
 
 def test_trajectory_covers_every_committed_bench_file():
