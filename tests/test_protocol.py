@@ -291,11 +291,9 @@ def test_validate_sequence_of_bad_envelopes_raises_protocol_errors(msg_type, seq
         ("plan_request", True, {}, SchemaViolationError, "seq"),
         ("bogus", 0, [], UnknownMessageTypeError, None),
         ("plan_request", 0, [], SchemaViolationError, "seq"),
-        ("plan_request", 1, [], SchemaViolationError, "payload"),
-        ("plan_request", 1, {"query": {"k": float("nan")}}, SchemaViolationError, "query"),
         ("plan_request", 1, {}, SchemaViolationError, "query"),
     ],
-    ids=["bool-seq", "type-first", "seq-second", "payload-object", "payload-copy", "payload-schema"],
+    ids=["bool-seq", "type-first", "seq-second", "payload-schema"],
 )
 def test_an_envelope_checks_type_then_seq_then_payload_when_built(msg_type, seq, payload, error, field):
     with pytest.raises(error) as info:

@@ -177,7 +177,9 @@ def test_batch_the_store_rejects_fails_the_reactor_and_commits_nothing():
     store = ContextStore()
     store.put("seed", True, "w")
     failed = []
-    pool = ReactorPool(store, on_failed=lambda stage, reason: failed.append((stage.server_id, reason)))
+    pool = ReactorPool(
+        store, on_failed=lambda stage, reason: failed.append((stage.server_id, reason))
+    )
     pool.register(spec("overflow", Exists("seed"), lambda snap: [("out", 1), ("cost", float("inf"))]))
     pool.register(spec("downstream", Exists("overflow_done"), write_output("never")))
     pool.run_until_quiescent(4)
@@ -209,7 +211,7 @@ def test_callbacks_fire_in_order():
         ("firing", broken, 1),
         ("failed", broken, "ZeroDivisionError: division by zero"),
     ]
-    assert all(entry[1] is stage for entry, stage in zip(log, [only, only, broken, broken]))
+    assert all(got is want for (_, got, _), want in zip(log, [only, only, broken, broken]))
     assert store.get("out").writer_id == "only_server"
 
 
