@@ -16,7 +16,6 @@ from .bench import (
 )
 from .planner import (
     CostModel,
-    IncompleteContextError,
     MockPlanner,
     PlanBlueprint,
     Query,

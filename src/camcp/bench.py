@@ -200,19 +200,12 @@ def csv_row(scenario_name: str, metrics: RunMetrics, wall_clock_s: float) -> dic
     }
 
 
-@dataclass
-class BenchReport:
-    rows: list[dict]
-    summary: dict
-    errors: list[str]
-
-
 def run_bench(
     scenario: Scenario, n: int, out_csv=None, out_summary=None
-) -> BenchReport:
-    """Run both modes for seeds 0..n-1, collect per-run rows and a paired
-    summary. A failed run is recorded as an error and skipped; it never
-    aborts the sweep."""
+) -> tuple[list[dict], dict]:
+    """Run both modes for seeds 0..n-1 and return the per-run CSV rows and
+    a paired summary. A failed run is recorded in ``summary["errors"]`` and
+    skipped; it never aborts the sweep."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     rows: list[dict] = []
@@ -259,7 +252,7 @@ def run_bench(
         with open(out_summary, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return BenchReport(rows=rows, summary=summary, errors=errors)
+    return rows, summary
 
 
 def write_csv(rows: list[dict], path) -> None:

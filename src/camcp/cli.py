@@ -13,7 +13,6 @@ from .scenarios import (
     MODE_TRADITIONAL,
     ScenarioParseError,
     ScenarioValidationError,
-    WindowConfig,
     resolve_scenario,
 )
 
@@ -67,13 +66,12 @@ def _cmd_bench(args) -> int:
     if args.window is not None:
         if args.window < 1:
             raise ScenarioValidationError("window", "budget must be >= 1")
-        window = WindowConfig(enabled=True, budget_entries=args.window)
-        scenario = dataclasses.replace(scenario, window=window)
+        scenario = dataclasses.replace(scenario, window=args.window)
     summary_path = _summary_path(args.out)
-    report = run_bench(scenario, args.n, out_csv=args.out, out_summary=summary_path)
-    print(json.dumps(report.summary, sort_keys=True))
-    if report.errors:
-        for line in report.errors:
+    _, summary = run_bench(scenario, args.n, out_csv=args.out, out_summary=summary_path)
+    print(json.dumps(summary, sort_keys=True))
+    if summary["errors"]:
+        for line in summary["errors"]:
             print(f"error: {line}", file=sys.stderr)
         return EXIT_RUN_FAILURE
     return EXIT_OK

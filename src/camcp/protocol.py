@@ -11,8 +11,9 @@ canonical text, and every envelope line goes through it: :func:`encode`
 fills it from an :class:`Envelope`, and a run fills it with texts it
 already has (a store entry's ``ContextEntry.text``, or the one encoding of a
 value the loader checked), with no second copy or check. The checks live
-where envelopes are built, since an :class:`Envelope` checks itself, and
-where lines are read, in :func:`decode`.
+where envelopes are built, since an :class:`Envelope` checks itself; in
+:func:`encode`, which checks the payload again as it stands now; and where
+lines are read, in :func:`decode`.
 """
 from __future__ import annotations
 
@@ -30,21 +31,6 @@ CONTEXT_READ = "context_read"
 COMPLETION_SIGNAL = "completion_signal"
 SUMMARY_REQUEST = "summary_request"
 FINAL_RESPONSE = "final_response"
-
-# Position of each message type in the happy-path exchange. Ranks must be
-# non-decreasing along a valid sequence; equal ranks carry no mutual order
-# (concurrent server reads/writes).
-STEP_RANK = {
-    PLAN_REQUEST: 1,
-    TOOL_DECLARATION: 2,
-    CONTEXT_SEED: 3,
-    CONTEXT_READ: 5,
-    CONTEXT_WRITE: 5,
-    COMPLETION_SIGNAL: 7,
-    SUMMARY_REQUEST: 8,
-    FINAL_RESPONSE: 9,
-}
-
 
 class ProtocolError(Exception):
     pass
@@ -106,16 +92,19 @@ class Envelope:
         object.__setattr__(self, "payload", copied)
 
 
-# msg_type -> ordered {field: (type, description)}, in happy-path order
+# msg_type -> (its position in the happy-path exchange, ordered {field:
+# (type, description)}), in happy-path order. Positions must be
+# non-decreasing along a valid sequence; equal positions carry no mutual
+# order (concurrent server reads/writes).
 _SCHEMAS = {
-    PLAN_REQUEST: {"query": (dict, "object")},
-    TOOL_DECLARATION: {"server_id": (str, "text"), "tools": (list, "list")},
-    CONTEXT_SEED: {"blueprint": (dict, "object")},
-    CONTEXT_WRITE: {"key": (str, "text"), "value": (object, "value")},
-    CONTEXT_READ: {"key": (str, "text")},
-    COMPLETION_SIGNAL: {"completion_key": (str, "text")},
-    SUMMARY_REQUEST: {"snapshot": (dict, "object")},
-    FINAL_RESPONSE: {"text": (str, "text")},
+    PLAN_REQUEST: (1, {"query": (dict, "object")}),
+    TOOL_DECLARATION: (2, {"server_id": (str, "text"), "tools": (list, "list")}),
+    CONTEXT_SEED: (3, {"blueprint": (dict, "object")}),
+    CONTEXT_WRITE: (5, {"key": (str, "text"), "value": (object, "value")}),
+    CONTEXT_READ: (5, {"key": (str, "text")}),
+    COMPLETION_SIGNAL: (7, {"completion_key": (str, "text")}),
+    SUMMARY_REQUEST: (8, {"snapshot": (dict, "object")}),
+    FINAL_RESPONSE: (9, {"text": (str, "text")}),
 }
 MESSAGE_TYPES = tuple(_SCHEMAS)
 # Made once; encode_line encodes any other message type.
@@ -139,11 +128,12 @@ def _check_fields(obj: dict, fields: dict, prefix: str = "") -> None:
             raise SchemaViolationError(prefix + name, "unexpected field")
 
 
-def _schema(msg_type) -> dict:
-    schema = _SCHEMAS.get(msg_type) if isinstance(msg_type, str) else None
-    if schema is None:
+def _schema(msg_type) -> tuple[int, dict]:
+    """The (position, fields) row of *msg_type*."""
+    row = _SCHEMAS.get(msg_type) if isinstance(msg_type, str) else None
+    if row is None:
         raise UnknownMessageTypeError(msg_type)
-    return schema
+    return row
 
 
 def check_payload(msg_type: str, payload: dict) -> None:
@@ -152,10 +142,10 @@ def check_payload(msg_type: str, payload: dict) -> None:
     Raises :class:`UnknownMessageTypeError` for a msg_type with no schema,
     and :class:`SchemaViolationError` naming the offending field.
     """
-    schema = _schema(msg_type)
+    _, fields = _schema(msg_type)
     if not isinstance(payload, dict):
         raise SchemaViolationError("payload", "expected object")
-    _check_fields(payload, schema)
+    _check_fields(payload, fields)
     if msg_type == TOOL_DECLARATION:
         for i, tool in enumerate(payload["tools"]):
             if not isinstance(tool, dict):
@@ -169,7 +159,10 @@ def make_envelope(msg_type: str, seq: int, payload: dict) -> Envelope:
 
 
 def encode(envelope: Envelope) -> str:
-    """Encode to the canonical single-line JSON form."""
+    """Encode to the canonical single-line JSON form. The payload is a dict
+    that may have changed since the envelope was built, so it is checked
+    again first, as :func:`make_envelope` checks it."""
+    envelope = make_envelope(envelope.msg_type, envelope.seq, envelope.payload)
     return encode_line(envelope.msg_type, envelope.seq, canonical_dumps(envelope.payload))
 
 
@@ -216,7 +209,7 @@ def validate_sequence(messages: Sequence[Envelope]) -> None:
         if not isinstance(envelope, Envelope):
             kind = type(envelope).__name__
             raise ProtocolError(f"message {index}: expected an Envelope, got {kind}")
-        rank = STEP_RANK[envelope.msg_type]
+        rank = _SCHEMAS[envelope.msg_type][0]
         if rank < highest:
             raise SequenceError(index, f"{envelope.msg_type} after {highest_type}")
         if envelope.seq <= last_seq:

@@ -349,14 +349,11 @@ class TraceBuilder:
         self.cost = scenario.cost_model
         self._events: list[TraceEvent] = []
         self._seq = 0
-        self._closed = False
 
     def _append(self, kind: str, payload: dict, payload_text: str | None = None) -> None:
         """Record an event; *payload_text*, when given, is
         ``canonical_dumps(payload)`` and becomes the event's prebuilt line.
         Callers write its fields in sorted order, as the encoder would."""
-        if self._closed:
-            raise RuntimeError("trace already ended")
         t = len(self._events) + 1
         line = None if payload_text is None else _line(t, kind, payload_text)
         self._events.append(TraceEvent(t, kind, payload, line))
@@ -469,11 +466,8 @@ class TraceBuilder:
             text = canonical_dumps({"text": summary})
             payload["envelope"] = self.envelope_line(protocol.FINAL_RESPONSE, text)
         self._append(RUN_END, payload)
-        self._closed = True
 
     def build(self) -> Trace:
-        if not self._closed:
-            raise RuntimeError("trace not ended")
         return Trace(self._events, time.perf_counter() - self._started)
 
 
@@ -578,7 +572,7 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
     history = [(k, v, rendered(v)) for k, v in query.constraints().items()]
 
     # The window keeps the history from this index on.
-    first = -scenario.window.budget_entries if scenario.window.enabled else 0
+    first = -scenario.window if scenario.window else 0
     per_stage = KINDS[scenario.kind].traditional_calls == TRADITIONAL_PER_STAGE
     if not per_stage:
         # One upfront orchestration decides everything; tools then run

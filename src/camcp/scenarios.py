@@ -69,21 +69,15 @@ class ScenarioValidationError(Exception):
 
 
 @dataclass(frozen=True)
-class WindowConfig:
-    """Traditional-mode context window: keep only the most recent entries of
-    the orchestrator's private history. Never applies in context-aware mode."""
-
-    enabled: bool = False
-    budget_entries: int = 3
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     kind: str
     stages: tuple[Stage, ...]
     data_tables: dict
-    window: WindowConfig
+    # How many of the most recent entries of its private history the
+    # traditional orchestrator keeps, or None to keep them all. Never
+    # applies in context-aware mode.
+    window: int | None
     constraints: dict
     cost_model: CostModel = CostModel()
     max_steps: int = 16
@@ -180,15 +174,14 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
     window_data = data.get("window", {})
     if not isinstance(window_data, dict):
         raise ScenarioValidationError("window", "must be an object")
-    enabled = window_data.get("enabled", WindowConfig.enabled)
+    enabled = window_data.get("enabled", False)
     if not isinstance(enabled, bool):
         raise ScenarioValidationError("window.enabled", "must be true or false")
-    budget_entries = window_data.get("budget_entries", WindowConfig.budget_entries)
-    _checked("window.budget_entries", budget_entries, 1)
+    budget_entries = _checked("window.budget_entries", window_data.get("budget_entries", 3), 1)
     eviction = window_data.get("eviction", "fifo")
     if eviction != "fifo":
         raise ScenarioValidationError("window.eviction", f"unsupported policy {eviction!r}")
-    window = WindowConfig(enabled=enabled, budget_entries=budget_entries)
+    window = budget_entries if enabled else None
 
     cost_data = data.get("cost_model", {})
     if not isinstance(cost_data, dict):

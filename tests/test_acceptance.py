@@ -30,7 +30,6 @@ from camcp.runtime import read_trace, run, serialize_trace, write_trace
 from camcp.scenarios import (
     MODE_CA,
     MODE_TRADITIONAL,
-    WindowConfig,
     batch_requests,
 )
 from camcp.store import And, CasConflict, ContextStore, Equals, Exists
@@ -111,7 +110,7 @@ def test_criterion_04_completeness(travel_scenario):
     ca_values = {
         compute_metrics(run(travel_scenario, MODE_CA, seed)).completeness for seed in SEEDS
     }
-    windowed = dataclasses.replace(travel_scenario, window=WindowConfig(True, 3))
+    windowed = dataclasses.replace(travel_scenario, window=3)
     degraded = compute_metrics(run(windowed, MODE_TRADITIONAL, 0)).completeness
     ok = ca_values == {1.0} and degraded < 1.0
     report(

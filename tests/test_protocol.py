@@ -184,12 +184,25 @@ def test_envelope_holds_its_own_copy_of_the_payload():
         pytest.param("context_write", 1, {"key": 5, "value": 1}, SchemaViolationError, "key", id="ill-typed"),
         pytest.param("completion_signal", 1, {"completion_key": "k", "x": 1}, SchemaViolationError, "x", id="extra"),
         pytest.param("summary_request", 1, {"snapshot": []}, SchemaViolationError, "snapshot", id="snapshot-list"),
+        pytest.param("final_response", 1, {"text": 5}, SchemaViolationError, "text", id="text-int"),
+        pytest.param("final_response", 1, {"text": float("nan")}, SchemaViolationError, "text", id="text-nan"),
+        pytest.param("final_response", 1, {"text": object()}, SchemaViolationError, "text", id="text-object"),
+        pytest.param("final_response", 1, {"text": "ok", "extra": 1}, SchemaViolationError, "extra", id="text-extra"),
     ],
 )
 def test_encode_stored_rejects_what_make_envelope_rejects(msg_type, seq, payload, error, field):
+    """What make_envelope rejects, encode rejects too once a built envelope's
+    payload has been changed to it."""
     with pytest.raises(error) as info:
         make_envelope(msg_type, seq, payload)
     if field is not None:
+        assert info.value.field == field
+    if field not in (None, "seq", "payload"):  # the case is in a payload field
+        envelope = make_envelope(msg_type, seq, SAMPLE_PAYLOADS[msg_type])
+        envelope.payload.clear()
+        envelope.payload.update(payload)
+        with pytest.raises(error) as info:
+            encode(envelope)
         assert info.value.field == field
 
 

@@ -20,7 +20,7 @@ from strategies import generated_wedding
 from camcp.bench import compute_metrics
 from camcp.protocol import decode, encode, validate_sequence
 from camcp.runtime import run, serialize_trace
-from camcp.scenarios import MODES, WindowConfig, load_builtin
+from camcp.scenarios import MODES, load_builtin
 
 WINDOWS = (None, 1, 2, 3)
 
@@ -45,9 +45,7 @@ def family_runs():
                 traces = []
                 for scenario, seed in runs:
                     if window is not None:
-                        scenario = dataclasses.replace(
-                            scenario, window=WindowConfig(enabled=True, budget_entries=window)
-                        )
+                        scenario = dataclasses.replace(scenario, window=window)
                     traces.append((scenario, run(scenario, mode, seed)))
                 yield family, mode, window, traces
 

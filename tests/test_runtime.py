@@ -37,7 +37,7 @@ from camcp.runtime import (
     serialize_trace,
     write_trace,
 )
-from camcp.scenarios import KINDS, MODE_CA, MODE_TRADITIONAL, WindowConfig
+from camcp.scenarios import KINDS, MODE_CA, MODE_TRADITIONAL
 from camcp.store import ContextStore, canonicalize_value
 from strategies import generated_wedding, json_values
 
@@ -55,9 +55,7 @@ def events_of(trace, kind):
 @pytest.fixture()
 def windowed_travel(travel_scenario):
     def make(budget: int):
-        return dataclasses.replace(
-            travel_scenario, window=WindowConfig(True, budget)
-        )
+        return dataclasses.replace(travel_scenario, window=budget)
 
     return make
 

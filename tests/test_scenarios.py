@@ -59,6 +59,17 @@ def test_builtins_load(travel_scenario, wedding_scenario):
     assert wedding_scenario.kind == "wedding"
     assert wedding_scenario.stage_ids() == ["arrivals", "errands", "schedule"]
     assert wedding_scenario.constraints["vehicle_capacity"] == 2
+    # A window is the number of history entries it keeps, or None when off.
+    assert travel_scenario.window is None and wedding_scenario.window is None
+    data = _travel_value()
+    del data["window"]
+    assert scenario_from_value(data).window is None
+    for window, kept in [
+        ({"enabled": False, "budget_entries": 5}, None),
+        ({"enabled": True, "budget_entries": 2}, 2),
+    ]:
+        data["window"] = window
+        assert scenario_from_value(data).window == kept
 
 
 def test_resolve_accepts_path_or_builtin(tmp_path, travel_scenario):
