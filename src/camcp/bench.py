@@ -131,11 +131,10 @@ def paired_stats(diffs: list[float]) -> PairedStats:
         raise InsufficientDataError(n)
     mean = math.fsum(diffs) / n
     # identical samples have zero variance by definition; computing it through
-    # the rounded mean can leave a spurious epsilon, so short-circuit first
-    if min(diffs) == max(diffs):
-        return PairedStats(mean_diff=mean, sd_diff=0.0, t_stat=None, n=n, degenerate=True)
-    variance = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
-    sd = math.sqrt(variance)
+    # the rounded mean can leave a spurious epsilon, so it is taken as zero
+    sd = 0.0 if min(diffs) == max(diffs) else math.sqrt(
+        math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
+    )
     if sd == 0.0:
         return PairedStats(mean_diff=mean, sd_diff=0.0, t_stat=None, n=n, degenerate=True)
     return PairedStats(
@@ -143,35 +142,28 @@ def paired_stats(diffs: list[float]) -> PairedStats:
     )
 
 
-def _metric_diff(direction: str, ca_value, traditional_value) -> float | None:
-    if ca_value is None or traditional_value is None:
-        return None
-    if direction == "traditional_minus_context_aware":
-        return traditional_value - ca_value
-    return ca_value - traditional_value
-
-
 def _summarize_metric(name: str, by_seed: dict[int, dict[str, RunMetrics]]) -> dict:
+    """The paired statistics of one metric over the seeds where both modes
+    have a value, or ``insufficient_data`` (with the lone difference as
+    ``mean_diff``, if there is one) for fewer than two such seeds."""
     direction = DIFF_DIRECTIONS[name]
     diffs = []
     for seed in sorted(by_seed):
-        pair = by_seed[seed]
-        diff = _metric_diff(
-            direction, getattr(pair[MODE_CA], name), getattr(pair[MODE_TRADITIONAL], name)
-        )
-        if diff is not None:
-            diffs.append(diff)
+        ca = getattr(by_seed[seed][MODE_CA], name)
+        traditional = getattr(by_seed[seed][MODE_TRADITIONAL], name)
+        if ca is None or traditional is None:
+            continue
+        if direction == "traditional_minus_context_aware":
+            diffs.append(traditional - ca)
+        else:
+            diffs.append(ca - traditional)
     entry: dict = {"direction": direction, "n": len(diffs)}
-    if not diffs:
+    if len(diffs) < 2:
         entry["insufficient_data"] = True
+        if diffs:
+            entry["mean_diff"] = diffs[0]
         return entry
-    try:
-        stats = paired_stats(diffs)
-    except InsufficientDataError:
-        entry["insufficient_data"] = True
-        entry["mean_diff"] = diffs[0]
-        return entry
-    entry.update(asdict(stats))
+    entry.update(asdict(paired_stats(diffs)))
     return entry
 
 
@@ -243,7 +235,7 @@ def run_bench(
     }
     trad_latency = summary["means"][MODE_TRADITIONAL].get("simulated_latency_s")
     ca_latency = summary["means"][MODE_CA].get("simulated_latency_s")
-    if trad_latency:
+    if trad_latency and ca_latency is not None:
         summary["latency_ratio"] = ca_latency / trad_latency
 
     if out_csv is not None:

@@ -67,7 +67,7 @@ def _cmd_bench(args) -> int:
         if args.window < 1:
             raise ScenarioValidationError("window", "budget must be >= 1")
         scenario = dataclasses.replace(scenario, window=args.window)
-    summary_path = _summary_path(args.out)
+    summary_path = args.out.removesuffix(".csv") + "_summary.json"
     _, summary = run_bench(scenario, args.n, out_csv=args.out, out_summary=summary_path)
     print(json.dumps(summary, sort_keys=True))
     if summary["errors"]:
@@ -75,12 +75,6 @@ def _cmd_bench(args) -> int:
             print(f"error: {line}", file=sys.stderr)
         return EXIT_RUN_FAILURE
     return EXIT_OK
-
-
-def _summary_path(csv_path: str) -> str:
-    if csv_path.endswith(".csv"):
-        return csv_path[: -len(".csv")] + "_summary.json"
-    return csv_path + "_summary.json"
 
 
 def _cmd_replay(args) -> int:

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable
 
 from .planner import Stage
-from .store import ContextStore, ContextValue, Snapshot, values_equal
+from .store import ContextStore, ContextValue, Snapshot
 
 
 class ReactorState(Enum):
@@ -131,7 +131,7 @@ class ReactorPool:
         try:
             writes = list(reactor.spec.action(snapshot))
             done_key = stage.done_key
-            if not (writes and writes[-1][0] == done_key and values_equal(writes[-1][1], True)):
+            if not (writes and writes[-1][0] == done_key and writes[-1][1] is True):
                 writes.append((done_key, True))
             self.store.put_many(writes, writer_id=stage.server_id)
         except Exception as exc:  # a crash, or a batch the store rejected whole

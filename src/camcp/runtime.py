@@ -9,12 +9,17 @@ drivers name no kind or stage: what differs by kind (the query a seed asks,
 the call policy, the constraints a trace must carry) is read from the kind's
 ``scenarios.KINDS`` row, and the tool calls a stage took from its tool.
 
-Each value a run produces is encoded once. A store commit's ``scs_write``
-line, a ``stage_done`` line and the final summary are assembled from the
-canonical text that the store made at commit (``ContextEntry.text``), or, in
-traditional mode, from the one text made per stage output. A run of
-``tool_exec`` calls with the same field names fills one template of the
-fixed fields' texts with each call's own, from the second call on. The
+Each store commit and each traditional stage output is encoded once. A
+store commit's ``scs_write`` line, a ``stage_done`` line and the final
+summary are assembled from the canonical text that the store made at commit
+(``ContextEntry.text``), or, in traditional mode, from the one text made per
+stage output. A value held by two outputs is encoded in each: a traditional
+wedding run encodes each request in its tracker's output and again in the
+``schedule`` output, whose trips hold the same requests. A line that embeds
+another escapes its text once more: the ``scs_write`` envelope, and the
+final response, whose summary holds the output texts, inside ``run_end``.
+A run of ``tool_exec`` calls with the same field names fills one template of
+the fixed fields' texts with each call's own, from the second call on. The
 builder passes each such line to its event, a read-only tuple built in one
 call, and :func:`serialize_trace` joins them. Every other event
 (``run_start``, ``llm_call``, ``trigger_fire``, ``stage_failed``,

@@ -132,8 +132,8 @@ BUILTIN_SCENARIO_NAMES = ("travel", "wedding_p5")
 
 
 def load_builtin(name: str) -> Scenario:
-    if name not in BUILTIN_SCENARIO_NAMES:
-        raise ScenarioParseError(f"no built-in scenario named {name!r}")
+    """Load one of :data:`BUILTIN_SCENARIO_NAMES`; :func:`resolve_scenario`
+    checks a name that comes from outside the program."""
     text = resources.files("camcp").joinpath("data", f"{name}.json").read_text("utf-8")
     return scenario_from_value(json.loads(text), default_name=name)
 

@@ -134,12 +134,13 @@ def _copy(value: Any, depth: int) -> ContextValue:
 
 
 def values_equal(a: ContextValue, b: ContextValue) -> bool:
-    """Structural equality: numbers compare by numeric value (1 == 1.0),
-    booleans are distinct from numbers, containers compare element-wise."""
+    """Structural equality: numbers compare by exact numeric value (1 == 1.0,
+    but 2**53 + 1 != 2**53), booleans are distinct from numbers, containers
+    compare element-wise."""
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a == b
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return float(a) == float(b)
+        return a == b
     if isinstance(a, list) and isinstance(b, list):
         return len(a) == len(b) and all(values_equal(x, y) for x, y in zip(a, b))
     if isinstance(a, dict) and isinstance(b, dict):

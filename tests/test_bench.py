@@ -459,7 +459,8 @@ def test_trajectory_covers_every_committed_bench_file():
 def test_unreached_lines_lists_package_lines_and_not_a_context_aware_run():
     """The probe exits 0, lists only package lines, and sees the lines every
     context-aware run executes; its failure branches stay listed, since no
-    built-in scenario fails."""
+    built-in scenario fails. It marks the two exits only a subprocess runs
+    and the import only a type checker reads."""
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "unreached_lines.py")],
         capture_output=True, text=True, timeout=120,
@@ -467,6 +468,14 @@ def test_unreached_lines_lists_package_lines_and_not_a_context_aware_run():
     assert result.returncode == 0, result.stderr
     listed = [line.split(":")[:2] for line in result.stdout.splitlines() if line.startswith("src/")]
     assert listed and all(name.startswith("src/camcp/") for name, _ in listed)
+    marked = [
+        (line.split(":")[0], line.rsplit("  [", 1)[1])
+        for line in result.stdout.splitlines()
+        if line.endswith(("  [subprocess-only exit]", "  [TYPE_CHECKING import]"))
+    ]
+    assert marked == [("src/camcp/cli.py", "subprocess-only exit]")] * 2 + [
+        ("src/camcp/planner.py", "TYPE_CHECKING import]")
+    ]
     source, first = inspect.getsourcelines(run_context_aware)
     every_run = [
         str(first + i) for i, text in enumerate(source)
@@ -494,6 +503,12 @@ def test_paired_stats_zero_variance_is_degenerate():
     assert stats.t_stat is None
     assert stats.mean_diff == 3.0
     assert stats.sd_diff == 0.0
+
+
+def test_paired_stats_with_a_variance_that_rounds_to_zero_is_degenerate():
+    """Two samples that differ, but whose squared deviations underflow."""
+    stats = paired_stats([0.0, 5e-324])
+    assert (stats.sd_diff, stats.t_stat, stats.degenerate) == (0.0, None, True)
 
 
 @pytest.mark.parametrize("diffs", [[], [5.0]])
@@ -565,6 +580,61 @@ def test_bench_single_seed_reports_insufficient_data(wedding_scenario):
 def test_bench_validates_n(travel_scenario):
     with pytest.raises(ValueError):
         run_bench(travel_scenario, 0)
+
+
+def test_bench_contains_a_failed_run_and_the_cli_reports_it(
+    travel_scenario, monkeypatch, tmp_path, capsys
+):
+    def run_failing_once(scenario, mode, seed):
+        if (mode, seed) == (MODE_CA, 1):
+            raise RuntimeError("tool server down")
+        return run(scenario, mode, seed)
+
+    monkeypatch.setattr("camcp.bench.run", run_failing_once)
+    rows, summary = run_bench(travel_scenario, 3)
+    assert [(r["mode"], r["seed"]) for r in rows] == [
+        (m, s) for s in range(3) for m in (MODE_TRADITIONAL, MODE_CA) if (m, s) != (MODE_CA, 1)
+    ]
+    assert summary["errors"] == ["context_aware seed 1: RuntimeError: tool server down"]
+    assert summary["n_paired"] == 2
+
+    code = main(["bench", "--scenario", "travel", "--n", "3", "--out", str(tmp_path / "b.csv")])
+    assert code == EXIT_RUN_FAILURE
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: context_aware seed 1: RuntimeError: tool server down"]
+
+
+def test_bench_with_every_context_aware_run_failing_has_no_latency_ratio(
+    travel_scenario, monkeypatch, tmp_path, capsys
+):
+    def crash(scenario, seed):
+        raise RuntimeError("planner down")
+
+    monkeypatch.setattr("camcp.runtime.run_context_aware", crash)
+    rows, summary = run_bench(travel_scenario, 2)
+    assert [r["mode"] for r in rows] == [MODE_TRADITIONAL, MODE_TRADITIONAL]
+    assert summary["errors"] == [f"context_aware seed {s}: RuntimeError: planner down" for s in (0, 1)]
+    assert "latency_ratio" not in summary
+    assert summary["n_paired"] == 0
+    assert summary["means"][MODE_CA] == {}
+
+    code = main(["bench", "--scenario", "travel", "--n", "2", "--out", str(tmp_path / "b.csv")])
+    assert code == EXIT_RUN_FAILURE
+    assert len(capsys.readouterr().err.splitlines()) == 2
+
+
+def test_bench_with_no_schedule_in_either_mode_pairs_no_makespan(wedding_scenario, monkeypatch):
+    def crash(requests, capacity, duration_min):
+        raise RuntimeError("no vehicle")
+
+    monkeypatch.setattr("camcp.scenarios.batch_requests", crash)
+    rows, summary = run_bench(wedding_scenario, 2)
+    assert summary["errors"] == []
+    assert all(r["makespan_min"] == "" for r in rows)
+    assert summary["metrics"]["makespan_min"] == {
+        "direction": "traditional_minus_context_aware", "n": 0, "insufficient_data": True,
+    }
+    assert summary["metrics"]["llm_calls"]["n"] == 2
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -1002,6 +1072,15 @@ def test_cli_bench_writes_both_files(tmp_path, capsys):
     assert (tmp_path / "b_summary.json").exists()
     summary = json.loads(capsys.readouterr().out)
     assert summary["metrics"]["makespan_min"]["mean_diff"] == 150.0
+
+
+def test_cli_bench_puts_the_summary_beside_an_out_path_without_csv(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["bench", "--scenario", "travel", "--n", "2", "--out", str(out)]) == EXIT_OK
+    assert json.loads((tmp_path / "sweep_summary.json").read_text()) == json.loads(
+        capsys.readouterr().out
+    )
+    assert out.read_text().startswith(",".join(CSV_COLUMNS))
 
 
 def test_cli_bench_window_override_degrades_traditional(tmp_path, capsys):

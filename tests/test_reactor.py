@@ -72,9 +72,16 @@ def test_done_key_appended_exactly_once():
         return [("explicit_out", 2), ("explicit_done", True)]
 
     pool.register(spec("explicit", Exists("go"), explicit_action))
+
+    def one_valued_action(snapshot) -> list:
+        return [("one_out", 3), ("one_done", 1)]
+
+    pool.register(spec("one", Exists("go"), one_valued_action))
     pool.run_until_quiescent(4)
     assert store.get("implicit_done").version == 1
     assert store.get("explicit_done").version == 1
+    # a flag of 1 is not the done flag True, so True is still appended
+    assert (store.get("one_done").version, store.get("one_done").value) == (2, True)
 
 
 def test_fire_batch_triggers_conjunction_downstream_once():

@@ -71,6 +71,11 @@ def test_values_equal_numeric_and_bool_rules():
     assert not values_equal([1, 2], [1, 2, 3])
     assert not values_equal("1", 1)
     assert values_equal(None, None)
+    # numbers compare exactly, past float precision and past float range
+    assert not values_equal(2**53 + 1, 2**53)
+    assert not values_equal(2**53 + 1, float(2**53))
+    assert values_equal(10**400, 10**400)
+    assert not values_equal(10**400, 1e308)
 
 
 def test_canonical_dumps_sorts_keys_deeply():
@@ -258,6 +263,12 @@ def test_evaluate_examples():
     assert evaluate(Or((Exists("y"), Exists("x"))), snap)
 
 
+@pytest.mark.parametrize("convert", [lambda c: evaluate(c, {}), condition_to_value])
+def test_a_value_that_is_not_a_condition_is_a_type_error(convert):
+    with pytest.raises(TypeError, match="^not a watch condition: 'x'$"):
+        convert("x")
+
+
 def test_tombstone_keeps_key_visible():
     store = ContextStore()
     store.put("x", 1, "w")
@@ -288,10 +299,12 @@ def test_condition_value_round_trip(condition):
         ({"op": "not", "child": {"op": "equals", "key": "a"}}, "condition field 'child.value': missing"),
         ({"op": "and", "children": [{"op": "nor"}]},
          "condition field 'children[0].op': unknown condition op 'nor'"),
+        ({"op": "not", "child": {"op": "equals", "key": "a", "value": float("nan")}},
+         "condition field 'child.value': non-finite number at $"),
     ],
     ids=[
         "list", "exists-no-key", "and-children-number", "or-child-no-key", "child-key-number",
-        "not-child-list", "not-child-no-value", "child-op-unknown",
+        "not-child-list", "not-child-no-value", "child-op-unknown", "child-value-unstorable",
     ],
 )
 def test_condition_from_value_names_the_bad_field(value, message):
@@ -498,6 +511,19 @@ def test_edge_requires_false_to_true_transition():
         (sub, 1),
         (sub, 4),
     ]
+
+
+def test_equals_watch_compares_integers_exactly_on_commit():
+    """An integer past float precision is not rounded to its neighbour, and
+    one past float range is compared, not raised on mid-commit."""
+    store = ContextStore()
+    near = store.subscribe(Equals("n", 2**53 + 1))
+    huge = store.subscribe(Equals("n", 10**400))
+    store.put("n", 2**53, "w")
+    store.put("n", 10**400, "w")
+    store.put("n", 2**53 + 1, "w")
+    assert store.drain_notifications() == [(huge, 2), (near, 3)]
+    assert store.get("n").version == 3
 
 
 def test_exists_does_not_refire_on_overwrite():
