@@ -17,8 +17,6 @@ from .bench import (
 from .planner import (
     CostModel,
     MockPlanner,
-    PlanBlueprint,
-    Query,
     Stage,
     completion_condition,
     render_summary,

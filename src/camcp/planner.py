@@ -2,9 +2,12 @@
 
 The planner is a deterministic template mock so runs are cheap and
 reproducible; the runtime records each of its calls as an ``llm_call``
-trace event, which is what the benchmark counts. It holds no per-kind rule:
-a plan restates the stages and completion key of the scenario it is given,
-and takes the query's constraints as the loader checked them.
+trace event, which is what the benchmark counts. It holds no per-kind rule.
+The query it reads is the value a run's ``plan_request`` carries
+(``raw_text``, ``kind``, ``params``), and the plan it returns is the
+blueprint value a ``context_seed`` carries: the goals, stage wiring and
+completion key of the scenario it is given, and the query's constraints as
+the loader checked them.
 """
 from __future__ import annotations
 
@@ -26,16 +29,10 @@ if TYPE_CHECKING:
     from .scenarios import Scenario
 
 
-@dataclass(frozen=True)
-class Query:
-    raw_text: str
-    kind: str
-    params: dict
-
-    def constraints(self) -> dict:
-        """The params without ``scenario``, which routes the query and
-        constrains nothing."""
-        return {k: v for k, v in self.params.items() if k != "scenario"}
+def query_constraints(query: dict) -> dict:
+    """The query's params without ``scenario``, which routes the query and
+    constrains nothing."""
+    return {k: v for k, v in query["params"].items() if k != "scenario"}
 
 
 @dataclass(frozen=True)
@@ -53,28 +50,23 @@ class Stage:
 
 
 @dataclass(frozen=True)
-class PlanBlueprint:
-    goals: tuple[str, ...]
-    constraints: dict
-    stages: tuple[Stage, ...]
-    completion_key: str
-
-
-@dataclass(frozen=True)
 class CostModel:
     per_call_latency_s: float = 6.0
     per_tool_latency_s: float = 0.4
 
 
-def completion_condition(blueprint: PlanBlueprint) -> WatchCondition:
+def completion_condition(stages: tuple[Stage, ...]) -> WatchCondition:
     """The completion flag is implied by the conjunction of all done keys."""
-    return And(tuple(Exists(stage.done_key) for stage in blueprint.stages))
+    return And(tuple(Exists(stage.done_key) for stage in stages))
 
 
-def blueprint_to_value(blueprint: PlanBlueprint) -> dict:
+def blueprint_to_value(query: dict, scenario: Scenario) -> dict:
+    """The blueprint a *query* gets on *scenario*, as its ``context_seed``
+    carries it. The constraints are uncopied: the store copies each one
+    when it is seeded."""
     return {
-        "goals": list(blueprint.goals),
-        "constraints": blueprint.constraints,
+        "goals": [s.goal for s in scenario.stages],
+        "constraints": query_constraints(query),
         "stages": [
             {
                 "stage_id": s.stage_id,
@@ -82,9 +74,9 @@ def blueprint_to_value(blueprint: PlanBlueprint) -> dict:
                 "trigger": condition_to_value(s.trigger),
                 "done_key": s.done_key,
             }
-            for s in blueprint.stages
+            for s in scenario.stages
         ],
-        "completion_key": blueprint.completion_key,
+        "completion_key": scenario.completion_key,
     }
 
 
@@ -94,7 +86,7 @@ def rendered(value: ContextValue) -> str:
     return value if isinstance(value, str) else canonical_dumps(value)
 
 
-def render_summary(entries: Mapping[str, ContextEntry], blueprint: PlanBlueprint) -> str:
+def render_summary(entries: Mapping[str, ContextEntry], blueprint: dict) -> str:
     """Render the final answer from context entries with a fixed template.
 
     Pure and deterministic: echoes every constraint verbatim and one line
@@ -102,13 +94,13 @@ def render_summary(entries: Mapping[str, ContextEntry], blueprint: PlanBlueprint
     Each output is shown as the canonical text its entry got at commit.
     """
     lines = ["=== final response ==="]
-    lines.append("goals: " + "; ".join(blueprint.goals))
-    for name, value in blueprint.constraints.items():
+    lines.append("goals: " + "; ".join(blueprint["goals"]))
+    for name, value in blueprint["constraints"].items():
         lines.append(f"constraint {name}: {rendered(value)}")
-    for stage in blueprint.stages:
-        entry = entries.get(stage.stage_id)
-        lines.append(f"{stage.stage_id}: {'null' if entry is None else entry.text}")
-    done = entries.get(blueprint.completion_key)
+    for stage in blueprint["stages"]:
+        entry = entries.get(stage["stage_id"])
+        lines.append(f"{stage['stage_id']}: {'null' if entry is None else entry.text}")
+    done = entries.get(blueprint["completion_key"])
     lines.append(f"complete: {str(done is not None and bool(done.value)).lower()}")
     return "\n".join(lines)
 
@@ -117,25 +109,18 @@ class MockPlanner:
     """Deterministic stand-in for the central model.
 
     Stateless: plan() is a pure function of (query, scenario); summarize() is
-    a pure function of (snapshot, blueprint).
+    a pure function of (snapshot, blueprint), both values.
     """
 
     # -- Planning --
 
-    def plan(self, query: Query, scenario: Scenario) -> PlanBlueprint:
-        """Turn a query into a blueprint: the goals, stage wiring and
-        completion key the scenario declares, and the query's constraints,
-        uncopied: the store copies each one when it is seeded."""
-        return PlanBlueprint(
-            goals=tuple(s.goal for s in scenario.stages),
-            constraints=query.constraints(),
-            stages=scenario.stages,
-            completion_key=scenario.completion_key,
-        )
+    def plan(self, query: dict, scenario: Scenario) -> dict:
+        """Turn a query value into its blueprint value."""
+        return blueprint_to_value(query, scenario)
 
     # -- Summarization --
 
-    def summarize(self, snapshot: Mapping[str, ContextEntry], blueprint: PlanBlueprint) -> str:
+    def summarize(self, snapshot: Mapping[str, ContextEntry], blueprint: dict) -> str:
         """Summarize a run from the shared snapshot. The context-aware run
         calls it once its completion flag is written; the summary's last
         line reports that flag either way."""

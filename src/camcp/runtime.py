@@ -1,13 +1,15 @@
 """Run drivers for both execution modes, emitting deterministic traces.
 
 Context-aware runs plan once, seed the shared store, let reactors
-self-coordinate to quiescence, then summarize. Traditional runs drive every
-stage from the center through a private history that can lose context under
-a window budget. Either way the trace is a pure function of (scenario,
-mode, seed): replaying a serialized trace reproduces the same metrics. The
-drivers name no kind or stage: what differs by kind (the query a seed asks,
-the call policy, the constraints a trace must carry) is read from the kind's
-``scenarios.KINDS`` row, and the tool calls a stage took from its tool.
+self-coordinate to quiescence, then summarize. The query a run asks and the
+plan it gets are the very values its ``plan_request`` and ``context_seed``
+messages carry. Traditional runs drive every stage from the center through
+a private history that can lose context under a window budget. Either way
+the trace is a pure function of (scenario, mode, seed): replaying a
+serialized trace reproduces the same metrics. The drivers name no kind or
+stage: what differs by kind (the query a seed asks, the call policy, the
+constraints a trace must carry) is read from the kind's ``scenarios.KINDS``
+row, and the tool calls a stage took from its tool.
 
 Each store commit and each traditional stage output is encoded once. A
 store commit's ``scs_write`` line, a ``stage_done`` line and the final
@@ -49,11 +51,9 @@ from typing import NamedTuple
 from . import protocol
 from .planner import (
     MockPlanner,
-    PlanBlueprint,
-    Query,
     Stage,
-    blueprint_to_value,
     completion_condition,
+    query_constraints,
     render_summary,
     rendered,
 )
@@ -368,8 +368,7 @@ class TraceBuilder:
         self._seq += 1
         return protocol.encode_line(msg_type, self._seq, payload_text)
 
-    def run_start(self, query: Query) -> None:
-        request = {"query": {"raw_text": query.raw_text, "kind": query.kind, "params": query.params}}
+    def run_start(self, query: dict) -> None:
         self._append(
             RUN_START,
             {
@@ -378,8 +377,10 @@ class TraceBuilder:
                 "scenario": self.scenario.name,
                 "kind": self.scenario.kind,
                 "stage_ids": self.scenario.stage_ids(),
-                "constraints": query.constraints(),
-                "envelope": self.envelope_line(protocol.PLAN_REQUEST, canonical_dumps(request)),
+                "constraints": query_constraints(query),
+                "envelope": self.envelope_line(
+                    protocol.PLAN_REQUEST, canonical_dumps({"query": query})
+                ),
             },
         )
 
@@ -476,21 +477,23 @@ class TraceBuilder:
         return Trace(self._events, time.perf_counter() - self._started)
 
 
-def query_for_seed(scenario: Scenario, seed: int) -> Query:
-    """Deterministic query for a seed, as the scenario's kind asks it. Seed 0
-    is the scenario's base query."""
+def query_for_seed(scenario: Scenario, seed: int) -> dict:
+    """Deterministic query for a seed, as the scenario's kind asks it: the
+    ``plan_request`` value ``{"raw_text", "kind", "params"}``. Seed 0 is the
+    scenario's base query."""
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return KINDS[scenario.kind].query(scenario, seed)
 
 
-def seed_context(store: ContextStore, blueprint: PlanBlueprint) -> None:
-    """Write the blueprint into the store: goals, one entry per constraint,
-    the stage outline, and last the goals_seeded flag that arms root stages."""
-    store.put("goals", list(blueprint.goals), SEED_WRITER)
-    for name, value in blueprint.constraints.items():
+def seed_context(store: ContextStore, blueprint: dict) -> None:
+    """Write a blueprint value into the store: goals, one entry per
+    constraint, the stage outline, and last the goals_seeded flag that arms
+    root stages."""
+    store.put("goals", blueprint["goals"], SEED_WRITER)
+    for name, value in blueprint["constraints"].items():
         store.put(f"constraints.{name}", value, SEED_WRITER)
-    store.put("stages", blueprint_to_value(blueprint)["stages"], SEED_WRITER)
+    store.put("stages", blueprint["stages"], SEED_WRITER)
     store.put("goals_seeded", True, SEED_WRITER)
 
 
@@ -506,12 +509,12 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
     builder.llm_call(
         "combined" if combined else "plan",
         envelope=builder.envelope_line(
-            protocol.CONTEXT_SEED, canonical_dumps({"blueprint": blueprint_to_value(blueprint)})
+            protocol.CONTEXT_SEED, canonical_dumps({"blueprint": blueprint})
         ),
     )
 
     store = ContextStore()
-    store.add_commit_listener(builder.scs_listener(blueprint.completion_key))
+    store.add_commit_listener(builder.scs_listener(scenario.completion_key))
     seed_context(store, blueprint)
 
     def on_firing(stage: Stage, edge_time: int) -> None:
@@ -536,9 +539,9 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
         unfinished = str(exc)
 
     snapshot = store.snapshot()
-    completed = evaluate(completion_condition(blueprint), snapshot)
+    completed = evaluate(completion_condition(scenario.stages), snapshot)
     if completed:
-        store.put(blueprint.completion_key, True, SEED_WRITER)
+        store.put(scenario.completion_key, True, SEED_WRITER)
         final = store.snapshot()
         if combined:
             summary = render_summary(final, blueprint)
@@ -554,7 +557,7 @@ def run_context_aware(scenario: Scenario, seed: int) -> Trace:
         builder.run_end(True, summary)
     else:
         states = pool.states()
-        for stage in blueprint.stages:
+        for stage in scenario.stages:
             if states[stage.server_id] in (ReactorState.IDLE, ReactorState.READY):
                 builder.stage_failed(stage.stage_id, unfinished)
         builder.run_end(False)
@@ -574,7 +577,7 @@ def run_traditional(scenario: Scenario, seed: int) -> Trace:
 
     planner = MockPlanner()
     # (key, value, rendered text) in the order the orchestrator learned them.
-    history = [(k, v, rendered(v)) for k, v in query.constraints().items()]
+    history = [(k, v, rendered(v)) for k, v in query_constraints(query).items()]
 
     # The window keeps the history from this index on.
     first = -scenario.window if scenario.window else 0

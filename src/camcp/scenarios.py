@@ -29,7 +29,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .planner import CostModel, Query, Stage
+from .planner import CostModel, Stage
 from .reactor import Action, ServerSpec
 from .store import ContextValue, Exists, Snapshot, UnstorableValueError, copy_value
 
@@ -101,7 +101,7 @@ class Kind:
     traditional_calls: str
     ca_calls: str
     check: Callable[[dict, dict], None]
-    query: Callable[[Scenario, int], Query]
+    query: Callable[[Scenario, int], dict]
     scored: dict
     score: Callable[[Mapping, Mapping], list[bool]]
     make_action: Callable[[Scenario, Stage], Action]
@@ -319,7 +319,7 @@ def _validate_wedding(tables: dict, constraints: dict) -> None:
 # -- Queries -------------------------------------------------------------------
 
 
-def _travel_query(scenario: Scenario, seed: int) -> Query:
+def _travel_query(scenario: Scenario, seed: int) -> dict:
     """Seed 0 asks for the scenario's own trip; other seeds vary the
     destination, length and budget within the shipped data tables."""
     params = dict(scenario.constraints)
@@ -334,14 +334,14 @@ def _travel_query(scenario: Scenario, seed: int) -> Query:
         f"Plan a {params['days']}-day trip to {params['destination']} "
         f"with a ${params['budget']} budget; preferences: {', '.join(preferences)}."
     )
-    return Query(raw_text=raw, kind=scenario.kind, params=params)
+    return {"raw_text": raw, "kind": scenario.kind, "params": params}
 
 
-def _wedding_query(scenario: Scenario, seed: int) -> Query:
+def _wedding_query(scenario: Scenario, seed: int) -> dict:
     """The same query for every seed."""
     params = {"scenario": scenario.name, **scenario.constraints}
     raw = "Coordinate wedding-day guest arrivals, errands, and the shared vehicle."
-    return Query(raw_text=raw, kind=scenario.kind, params=params)
+    return {"raw_text": raw, "kind": scenario.kind, "params": params}
 
 
 # -- Travel tool computations --------------------------------------------------
@@ -409,7 +409,9 @@ def itinerary_cost(outputs: Mapping[str, ContextValue]):
     costs = [
         value["cost"]
         for value in outputs.values()
-        if isinstance(value, dict) and isinstance(value.get("cost"), (int, float))
+        if isinstance(value, dict)
+        and isinstance(value.get("cost"), (int, float))
+        and not isinstance(value["cost"], bool)
     ]
     try:
         return sum(costs)

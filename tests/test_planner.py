@@ -7,24 +7,23 @@ import sys
 from camcp.planner import (
     CostModel,
     MockPlanner,
-    Query,
     blueprint_to_value,
     completion_condition,
     render_summary,
     rendered,
 )
-from camcp.store import And, ContextStore, Exists, evaluate
+from camcp.store import And, ContextStore, Exists, condition_to_value, evaluate
 
-TRAVEL_QUERY = Query(
-    raw_text="Plan a 3-day trip to Seattle with a $1500 budget; preferences: adventurous, vegan.",
-    kind="travel",
-    params={"preferences": ["adventurous", "vegan"], "days": 3, "destination": "Seattle", "budget": 1500},
-)
-WEDDING_QUERY = Query(
-    raw_text="Coordinate wedding-day guest arrivals, errands, and the shared vehicle.",
-    kind="wedding",
-    params={"scenario": "wedding_p5", "vehicle_capacity": 2, "deadline_min": 360},
-)
+TRAVEL_QUERY = {
+    "raw_text": "Plan a 3-day trip to Seattle with a $1500 budget; preferences: adventurous, vegan.",
+    "kind": "travel",
+    "params": {"preferences": ["adventurous", "vegan"], "days": 3, "destination": "Seattle", "budget": 1500},
+}
+WEDDING_QUERY = {
+    "raw_text": "Coordinate wedding-day guest arrivals, errands, and the shared vehicle.",
+    "kind": "wedding",
+    "params": {"scenario": "wedding_p5", "vehicle_capacity": 2, "deadline_min": 360},
+}
 
 
 # -- Planning -------------------------------------------------------------------
@@ -39,38 +38,36 @@ def test_plan_is_deterministic(travel_scenario):
 
 def test_travel_blueprint_wiring(travel_scenario):
     blueprint = MockPlanner().plan(TRAVEL_QUERY, travel_scenario)
-    assert [s.stage_id for s in blueprint.stages] == ["location", "weather", "hotel", "dining"]
-    assert [s.server_id for s in blueprint.stages] == [
+    assert [s["stage_id"] for s in blueprint["stages"]] == ["location", "weather", "hotel", "dining"]
+    assert [s["server_id"] for s in blueprint["stages"]] == [
         "location_server",
         "weather_server",
         "hotel_server",
         "dining_server",
     ]
-    assert blueprint.stages[0].trigger == Exists("goals_seeded")
-    assert blueprint.stages[1].trigger == Exists("location_done")
-    assert blueprint.stages[2].trigger == Exists("location_done")
-    assert blueprint.stages[3].trigger == Exists("hotel_done")
-    assert blueprint.completion_key == "itinerary_complete"
-    assert blueprint.constraints == TRAVEL_QUERY.params
-    assert len(blueprint.goals) == 4
-    # the plan holds the scenario's stage records, required keys included
-    assert blueprint.stages is travel_scenario.stages
-    assert blueprint.stages[1].required == ("location",)
+    assert blueprint["stages"][0]["trigger"] == condition_to_value(Exists("goals_seeded"))
+    assert blueprint["stages"][1]["trigger"] == condition_to_value(Exists("location_done"))
+    assert blueprint["stages"][2]["trigger"] == condition_to_value(Exists("location_done"))
+    assert blueprint["stages"][3]["trigger"] == condition_to_value(Exists("hotel_done"))
+    assert blueprint["completion_key"] == "itinerary_complete"
+    assert blueprint["constraints"] == TRAVEL_QUERY["params"]
+    assert len(blueprint["goals"]) == 4
+    # the plan holds the value of each of the scenario's stage records
+    assert [s["done_key"] for s in blueprint["stages"]] == [s.done_key for s in travel_scenario.stages]
 
 
 def test_wedding_blueprint_wiring(wedding_scenario):
     blueprint = MockPlanner().plan(WEDDING_QUERY, wedding_scenario)
-    assert [s.stage_id for s in blueprint.stages] == ["arrivals", "errands", "schedule"]
-    assert blueprint.stages[2].trigger == Exists("requests_posted")
-    assert blueprint.completion_key == "logistics_complete"
+    assert [s["stage_id"] for s in blueprint["stages"]] == ["arrivals", "errands", "schedule"]
+    assert blueprint["stages"][2]["trigger"] == condition_to_value(Exists("requests_posted"))
+    assert blueprint["completion_key"] == "logistics_complete"
     # the scenario selector parameter is routing, not a constraint
-    assert "scenario" not in blueprint.constraints
-    assert blueprint.constraints == {"vehicle_capacity": 2, "deadline_min": 360}
+    assert "scenario" not in blueprint["constraints"]
+    assert blueprint["constraints"] == {"vehicle_capacity": 2, "deadline_min": 360}
 
 
 def test_completion_condition_is_conjunction_of_done_keys(travel_scenario):
-    blueprint = MockPlanner().plan(TRAVEL_QUERY, travel_scenario)
-    condition = completion_condition(blueprint)
+    condition = completion_condition(travel_scenario.stages)
     assert condition == And(
         (
             Exists("location_done"),
@@ -80,14 +77,14 @@ def test_completion_condition_is_conjunction_of_done_keys(travel_scenario):
         )
     )
     store = ContextStore()
-    for stage in blueprint.stages:
+    for stage in travel_scenario.stages:
         assert not evaluate(condition, store.snapshot())
         store.put(stage.done_key, True, "w")
     assert evaluate(condition, store.snapshot())
 
 
 def test_blueprint_to_value_is_json_shaped(travel_scenario):
-    value = blueprint_to_value(MockPlanner().plan(TRAVEL_QUERY, travel_scenario))
+    value = blueprint_to_value(TRAVEL_QUERY, travel_scenario)
     json.dumps(value)
     assert value["stages"][0]["trigger"] == {"op": "exists", "key": "goals_seeded"}
 
@@ -108,7 +105,7 @@ def test_summarize_golden(golden_dir, travel_scenario):
     for spec in build_servers(travel_scenario, "context_aware"):
         pool.register(spec)
     pool.run_until_quiescent(travel_scenario.max_steps)
-    store.put(blueprint.completion_key, True, "runtime")
+    store.put(blueprint["completion_key"], True, "runtime")
     summary = planner.summarize(store.snapshot(), blueprint)
     assert summary + "\n" == (golden_dir / "summary_travel.txt").read_text()
 
@@ -118,7 +115,7 @@ def test_render_summary_echoes_every_constraint_and_stage(travel_scenario):
     store = ContextStore()
     store.put("location", {"cost": 1}, "location_server")
     summary = render_summary(store.snapshot(), blueprint)
-    for name, value in blueprint.constraints.items():
+    for name, value in blueprint["constraints"].items():
         assert f"constraint {name}:" in summary
     assert "Seattle" in summary and "1500" in summary
     assert "weather: null" in summary  # missing stages stay visible

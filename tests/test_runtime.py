@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from camcp import runtime, store
 from camcp.bench import compute_metrics
-from camcp.planner import CostModel, MockPlanner, PlanBlueprint
+from camcp.planner import CostModel, MockPlanner
 from camcp.protocol import decode, encode, validate_sequence
 from camcp.runtime import (
     _JSON_SPACE,
@@ -184,7 +184,7 @@ def test_seed_context_write_order(travel_scenario):
 
 
 def test_seed_context_empty_blueprint():
-    blueprint = PlanBlueprint(goals=(), constraints={}, stages=(), completion_key="done")
+    blueprint = {"goals": [], "constraints": {}, "stages": [], "completion_key": "done"}
     store = ContextStore()
     keys = []
     store.add_commit_listener(lambda entry: keys.append(entry.key))
@@ -206,16 +206,16 @@ def test_seed_context_reseed_bumps_versions(travel_scenario):
 
 def test_query_seed_zero_is_base_query(travel_scenario):
     query = query_for_seed(travel_scenario, 0)
-    assert query.params == travel_scenario.constraints
-    assert "Seattle" in query.raw_text
-    assert "$1500" in query.raw_text
+    assert query["params"] == travel_scenario.constraints
+    assert "Seattle" in query["raw_text"]
+    assert "$1500" in query["raw_text"]
 
 
 def test_query_variations_stay_inside_tables(travel_scenario):
     destinations = set(travel_scenario.data_tables["destinations"])
     seen = set()
     for seed in range(1, 60):
-        params = query_for_seed(travel_scenario, seed).params
+        params = query_for_seed(travel_scenario, seed)["params"]
         assert params["destination"] in destinations
         assert params["days"] in (2, 3, 4)
         assert params["budget"] in (1200, 1500, 1800)
@@ -363,6 +363,22 @@ def test_wedding_ca_combined_call_skips_summary_request(wedding_scenario):
 def test_traditional_messages_are_plan_and_final_only(travel_scenario):
     types = [m.msg_type for m in run_traditional(travel_scenario, 0).protocol_messages()]
     assert types == ["plan_request", "final_response"]
+
+
+@pytest.mark.parametrize("name, seed", [("travel", seed) for seed in range(4)] + [("wedding_p5", 0)])
+def test_ca_trace_carries_the_query_and_plan_values(name, seed, travel_scenario, wedding_scenario):
+    """The plan_request carries the query value, and the context_seed and the
+    seeded stage outline carry the plan value, as they read back."""
+    scenario = scenario_by_name(name, travel_scenario, wedding_scenario)
+    trace = parse_trace(serialize_trace(run_context_aware(scenario, seed)))
+    messages = trace.protocol_messages()
+    query = query_for_seed(scenario, seed)
+    blueprint = MockPlanner().plan(query, scenario)
+    assert [m.msg_type for m in messages[:2]] == ["plan_request", "context_seed"]
+    assert messages[0].payload["query"] == query
+    assert messages[1].payload["blueprint"] == blueprint
+    [stages] = [e for e in events_of(trace, runtime.SCS_WRITE) if e.payload["key"] == "stages"]
+    assert stages.payload["value"] == blueprint["stages"]
 
 
 def test_ca_run_spends_no_calls_between_seed_and_summary(travel_scenario):

@@ -457,6 +457,7 @@ def test_itinerary_cost_sums_cost_fields():
         "weather": {"forecast": []},
         "hotel": {"cost": 285},
         "note": "free",
+        "flag": {"cost": True},
     }
     assert itinerary_cost(outputs) == 297
 
@@ -767,4 +768,5 @@ def test_build_servers_by_mode(travel_scenario, wedding_scenario):
 def test_traditional_tools_declare_required_keys(travel_scenario):
     stages = {s.stage_id: s for s in travel_scenario.stages}
     assert stages["location"].required == ("destination", "days")
+    assert stages["weather"].required == ("location",)
     assert stages["dining"].required == ("location", "budget")
