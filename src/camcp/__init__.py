@@ -22,7 +22,7 @@ from .planner import (
     render_summary,
 )
 from .protocol import Envelope, ProtocolError, decode, encode, make_envelope, validate_sequence
-from .reactor import BudgetExceededError, ReactorPool, ReactorState, ServerSpec
+from .reactor import ReactorPool, ReactorState, ServerSpec
 from .runtime import (
     MalformedTraceError,
     Trace,

@@ -6,6 +6,11 @@ consistent snapshot, runs its action, and commits the writes the action
 returns as one atomic batch ending with its done flag. An action fails only
 by raising; that failure, or a batch the store rejects, is contained per
 reactor, and independent reactors keep running.
+
+A reactor only moves IDLE -> READY -> FIRED or FAILED, never back, and each
+step fires at least one ready reactor, so a pool settles within one step per
+reactor, whatever its triggers. A cycle, or a trigger that can never hold,
+leaves its reactors idle.
 """
 from __future__ import annotations
 
@@ -27,12 +32,6 @@ class ReactorState(Enum):
 class DuplicateServerError(Exception):
     def __init__(self, what: str):
         super().__init__(f"duplicate registration: {what}")
-
-
-class BudgetExceededError(Exception):
-    def __init__(self, max_steps: int):
-        super().__init__(f"not quiescent within {max_steps} steps")
-        self.max_steps = max_steps
 
 
 # An action returns its ordered writes; the done flag is appended when the
@@ -93,22 +92,18 @@ class ReactorPool:
 
     # -- Scheduling --
 
-    def run_until_quiescent(self, max_steps: int) -> int:
-        """Step until no reactor is ready; returns the number of steps taken.
+    def run_until_quiescent(self) -> int:
+        """Step until no reactor is ready; returns the number of steps taken,
+        at most one per registered reactor.
 
         Each step fires every ready reactor in registration order; edges
         risen by those fires are picked up by the next step.
-
-        Raises :class:`BudgetExceededError` if quiescence is not reached
-        within ``max_steps``.
         """
         steps = 0
         while True:
             self._absorb()
             if not any(r.state is ReactorState.READY for r in self._reactors.values()):
                 return steps
-            if steps >= max_steps:
-                raise BudgetExceededError(max_steps)
             for reactor in self._reactors.values():
                 if reactor.state is ReactorState.READY:
                     self._fire_one(reactor)

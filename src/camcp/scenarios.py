@@ -80,7 +80,6 @@ class Scenario:
     window: int | None
     constraints: dict
     cost_model: CostModel = CostModel()
-    max_steps: int = 16
 
     def stage_ids(self) -> list[str]:
         return [s.stage_id for s in self.stages]
@@ -194,8 +193,6 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         for fname in ("per_call_latency_s", "per_tool_latency_s")
     })
 
-    max_steps = _checked("max_steps", data.get("max_steps", Scenario.max_steps), 1)
-
     constraints = data.get("constraints")
     if not isinstance(constraints, dict):
         raise ScenarioValidationError("constraints", "must be an object")
@@ -234,7 +231,6 @@ def scenario_from_value(data: Mapping, default_name: str = "") -> Scenario:
         window=window,
         constraints=constraints,
         cost_model=cost_model,
-        max_steps=max_steps,
     )
 
 

@@ -104,7 +104,7 @@ def test_summarize_golden(golden_dir, travel_scenario):
     pool = ReactorPool(store)
     for spec in build_servers(travel_scenario, "context_aware"):
         pool.register(spec)
-    pool.run_until_quiescent(travel_scenario.max_steps)
+    pool.run_until_quiescent()
     store.put(blueprint["completion_key"], True, "runtime")
     summary = planner.summarize(store.snapshot(), blueprint)
     assert summary + "\n" == (golden_dir / "summary_travel.txt").read_text()

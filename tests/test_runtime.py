@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,7 @@ from camcp.runtime import (
     serialize_trace,
     write_trace,
 )
-from camcp.scenarios import KINDS, MODE_CA, MODE_TRADITIONAL
+from camcp.scenarios import KINDS, MODE_CA, MODE_TRADITIONAL, load_scenario
 from camcp.store import ContextStore, canonicalize_value
 from strategies import generated_wedding, json_values
 
@@ -264,15 +265,22 @@ def test_context_aware_ignores_window(windowed_travel):
 
 
 @pytest.mark.parametrize("name", ["travel", "wedding_p5"])
-def test_ca_run_out_of_steps_ends_incomplete(name, travel_scenario, wedding_scenario):
-    scenario = dataclasses.replace(
-        scenario_by_name(name, travel_scenario, wedding_scenario), max_steps=1
-    )
+def test_a_file_with_a_step_budget_loads_and_its_ca_run_completes(
+    name, tmp_path, travel_scenario, wedding_scenario
+):
+    """The loader no longer reads ``max_steps``: a file still setting it, even
+    below the depth of its stage graph, runs exactly as the shipped one."""
+    value = json.loads(resources.files("camcp").joinpath("data", f"{name}.json").read_text("utf-8"))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**value, "max_steps": 1}))
+    scenario = load_scenario(path)
     trace = run_context_aware(scenario, 0)
-    assert trace.events[-1].payload["completed"] is False
-    reasons = {e.payload["reason"] for e in events_of(trace, "stage_failed")}
-    assert reasons == {"not quiescent within 1 steps"}
+    assert trace.events[-1].payload["completed"] is True
+    done = [e.payload["stage"] for e in events_of(trace, "stage_done")]
+    assert sorted(done) == sorted(scenario.stage_ids())
     assert compute_metrics(parse_trace(serialize_trace(trace))) == compute_metrics(trace, scenario)
+    builtin = scenario_by_name(name, travel_scenario, wedding_scenario)
+    assert serialize_trace(trace) == serialize_trace(run_context_aware(builtin, 0))
 
 
 def test_ca_stages_behind_a_failed_stage_are_reported_never_triggered(travel_scenario, monkeypatch):

@@ -155,8 +155,6 @@ def _wedding_value() -> dict:
             id="latency-past-a-day",
         ),
         pytest.param(lambda d: d.update(cost_model=3), "cost_model", id="cost-model-number"),
-        (lambda d: d.update(max_steps=0), "max_steps"),
-        pytest.param(lambda d: d.update(max_steps=True), "max_steps", id="max-steps-bool"),
         (lambda d: d.update(constraints=None), "constraints"),
         (lambda d: d.update(stages=[]), "stages"),
         (lambda d: d["stages"].__setitem__(0, {"stage_id": "", "server_id": "s"}), "stages[0].stage_id"),
