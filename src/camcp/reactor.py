@@ -10,7 +10,9 @@ reactor, and independent reactors keep running.
 A reactor only moves IDLE -> READY -> FIRED or FAILED, never back, and each
 step fires at least one ready reactor, so a pool settles within one step per
 reactor, whatever its triggers. A cycle, or a trigger that can never hold,
-leaves its reactors idle.
+leaves its reactors idle. Draining the store's edges lists each reactor they
+make READY; a step fires that ready list in registration order, so no step
+looks at an idle reactor, and the pool is quiescent when a drain lists none.
 """
 from __future__ import annotations
 
@@ -75,6 +77,7 @@ class ReactorPool:
         self._on_fired = on_fired
         self._on_failed = on_failed
         self._reactors: dict[int, _Reactor] = {}  # by watch id, in registration order
+        self._ready: list[int] = []  # watch ids of READY reactors, see _absorb
 
     def register(self, spec: ServerSpec) -> None:
         """Add a reactor. If its trigger already holds, the registration-time
@@ -100,21 +103,28 @@ class ReactorPool:
         risen by those fires are picked up by the next step.
         """
         steps = 0
-        while True:
-            self._absorb()
-            if not any(r.state is ReactorState.READY for r in self._reactors.values()):
-                return steps
-            for reactor in self._reactors.values():
-                if reactor.state is ReactorState.READY:
-                    self._fire_one(reactor)
+        while ready := self._absorb():
+            for watch_id in ready:
+                self._fire_one(self._reactors[watch_id])
+            ready.clear()
             steps += 1
+        return steps
 
-    def _absorb(self) -> None:
+    def _absorb(self) -> list[int]:
+        """Make READY each idle reactor whose edge rose, and return the ready
+        list: every READY reactor's watch id, in registration order. The list
+        keeps entries past a step only if a callback raised partway through
+        it; the ones fired before that are dropped here."""
         for watch_id, logical_time in self.store.drain_notifications():
             reactor = self._reactors.get(watch_id)
             if reactor is not None and reactor.state is ReactorState.IDLE:
                 reactor.state = ReactorState.READY
                 reactor.edge_time = logical_time
+                self._ready.append(watch_id)
+        ready = [w for w in self._ready if self._reactors[w].state is ReactorState.READY]
+        ready.sort()  # watch ids rise in registration order
+        self._ready = ready
+        return ready
 
     # -- One fire --
 

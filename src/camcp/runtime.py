@@ -361,7 +361,7 @@ class TraceBuilder:
         Callers write its fields in sorted order, as the encoder would."""
         t = len(self._events) + 1
         line = None if payload_text is None else _line(t, kind, payload_text)
-        self._events.append(TraceEvent(t, kind, payload, line))
+        self._events.append(tuple.__new__(TraceEvent, (t, kind, payload, line)))
 
     def envelope_line(self, msg_type: str, payload_text: str) -> str:
         """The next protocol line, around a payload's canonical text."""

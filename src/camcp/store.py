@@ -3,10 +3,13 @@
 The store is the shared coordination surface: writers commit versioned
 entries under a single store-wide logical clock, readers take snapshots,
 and subscribers are notified exactly once per false-to-true transition of a
-watch condition evaluated over successive post-commit states. A snapshot is
-a read-only ``types.MappingProxyType`` of the entries by key, as they stood
-at one instant; later commits do not show in it. Commit listeners see
-every commit in order; the runtime records each one as a trace event.
+watch condition evaluated over successive post-commit states. A commit
+re-evaluates only the watches whose conditions read its key. That gives the
+edges of re-evaluating them all: a condition is a pure function of its keys'
+entries, and a commit changes one entry and deletes none. A snapshot is a
+read-only ``types.MappingProxyType`` of the entries by key, as they stood at
+one instant; later commits do not show in it. Commit listeners see every
+commit in order; the runtime records each one as a trace event.
 
 Every stored value is a validated plain copy (:func:`copy_value`, which
 also caps nesting at :data:`MAX_VALUE_DEPTH` levels), made once at commit;
@@ -243,6 +246,17 @@ def evaluate(condition: WatchCondition, entries: Mapping[str, "ContextEntry"]) -
     raise TypeError(f"not a watch condition: {condition!r}")
 
 
+def _keys_read(condition: WatchCondition) -> set[str]:
+    """The keys whose entries *condition* reads."""
+    if isinstance(condition, (Exists, Equals)):
+        return {condition.key}
+    if isinstance(condition, (And, Or)):
+        return set().union(*map(_keys_read, condition.children))
+    if isinstance(condition, Not):
+        return _keys_read(condition.child)
+    raise TypeError(f"not a watch condition: {condition!r}")
+
+
 def condition_to_value(condition: WatchCondition) -> dict:
     """Encode a condition as plain JSON-shaped data."""
     if isinstance(condition, Exists):
@@ -335,7 +349,8 @@ class ContextStore:
         self._lock = threading.Lock()
         self._entries: dict[str, ContextEntry] = {}
         self._logical_time = 0
-        self._watches: list[_Watch] = []
+        self._watch_count = 0
+        self._watches_by_key: dict[str, list[_Watch]] = {}  # each list in watch id order
         self._pending: list[tuple[int, int]] = []  # (watch id, logical_time)
         self._listeners: list[Callable[[ContextEntry], None]] = []
 
@@ -392,10 +407,14 @@ class ContextStore:
         """Register a rising-edge watch; returns its id (1, 2, ...), which
         :meth:`drain_notifications` names its edges by. If the condition
         already holds, one notification is queued immediately so
-        registration order never races seeding order."""
+        registration order never races seeding order. A non-condition raises
+        ``TypeError``."""
+        keys = _keys_read(condition)
         with self._lock:
-            watch = _Watch(len(self._watches) + 1, condition, evaluate(condition, self._entries))
-            self._watches.append(watch)
+            self._watch_count += 1
+            watch = _Watch(self._watch_count, condition, evaluate(condition, self._entries))
+            for key in keys:
+                self._watches_by_key.setdefault(key, []).append(watch)
             if watch.held:
                 self._pending.append((watch.watch_id, self._logical_time))
             return watch.watch_id
@@ -435,15 +454,16 @@ class ContextStore:
 
     def _commit(self, key: str, value: ContextValue, writer_id: str, text: str) -> ContextEntry:
         previous = self._entries.get(key)
-        self._logical_time += 1
+        time = self._logical_time = self._logical_time + 1
         version = 1 if previous is None else previous.version + 1
-        entry = ContextEntry(key, value, version, writer_id, self._logical_time, text)
+        # tuple.__new__ skips the Python-level __new__ that NamedTuple defines.
+        entry = tuple.__new__(ContextEntry, (key, value, version, writer_id, time, text))
         self._entries[key] = entry
         for listener in self._listeners:
             listener(entry)
-        for watch in self._watches:
+        for watch in self._watches_by_key.get(key, ()):
             state = evaluate(watch.condition, self._entries)
             if state and not watch.held:
-                self._pending.append((watch.watch_id, entry.logical_time))
+                self._pending.append((watch.watch_id, time))
             watch.held = state
         return entry

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import camcp.store
 from camcp.planner import Stage
 from camcp.reactor import DuplicateServerError, ReactorPool, ReactorState, ServerSpec
 from camcp.store import And, ContextStore, Equals, Exists, Not, Or
@@ -43,6 +44,33 @@ def test_register_rejects_duplicate_done_key():
     pool.register(spec("a", Exists("x"), write_output("a_out"), done_key="shared"))
     with pytest.raises(DuplicateServerError, match="done_key"):
         pool.register(spec("b", Exists("x"), write_output("b_out"), done_key="shared"))
+
+
+@pytest.mark.parametrize(
+    "trigger",
+    ["seed", None, And((Exists("seed"), "seed")), Or((Exists("x"), Not(5))), Not(Exists)],
+    ids=["text", "none", "in-and", "under-not-in-or", "class"],
+)
+def test_a_trigger_that_is_not_a_condition_leaves_the_pool_unchanged(trigger):
+    """The register raises TypeError, even where evaluating the trigger would
+    stop before the bad part, and takes no watch id, server id or done key:
+    the same ids then register cleanly, and a true duplicate still names its
+    field."""
+    store = ContextStore()
+    pool = ReactorPool(store)
+    pool.register(spec("first", Exists("seed"), write_output("first_out")))
+    with pytest.raises(TypeError, match="^not a watch condition: "):
+        pool.register(spec("a", trigger, write_output("a_out")))
+    assert pool.states() == {"first": ReactorState.IDLE}
+    pool.register(spec("a", Exists("seed"), write_output("a_out")))
+    with pytest.raises(DuplicateServerError, match="server_id 'a'"):
+        pool.register(spec("a", Exists("seed"), write_output("b_out"), done_key="b_done"))
+    with pytest.raises(DuplicateServerError, match="done_key 'a_done'"):
+        pool.register(spec("b", Exists("seed"), write_output("b_out"), done_key="a_done"))
+    assert store.subscribe(Exists("never")) == 3  # no failed register took a watch id
+    store.put("seed", True, "w")
+    assert pool.run_until_quiescent() == 1
+    assert pool.states() == {"first": ReactorState.FIRED, "a": ReactorState.FIRED}
 
 
 def test_registration_time_edge_fires_without_new_write():
@@ -205,6 +233,45 @@ def test_callbacks_fire_in_order():
     assert store.get("out").writer_id == "only_server"
 
 
+@pytest.mark.parametrize("raising", ["on_firing", "on_fired", "on_failed"])
+def test_a_callback_that_raises_leaves_the_rest_of_its_step_for_the_next_run(raising):
+    """A callback raises on the first of three ready reactors. The next run
+    fires each reactor still READY, once, in registration order, then goes on
+    to what their fires raised; no reactor is READY at quiescence."""
+    fired, raised = [], []
+
+    def action(server_id: str):
+        def run(snapshot) -> list:
+            fired.append(server_id)
+            if server_id == "a" and raising == "on_failed":
+                raise RuntimeError("tool blew up")
+            return [(f"{server_id}_out", 1)]
+
+        return run
+
+    def callback(stage, *args):
+        if stage.server_id == "a" and not raised:
+            raised.append(stage.server_id)
+            raise RuntimeError("callback")
+
+    store = ContextStore()
+    pool = ReactorPool(store, **{raising: callback})
+    for server_id in ("a", "b", "c"):
+        pool.register(spec(server_id, Exists("seed"), action(server_id)))
+    pool.register(spec("d", Exists("b_done"), action("d")))
+    store.put("seed", True, "w")
+    with pytest.raises(RuntimeError, match="^callback$"):
+        pool.run_until_quiescent()
+    assert pool.states()["b"] is pool.states()["c"] is ReactorState.READY
+    assert pool.run_until_quiescent() == 2
+    assert fired == ["a", "b", "c", "d"]
+    states = pool.states()
+    a_state = ReactorState.FAILED if raising == "on_failed" else ReactorState.FIRED
+    assert states.pop("a") is a_state
+    assert set(states.values()) == {ReactorState.FIRED}
+    assert pool.run_until_quiescent() == 0
+
+
 def test_a_step_fires_in_registration_order_not_edge_order():
     """B's edge rises first, but A registered first, so A fires first."""
     store = ContextStore()
@@ -216,6 +283,33 @@ def test_a_step_fires_in_registration_order_not_edge_order():
     store.put("y", 1, "w")
     assert pool.run_until_quiescent() == 1
     assert log == [("A", 2), ("B", 1)]
+
+
+@pytest.mark.parametrize("shape", ["chain", "fan-out"])
+def test_a_pool_of_800_costs_at_most_four_evaluations_per_reactor(shape, monkeypatch):
+    """Counted, not timed: from registration to quiescence, 800 reactors in
+    a chain, or all waiting on one key, cost at most 4 condition evaluations
+    each. Re-evaluating every watch on every commit costs about N^2 / 2."""
+    n = 800
+    evaluate, calls = camcp.store.evaluate, []
+
+    def counting(condition, entries):
+        calls.append(condition)
+        return evaluate(condition, entries)
+
+    monkeypatch.setattr(camcp.store, "evaluate", counting)
+    store = ContextStore()
+    fired = []
+    pool = ReactorPool(store, on_fired=lambda stage, writes: fired.append(stage.server_id))
+    for i in range(n):
+        trigger = Exists(f"s{i - 1}_done") if shape == "chain" and i else Exists("seed")
+        pool.register(spec(f"s{i}", trigger, lambda snapshot: []))
+    store.put("seed", True, "w")
+    steps = pool.run_until_quiescent()
+    assert len(calls) <= 4 * n
+    assert steps == (n if shape == "chain" else 1)
+    assert fired == [f"s{i}" for i in range(n)]
+    assert set(pool.states().values()) == {ReactorState.FIRED}
 
 
 # -- Random layered DAGs vs the step-count oracle -----------------------------------

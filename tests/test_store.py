@@ -263,7 +263,11 @@ def test_evaluate_examples():
     assert evaluate(Or((Exists("y"), Exists("x"))), snap)
 
 
-@pytest.mark.parametrize("convert", [lambda c: evaluate(c, {}), condition_to_value])
+@pytest.mark.parametrize(
+    "convert",
+    [lambda c: evaluate(c, {}), condition_to_value, lambda c: ContextStore().subscribe(c)],
+    ids=["<lambda>", "condition_to_value", "subscribe"],
+)
 def test_a_value_that_is_not_a_condition_is_a_type_error(convert):
     with pytest.raises(TypeError, match="^not a watch condition: 'x'$"):
         convert("x")
@@ -560,6 +564,70 @@ def test_random_sequences_match_edge_oracle():
             store.put(key, value, "w")
             oracle.commit(key, value)
         assert store.drain_notifications() == oracle.drain()
+
+
+# Four keys that writes hit and one, "z", that none does.
+_INDEX_KEYS = ("a", "b", "c", "d", "z")
+_INDEX_VALUES = (None, True, False, 0, 1, 2, "x")
+
+
+def _random_condition(rng: random.Random, depth: int):
+    """A condition nested up to *depth* levels; And and Or take 0-3 children."""
+    if depth == 0 or rng.random() < 0.3:
+        key = rng.choice(_INDEX_KEYS)
+        return Exists(key) if rng.random() < 0.5 else Equals(key, rng.choice(_INDEX_VALUES))
+    op = rng.choice((And, Or, Not))
+    if op is Not:
+        return Not(_random_condition(rng, depth - 1))
+    return op(tuple(_random_condition(rng, depth - 1) for _ in range(rng.randint(0, 3))))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_key_indexed_watches_match_the_edge_oracle(seed):
+    """Hundreds of watches over five keys, nested up to three levels, with
+    empty joins, a key nothing writes, and an Equals that rises, falls and
+    rises again. The store re-evaluates only the watches that read a
+    commit's key; the oracle re-evaluates every watch after every commit.
+    Subscriptions, puts, batches and drains interleave at random."""
+    rng = random.Random(seed)
+    store, oracle = ContextStore(), EdgeOracle()
+    edges: list[tuple[int, int]] = []
+
+    def subscribe(condition) -> int:
+        sub = store.subscribe(condition)
+        assert sub == oracle.subscribe(condition)
+        return sub
+
+    def drain() -> None:
+        drained = store.drain_notifications()
+        assert drained == oracle.drain()
+        edges.extend(drained)
+
+    for condition in (And(()), Or(()), Not(Or(())), Exists("z")):
+        subscribe(condition)
+    toggled = subscribe(Equals("a", 1))
+    for _ in range(rng.randint(200, 300)):
+        subscribe(_random_condition(rng, 3))
+    writes = [("a", 1), ("a", 2), ("a", 1)]  # the Equals rises, falls, rises
+    for _ in range(rng.randint(40, 80)):
+        writes.append((rng.choice(_INDEX_KEYS[:4]), rng.choice(_INDEX_VALUES)))
+    i = 0
+    while i < len(writes):
+        roll = rng.random()
+        if roll < 0.15:
+            drain()
+        elif roll < 0.25:
+            subscribe(_random_condition(rng, 3))
+        batch = writes[i : i + (1 if roll < 0.7 else rng.randint(2, 4))]
+        if len(batch) == 1:
+            store.put(*batch[0], "w")
+        else:
+            store.put_many(batch, "w")
+        for key, value in batch:
+            oracle.commit(key, value)
+        i += len(batch)
+    drain()
+    assert [t for sub, t in edges if sub == toggled][:2] == [1, 3]
 
 
 # -- Commit listeners --------------------------------------------------------------
